@@ -10,7 +10,7 @@ STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
 .PHONY: all build test test-short race fmt fmt-check vet lint bench bench-ci \
 	golden golden-check stress multinic fattree nicoll adaptive benchalloc simd \
-	dca examples linkcheck ci-fast ci-full
+	dca examples linkcheck perfbench-test ci-fast ci-full
 
 all: build
 
@@ -152,6 +152,12 @@ examples:
 linkcheck:
 	$(GO) test -run TestMarkdownLinks .
 
-ci-fast: build vet lint fmt-check examples linkcheck test-short
+# The benchmark of the simulator is a Go module of its own, so
+# ./... from the root never reaches its tests (the sweep-equivalence
+# and check tests).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+ci-fast: build vet lint fmt-check examples linkcheck test-short perfbench-test
 
 ci-full: race stress multinic fattree nicoll adaptive benchalloc simd dca

@@ -312,22 +312,24 @@ type Buffer struct {
 	b *hostmem.Buffer
 }
 
-// Alloc allocates a zeroed buffer of n bytes on the host, homed on
-// the chipset's local NUMA node.
+// Alloc allocates a buffer of n bytes on the host, homed on the
+// chipset's local NUMA node. It reads as zero; storage is allocated on
+// first write.
 func (h *Host) Alloc(n int) *Buffer {
 	return &Buffer{H: h, b: h.m.Alloc(n)}
 }
 
-// AllocOn allocates a zeroed buffer of n bytes homed on the given
-// NUMA node (socket). Device DMA into a remote-socket buffer pays the
-// platform's remote-deposit penalty, so placement matters to receive
-// paths.
+// AllocOn allocates a buffer of n bytes homed on the given NUMA node
+// (socket). It reads as zero; storage is allocated on first write.
+// Device DMA into a remote-socket buffer pays the platform's
+// remote-deposit penalty, so placement matters to receive paths.
 func (h *Host) AllocOn(n, socket int) *Buffer {
 	return &Buffer{H: h, b: h.m.AllocOn(n, socket)}
 }
 
-// Bytes gives direct access to the payload.
-func (b *Buffer) Bytes() []byte { return b.b.Data }
+// Bytes gives direct access to the payload. The first call allocates
+// the backing storage of a buffer nothing has written yet.
+func (b *Buffer) Bytes() []byte { return b.b.Bytes() }
 
 // Size reports the buffer length.
 func (b *Buffer) Size() int { return b.b.Size() }

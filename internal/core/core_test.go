@@ -201,7 +201,7 @@ func TestMatchingWithMask(t *testing.T) {
 	if anyMatch != 0xAA01 {
 		t.Fatalf("wildcard recv matched %#x", anyMatch)
 	}
-	if dstTagged.Data[0] != b.Data[0] || dstAny.Data[0] != a.Data[0] {
+	if dstTagged.Bytes()[0] != b.Bytes()[0] || dstAny.Bytes()[0] != a.Bytes()[0] {
 		t.Fatal("payloads crossed")
 	}
 }
@@ -226,7 +226,7 @@ func TestTruncatedReceive(t *testing.T) {
 		t.Fatalf("truncated len = %d, want 400", got)
 	}
 	for i := 0; i < 400; i++ {
-		if dst.Data[i] != src.Data[i] {
+		if dst.Bytes()[i] != src.Bytes()[i] {
 			t.Fatalf("byte %d differs", i)
 		}
 	}

@@ -503,7 +503,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	if n > 0 && dstBuf != nil {
 		var d sim.Duration
 		if ev.inline != nil {
-			copy(dstBuf.Data[dstOff:dstOff+n], ev.inline[:n])
+			dstBuf.WriteAt(ev.inline[:n], dstOff)
 			d = ep.S.H.Copy.RawTime(n, ep.S.H.P.MemcpyL2Rate)
 			dstBuf.Touch(ep.Core, n)
 		} else {
@@ -605,7 +605,7 @@ func (s *Stack) transmitEager(ep *Endpoint, tc *txChan, seq uint32, match uint64
 		var payload []byte
 		if fl > 0 {
 			payload = make([]byte, fl)
-			copy(payload, buf.Data[off+fo:off+fo+fl])
+			buf.ReadAt(payload, off+fo)
 		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"omxsim/internal/cpu"
+	"omxsim/internal/hostmem"
 	"omxsim/internal/ioat"
 	"omxsim/internal/nic"
 	"omxsim/internal/proto"
@@ -129,7 +130,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 		s.Stats.DupFrags++
 		return
 	}
-	n := len(skb.Buf.Data)
+	n := skb.Len()
 	ev := &event{
 		kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
 		msgLen: m.MsgLen, fragID: m.FragID, fragCnt: m.FragCount,
@@ -141,7 +142,8 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 		// event write itself.
 		ch.markFrag(m.Seq, m.FragID)
 		if n > 0 {
-			ev.inline = append([]byte(nil), skb.Buf.Data...)
+			ev.inline = make([]byte, n)
+			skb.Buf.ReadAt(ev.inline, 0)
 			if !s.Cfg.SkipBHCopy {
 				core.RunOn(p, cpu.BHCopy, s.H.Copy.RawTime(n, bhTinyRate(s)))
 			}
@@ -157,7 +159,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 		off := ep.slotOff(slot)
 		switch {
 		case s.Cfg.SkipBHCopy:
-			copy(ep.ring.Data[off:off+n], skb.Buf.Data)
+			hostmem.Copy(ep.ring, off, skb.Buf, 0, n)
 		case s.Cfg.IOATSyncMedium && n >= s.Cfg.IOATMinFrag:
 			// Synchronous offload: submit, then busy-poll completion.
 			// All fragment copies of small/medium messages must be
@@ -265,7 +267,7 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 			continue
 		}
 		payload := make([]byte, fl)
-		copy(payload, ls.buf.Data[ls.off+fo:ls.off+fo+fl])
+		ls.buf.ReadAt(payload, ls.off+fo)
 		s.transmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ls.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
@@ -302,13 +304,13 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 	blk.attempts = 0 // fresh data: the sender is making progress
 	lp.received++
 
-	n := len(skb.Buf.Data)
+	n := skb.Len()
 	dstOff := lp.off + m.Offset
 	last := lp.received == lp.frags
 
 	switch {
 	case s.Cfg.SkipBHCopy:
-		copy(lp.buf.Data[dstOff:dstOff+n], skb.Buf.Data)
+		hostmem.Copy(lp.buf, dstOff, skb.Buf, 0, n)
 		skb.Free()
 	case lp.useIOAT:
 		// Optional hybrid: memcpy the head of the message to warm the

@@ -12,6 +12,7 @@
 package hostmem
 
 import (
+	"bytes"
 	"fmt"
 
 	"omxsim/platform"
@@ -41,16 +42,22 @@ func New(p *platform.Platform) *Memory {
 func (m *Memory) Allocated() int64 { return m.allocated }
 
 // Buffer is a contiguous, addressable region of host memory holding
-// real bytes. Buffers remember which core last touched them (for
-// warmth and cross-socket decisions), how much of them the current
-// warm episode actually covers, whether a device DMA produced their
-// current contents (and how much of that deposit has been snooped
-// back), any pending DCA push, their NUMA home socket, and their pin
-// refcount.
+// real bytes. Its storage is allocated on first write; until then the
+// buffer reads as zeros, so a simulation pays only for the payload
+// bytes it actually writes. Every size and warmth computation uses the
+// logical size, whether or not the storage exists. Buffers remember
+// which core last touched them (for warmth and cross-socket
+// decisions), how much of them the current warm episode actually
+// covers, whether a device DMA produced their current contents (and
+// how much of that deposit has been snooped back), any pending DCA
+// push, their NUMA home socket, and their pin refcount.
 type Buffer struct {
 	Mem  *Memory
 	Addr int64
-	Data []byte
+
+	data     []byte // nil until the first write
+	size     int
+	readOnly bool // Wrap: the bytes belong to someone else
 
 	pinRef int
 	home   int // NUMA home socket of the backing pages
@@ -76,15 +83,17 @@ type Buffer struct {
 	dcaMark int64 // target domain's L2 clock at push time
 }
 
-// Alloc returns a new zeroed buffer of the given size, homed on the
-// chipset's local socket (the default NUMA placement).
+// Alloc returns a new buffer of the given size, homed on the chipset's
+// local socket (the default NUMA placement). It reads as zero; storage
+// is allocated on first write.
 func (m *Memory) Alloc(size int) *Buffer {
 	return m.AllocOn(size, m.P.DMAHomeSocket)
 }
 
-// AllocOn returns a new zeroed buffer of the given size homed on the
-// given NUMA node (socket). Device DMA deposits into remote-socket
-// buffers pay the platform's remote-DMA penalty.
+// AllocOn returns a new buffer of the given size homed on the given
+// NUMA node (socket). It reads as zero; storage is allocated on first
+// write. Device DMA deposits into remote-socket buffers pay the
+// platform's remote-DMA penalty.
 func (m *Memory) AllocOn(size, socket int) *Buffer {
 	if size < 0 {
 		panic(fmt.Sprintf("hostmem: negative alloc %d", size))
@@ -93,7 +102,7 @@ func (m *Memory) AllocOn(size, socket int) *Buffer {
 		panic(fmt.Sprintf("hostmem: alloc on socket %d of %d", socket, m.P.Sockets))
 	}
 	b := &Buffer{
-		Mem: m, Addr: m.nextAddr, Data: make([]byte, size),
+		Mem: m, Addr: m.nextAddr, size: size,
 		lastCore: -1, home: socket, dcaDom: -1,
 		covL2: make([]int, m.P.L2Domains()),
 	}
@@ -102,16 +111,25 @@ func (m *Memory) AllocOn(size, socket int) *Buffer {
 	return b
 }
 
+// Wrap returns a read-only buffer over p, placed and accounted like
+// Alloc(len(p)). It shares p rather than copying it, so p must not
+// change while the buffer is in use; a write into the buffer panics.
+func (m *Memory) Wrap(p []byte) *Buffer {
+	b := m.Alloc(len(p))
+	b.data, b.readOnly = p, true
+	return b
+}
+
 // HomeSocket reports the NUMA node the buffer's pages live on.
 func (b *Buffer) HomeSocket() int { return b.home }
 
 // Size reports the buffer length in bytes.
-func (b *Buffer) Size() int { return len(b.Data) }
+func (b *Buffer) Size() int { return b.size }
 
 // Pages reports the number of pages the buffer spans (for pin costs).
 func (b *Buffer) Pages() int {
 	ps := b.Mem.P.PageSize
-	return (len(b.Data) + ps - 1) / ps
+	return (b.size + ps - 1) / ps
 }
 
 // Pin increments the pin refcount and reports whether this call
@@ -144,10 +162,10 @@ func (b *Buffer) Touch(core int, n int) {
 	dom := m.P.L2DomainOf(core)
 	m.l2Clocks[dom] += int64(n)
 	m.l1Clocks[core] += int64(n)
-	span := min(n, len(b.Data))
-	b.covL2[dom] = min(len(b.Data), b.covL2[dom]+span)
+	span := min(n, b.size)
+	b.covL2[dom] = min(b.size, b.covL2[dom]+span)
 	if b.lastCore == core {
-		b.covL1 = min(len(b.Data), b.covL1+span)
+		b.covL1 = min(b.size, b.covL1+span)
 	} else {
 		b.covL1 = span
 	}
@@ -156,7 +174,7 @@ func (b *Buffer) Touch(core int, n int) {
 	b.l1TouchMark = m.l1Clocks[core]
 	if b.dmaCold {
 		b.dmaSnooped += n
-		if b.dmaSnooped >= len(b.Data) {
+		if b.dmaSnooped >= b.size {
 			b.dmaCold = false
 			b.dmaSnooped = 0
 		}
@@ -192,7 +210,7 @@ func (b *Buffer) clearCoverage() {
 func (b *Buffer) WrittenByDCA(targetCore, n int) {
 	m := b.Mem
 	dom := m.P.L2DomainOf(targetCore)
-	push := min(n, len(b.Data))
+	push := min(n, b.size)
 	if budget := int(m.P.DCALLCBudget); budget > 0 && push > budget {
 		push = budget
 	}
@@ -289,7 +307,7 @@ func (b *Buffer) WarmL2(core int) bool {
 	}
 	dom := m.P.L2DomainOf(core)
 	traffic := m.l2Clocks[dom] - b.l2TouchMark
-	return traffic+int64(len(b.Data)) <= m.P.L2Size
+	return traffic+int64(b.size) <= m.P.L2Size
 }
 
 // WarmSpanL2 reports whether a copy of n bytes out of the buffer can
@@ -308,7 +326,7 @@ func (b *Buffer) WarmL1(core int) bool {
 	}
 	m := b.Mem
 	traffic := m.l1Clocks[core] - b.l1TouchMark
-	return traffic+int64(len(b.Data)) <= m.P.L1Size
+	return traffic+int64(b.size) <= m.P.L1Size
 }
 
 // WarmSpanL1 is WarmL1 with the same coverage bound as WarmSpanL2,
@@ -327,23 +345,99 @@ func (b *Buffer) RemoteSocket(core int) bool {
 	return !b.Mem.P.SameSocket(core, b.lastCore)
 }
 
-// Fill writes a deterministic pattern derived from seed into the
-// buffer (test and example helper; does not touch warmth clocks).
-func (b *Buffer) Fill(seed byte) {
-	for i := range b.Data {
-		b.Data[i] = seed + byte(i*131)
+// WriteAt copies p into the buffer at off, allocating the storage on
+// first write. It panics if the range falls outside the buffer or the
+// buffer is read-only.
+func (b *Buffer) WriteAt(p []byte, off int) {
+	b.check(off, len(p))
+	if len(p) > 0 {
+		copy(b.writable()[off:], p)
 	}
 }
 
-// Equal reports whether two buffers hold identical bytes.
-func Equal(a, b *Buffer) bool {
-	if len(a.Data) != len(b.Data) {
-		return false
+// ReadAt fills p with the buffer's bytes at off: zeros while the
+// buffer is unwritten. It panics if the range falls outside the buffer.
+func (b *Buffer) ReadAt(p []byte, off int) {
+	b.check(off, len(p))
+	if b.data == nil {
+		clear(p)
+	} else {
+		copy(p, b.data[off:])
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
 }
+
+// Bytes returns the buffer's contents as one slice, allocating the
+// storage first if the buffer is unwritten. The slice of a Wrap
+// buffer is the wrapped one and must not be modified.
+func (b *Buffer) Bytes() []byte {
+	if b.readOnly {
+		return b.data
+	}
+	return b.writable()
+}
+
+// Copy copies n bytes from src at sOff to dst at dOff. An unwritten
+// source reads as zeros, so it only has to clear the range when dst
+// already holds storage. It panics if either range falls outside its
+// buffer or it would write into a read-only dst.
+func Copy(dst *Buffer, dOff int, src *Buffer, sOff, n int) {
+	dst.check(dOff, n)
+	src.check(sOff, n)
+	switch {
+	case n == 0:
+	case src.data != nil:
+		copy(dst.writable()[dOff:dOff+n], src.data[sOff:sOff+n])
+	case dst.data != nil:
+		clear(dst.writable()[dOff : dOff+n])
+	}
+}
+
+// check panics unless [off, off+n) lies within the buffer.
+func (b *Buffer) check(off, n int) {
+	if off < 0 || n < 0 || off > b.size-n {
+		panic(fmt.Sprintf("hostmem: range [%d:%d] outside a %d-byte buffer", off, off+n, b.size))
+	}
+}
+
+// writable returns the storage for a write, allocating it on first use.
+func (b *Buffer) writable() []byte {
+	if b.readOnly {
+		panic("hostmem: write into a read-only buffer")
+	}
+	if b.data == nil {
+		b.data = make([]byte, b.size)
+	}
+	return b.data
+}
+
+// Fill writes a deterministic pattern derived from seed into the
+// buffer (test and example helper; does not touch warmth clocks). The
+// pattern repeats every 256 bytes, so one period is written and then
+// doubled.
+func (b *Buffer) Fill(seed byte) {
+	d := b.writable()
+	n := min(len(d), 256)
+	for i := range n {
+		d[i] = seed + byte(i*131)
+	}
+	for ; n < len(d); n *= 2 {
+		copy(d[n:], d[:n])
+	}
+}
+
+// Equal reports whether two buffers hold identical bytes. It never
+// allocates storage: an unwritten buffer equals an all-zero one.
+func Equal(a, b *Buffer) bool {
+	switch {
+	case a.size != b.size:
+		return false
+	case a.data == nil:
+		return isZero(b.data)
+	case b.data == nil:
+		return isZero(a.data)
+	}
+	return bytes.Equal(a.data, b.data)
+}
+
+// isZero reports whether every byte of p is zero.
+func isZero(p []byte) bool { return bytes.Count(p, []byte{0}) == len(p) }

@@ -1,6 +1,7 @@
 package hostmem
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,7 +32,7 @@ func TestFillAndEqual(t *testing.T) {
 	if Equal(a, b) {
 		t.Fatal("different contents reported equal")
 	}
-	copy(b.Data, a.Data)
+	b.WriteAt(a.Bytes(), 0)
 	if !Equal(a, b) {
 		t.Fatal("identical contents reported unequal")
 	}
@@ -303,4 +304,122 @@ func TestAllocOnBadSocketPanics(t *testing.T) {
 	}()
 	_, m := mem()
 	m.AllocOn(10, 2)
+}
+
+func TestFillMatchesNaiveLoop(t *testing.T) {
+	_, m := mem()
+	for _, size := range []int{0, 1, 255, 256, 257, 1<<20 + 3} {
+		for _, seed := range []byte{0, 1, 7, 131, 255} {
+			b := m.Alloc(size)
+			b.Fill(seed)
+			got := b.Bytes()
+			for i := range got {
+				if want := seed + byte(i*131); got[i] != want {
+					t.Fatalf("size %d seed %d: byte %d = %d, want %d", size, seed, i, got[i], want)
+				}
+			}
+			if len(got) != size {
+				t.Fatalf("size %d: Fill left %d bytes", size, len(got))
+			}
+		}
+	}
+}
+
+func TestUnwrittenReadsZero(t *testing.T) {
+	_, m := mem()
+	b := m.Alloc(5000)
+	p := []byte{9, 9, 9, 9}
+	b.ReadAt(p, 4000)
+	if !bytes.Equal(p, make([]byte, 4)) {
+		t.Fatalf("ReadAt of an unwritten buffer = %v", p)
+	}
+
+	// Copy out of an unwritten buffer clears a written destination
+	// and leaves an unwritten one unallocated.
+	dst := m.Alloc(100)
+	dst.Fill(1)
+	Copy(dst, 10, b, 0, 20)
+	for i, v := range dst.Bytes() {
+		if want := 1 + byte(i*131); (i >= 10 && i < 30 && v != 0) || ((i < 10 || i >= 30) && v != want) {
+			t.Fatalf("byte %d = %d after a copy of zeros into [10:30]", i, v)
+		}
+	}
+	lazy := m.Alloc(100)
+	Copy(lazy, 0, b, 0, 100)
+	if lazy.data != nil {
+		t.Fatal("copying zeros allocated an unwritten destination")
+	}
+
+	zeros := m.Alloc(5000)
+	zeros.WriteAt(make([]byte, 5000), 0)
+	if !Equal(b, zeros) || !Equal(zeros, b) || !Equal(b, m.Alloc(5000)) {
+		t.Fatal("unwritten buffer differs from a zero buffer of its size")
+	}
+	nonzero := m.Alloc(5000)
+	nonzero.WriteAt([]byte{1}, 4999)
+	if Equal(b, nonzero) || Equal(nonzero, b) {
+		t.Fatal("unwritten buffer equals a buffer holding a non-zero byte")
+	}
+	if Equal(b, m.Alloc(4999)) {
+		t.Fatal("different lengths reported equal")
+	}
+	if b.data != nil {
+		t.Fatal("reads allocated the storage of an unwritten buffer")
+	}
+}
+
+func TestWrapIsReadOnly(t *testing.T) {
+	_, m := mem()
+	p := []byte{1, 2, 3, 4, 5}
+	w := m.Wrap(p)
+	if w.Size() != len(p) || m.Allocated() != int64(len(p)) {
+		t.Fatalf("wrap size %d, allocated %d", w.Size(), m.Allocated())
+	}
+	got := make([]byte, 3)
+	w.ReadAt(got, 2)
+	if !bytes.Equal(got, p[2:]) {
+		t.Fatalf("ReadAt of a wrapped buffer = %v", got)
+	}
+	src := m.Alloc(5)
+	src.Fill(3)
+	for name, write := range map[string]func(){
+		"WriteAt":         func() { w.WriteAt([]byte{0}, 0) },
+		"Copy":            func() { Copy(w, 0, src, 0, 1) },
+		"Copy of zeros":   func() { Copy(w, 0, m.Alloc(5), 0, 1) },
+		"Fill":            func() { w.Fill(1) },
+		"Fill of nothing": func() { m.Wrap(nil).Fill(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s into a wrapped buffer did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+	if !bytes.Equal(p, []byte{1, 2, 3, 4, 5}) {
+		t.Fatalf("wrapped bytes changed to %v", p)
+	}
+}
+
+func TestAccessorsRangeChecked(t *testing.T) {
+	_, m := mem()
+	b, c := m.Alloc(10), m.Alloc(10)
+	for name, access := range map[string]func(){
+		"ReadAt past end":  func() { b.ReadAt(make([]byte, 2), 9) },
+		"WriteAt past end": func() { b.WriteAt(make([]byte, 11), 0) },
+		"negative offset":  func() { b.ReadAt(nil, -1) },
+		"Copy src range":   func() { Copy(b, 0, c, 5, 6) },
+		"Copy dst range":   func() { Copy(b, 5, c, 0, 6) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			access()
+		}()
+	}
 }

@@ -186,7 +186,7 @@ func (c *Channel) startHead() {
 func (c *Channel) retire(d *desc) {
 	r := d.req
 	if r.N > 0 {
-		copy(r.Dst.Data[r.DstOff:r.DstOff+r.N], r.Src.Data[r.SrcOff:r.SrcOff+r.N])
+		hostmem.Copy(r.Dst, r.DstOff, r.Src, r.SrcOff, r.N)
 		// The engine writes straight to memory: the destination is not
 		// warmed in any CPU cache (and prior cached copies of those
 		// lines are invalidated).

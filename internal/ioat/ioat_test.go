@@ -244,7 +244,7 @@ func TestPropertyBatchIntegrity(t *testing.T) {
 			return false
 		}
 		for i := 0; i < total; i++ {
-			if dst.Data[i] != src.Data[i] {
+			if dst.Bytes()[i] != src.Bytes()[i] {
 				return false
 			}
 		}

@@ -105,7 +105,7 @@ func (m *Model) CopyTime(dst, src *hostmem.Buffer, n, core int) sim.Duration {
 // caller is responsible for charging that duration to a CPU core.
 func (m *Model) Memcpy(dst *hostmem.Buffer, dstOff int, src *hostmem.Buffer, srcOff, n, core int) sim.Duration {
 	d := m.CopyTime(dst, src, n, core)
-	copy(dst.Data[dstOff:dstOff+n], src.Data[srcOff:srcOff+n])
+	hostmem.Copy(dst, dstOff, src, srcOff, n)
 	src.Touch(core, n)
 	dst.Touch(core, n)
 	return d

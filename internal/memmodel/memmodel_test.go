@@ -118,11 +118,11 @@ func TestMemcpyPartialRanges(t *testing.T) {
 	src.Fill(3)
 	m.Memcpy(dst, 10, src, 20, 30, 0)
 	for i := 0; i < 30; i++ {
-		if dst.Data[10+i] != src.Data[20+i] {
+		if dst.Bytes()[10+i] != src.Bytes()[20+i] {
 			t.Fatalf("byte %d mismatch", i)
 		}
 	}
-	if dst.Data[9] != 0 || dst.Data[40] != 0 {
+	if dst.Bytes()[9] != 0 || dst.Bytes()[40] != 0 {
 		t.Fatal("out-of-range bytes written")
 	}
 }
@@ -236,7 +236,7 @@ func TestPropertyCopyIntegrity(t *testing.T) {
 		off := rng.Intn(size - n + 1)
 		m.Memcpy(dst, off, src, off, n, rng.Intn(8))
 		for i := 0; i < n; i++ {
-			if dst.Data[off+i] != src.Data[off+i] {
+			if dst.Bytes()[off+i] != src.Bytes()[off+i] {
 				return false
 			}
 		}

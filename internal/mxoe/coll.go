@@ -213,7 +213,7 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 		// contribution).
 		ep.core().RunOn(p, cpu.UserLib, sim.Duration(s.H.P.MXPostCost))
 		if rbuf != nil && sbuf != nil && n > 0 {
-			copy(rbuf.Data[roff:roff+n], sbuf.Data[soff:soff+n])
+			hostmem.Copy(rbuf, roff, sbuf, soff, n)
 		}
 		req.buf = nil // nothing was pinned
 		req.Len, req.done = n, true
@@ -240,7 +240,7 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 		// NIC snapshot of the contribution (like an eager send: the
 		// host buffer is immediately reusable).
 		c.contrib = make([]byte, n)
-		copy(c.contrib, sbuf.Data[soff:soff+n])
+		sbuf.ReadAt(c.contrib, soff)
 	} else {
 		c.contrib = make([]byte, n)
 	}
@@ -667,7 +667,7 @@ func (s *Stack) collDeposit(c *collCall, off int, data []byte) {
 	n := len(data)
 	s.H.E.Schedule(s.dmaDelay(n), func() {
 		if n > 0 && c.rbuf != nil {
-			copy(c.rbuf.Data[c.roff+off:c.roff+off+n], data)
+			c.rbuf.WriteAt(data, c.roff+off)
 			c.rbuf.WrittenByDMA()
 		}
 		c.landed++

@@ -159,7 +159,7 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	firmwareMatch := sim.Duration(s.H.P.MXFirmwareMatchCost)
 	s.H.E.Schedule(firmwareMatch+s.dmaDelayTo(ep.ring, n), func() {
 		off := ep.slotOff(slot)
-		copy(ep.ring.Data[off:off+n], f.Data)
+		ep.ring.WriteAt(f.Data, off)
 		s.deposit(ep, ep.ring, n)
 		ep.pushEvent(&event{
 			kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
@@ -235,7 +235,7 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 			return
 		}
 		payload := make([]byte, fl)
-		copy(payload, ms.buf.Data[ms.off+fo:ms.off+fo+fl])
+		ms.buf.ReadAt(payload, ms.off+fo)
 		// Answer on the lane the pull arrived on: the block stays on
 		// one physical path end to end.
 		s.transmitOn(lane, m.Src, &proto.LargeFrag{
@@ -316,7 +316,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 	n := len(f.Data)
 	s.H.E.Schedule(s.dmaDelayTo(lp.buf, n), func() {
 		dstOff := lp.off + m.Offset
-		copy(lp.buf.Data[dstOff:dstOff+n], f.Data)
+		lp.buf.WriteAt(f.Data, dstOff)
 		s.deposit(lp.ep, lp.buf, n)
 		lp.arrived++
 		// When another block's worth of fragments has landed, ask for

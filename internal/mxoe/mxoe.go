@@ -459,7 +459,7 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		var payload []byte
 		if fl > 0 {
 			payload = make([]byte, fl)
-			copy(payload, buf.Data[off+fo:off+fo+fl])
+			buf.ReadAt(payload, off+fo)
 		}
 		m := &proto.Eager{
 			Src: ep.Addr(), Dst: dst, Match: match, Seq: seq, MsgLen: n,

@@ -30,14 +30,14 @@ import (
 
 // Skb is a socket buffer holding one received frame.
 type Skb struct {
-	Buf   *hostmem.Buffer // payload bytes, freshly DMA'd (cache-cold)
+	Buf   *hostmem.Buffer // payload bytes, freshly DMA'd (cache-cold); read-only
 	Frame *wire.Frame
 	nic   *NIC
 	freed bool
 }
 
 // Len reports the payload length.
-func (s *Skb) Len() int { return len(s.Buf.Data) }
+func (s *Skb) Len() int { return s.Buf.Size() }
 
 // Free releases the skbuff. Freeing twice panics (use-after-free guard
 // for the driver's resource tracking).
@@ -205,8 +205,9 @@ func (n *NIC) Arrive(f *wire.Frame) {
 	n.E.Schedule(dma, func() {
 		n.inflight--
 		n.RxFrames++
-		buf := n.Mem.Alloc(len(f.Data))
-		copy(buf.Data, f.Data)
+		// A sent frame's payload never changes (duplicates share one
+		// Frame), so the skbuff wraps it instead of copying it.
+		buf := n.Mem.Wrap(f.Data)
 		if n.P.HasDCA {
 			// Direct Cache Access: the deposit is pushed into the DCA
 			// target core's LLC instead of landing cold in memory.

@@ -71,7 +71,7 @@ func TestPayloadIntegrityAndDMACold(t *testing.T) {
 	fx := newPair(t)
 	done := false
 	fx.b.SetRxHandler(func(p *sim.Proc, core *cpu.Core, skb *Skb) {
-		for i, v := range skb.Buf.Data {
+		for i, v := range skb.Buf.Bytes() {
 			if v != byte(i) {
 				t.Errorf("byte %d = %d", i, v)
 				break

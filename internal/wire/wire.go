@@ -23,7 +23,9 @@ import (
 // Frame is one Ethernet frame in flight.
 type Frame struct {
 	// Data is the payload byte snapshot (may be nil for pure control
-	// messages whose few bytes ride in Msg).
+	// messages whose few bytes ride in Msg). It never changes once the
+	// frame is sent: duplicate deliveries share one Frame, and the
+	// receiving NIC's buffer wraps Data rather than copying it.
 	Data []byte
 	// WireLen is the accounted payload length in bytes, including the
 	// protocol header but excluding Ethernet framing (which the link

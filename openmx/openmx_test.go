@@ -1,6 +1,7 @@
 package openmx_test
 
 import (
+	"runtime"
 	"testing"
 
 	"omxsim/cluster"
@@ -55,6 +56,27 @@ func TestMXoEFacade(t *testing.T) {
 	roundTrip(t, func(h *cluster.Host) openmx.Transport {
 		return mxoe.Attach(h, mxoe.Config{RegCache: true})
 	}, 1<<20)
+}
+
+// Opening an endpoint allocates its receive ring, but a ring reads as
+// zero until a frame lands in it, so Open itself must not pay for the
+// ring's bytes.
+func TestOpenAllocatesNoRingBytes(t *testing.T) {
+	for name, mk := range map[string]func(h *cluster.Host) openmx.Transport{
+		"openmx": func(h *cluster.Host) openmx.Transport { return openmx.Attach(h, openmx.Config{}) },
+		"mxoe":   func(h *cluster.Host) openmx.Transport { return mxoe.Attach(h, mxoe.Config{}) },
+	} {
+		c := cluster.New(nil)
+		tr := mk(c.NewHost("n0"))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr.Open(0, 2)
+		runtime.ReadMemStats(&after)
+		c.Close()
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("%s: Open allocated %d bytes of heap, want < 64 KiB", name, alloc)
+		}
+	}
 }
 
 func TestTestAndProgress(t *testing.T) {
