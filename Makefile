@@ -46,8 +46,9 @@ lint: vet
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The CI bench job's invocation: every figure benchmark once, five
-# samples, tests skipped (compare runs with benchstat old.txt new.txt).
+# The CI bench job's invocation: every root benchmark (see
+# bench_test.go) once, five samples, tests skipped (compare runs with
+# benchstat old.txt new.txt).
 bench-ci:
 	$(GO) test -bench . -benchtime 1x -count 5 -run '^$$' .
 
@@ -69,7 +70,8 @@ STRESS_SEEDS ?= 20
 stress:
 	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
 		-run 'Stress|Storm|Loss|Impair|Recover|Fuzz' \
-		./cluster ./internal/core ./internal/mxoe ./internal/interop ./figures
+		./cluster ./internal/core ./internal/mxoe ./internal/interop \
+		./internal/proto ./figures
 
 # Multi-NIC striping battery: the striped storms under per-lane
 # impairment and cross-NIC skew (all three stack pairings), the
@@ -79,7 +81,7 @@ stress:
 multinic:
 	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
 		-run 'Striping|StripedLoss|StripeReassembly|MultiNIC|RingDropAttributed|1NICMatchesLegacy' \
-		./cluster ./internal/core ./figures
+		./cluster ./internal/core ./internal/proto ./figures
 
 # Fat-tree battery: topology/Build equivalence, ECMP determinism and
 # spread, the trunk-incast drop-attribution storm, the 64-rank

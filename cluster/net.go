@@ -89,16 +89,6 @@ func laneSeed(im Impairment, lane int) Impairment {
 // ignored by its applier.
 type NetOption func(*netOpts)
 
-// LinkOption configures one Link call.
-//
-// Deprecated: all network options are unified; use NetOption.
-type LinkOption = NetOption
-
-// SwitchOption configures one NewSwitch call.
-//
-// Deprecated: all network options are unified; use NetOption.
-type SwitchOption = NetOption
-
 // Impair installs the profile on the element: both directions of a
 // link or trunk (the reverse direction independently reseeded so the
 // two do not lose the same pattern), or every output port of a switch
@@ -137,29 +127,6 @@ func Latency(d sim.Duration) NetOption {
 // wire.ECMPRoundRobin). Meaningful for switches with multiple uplinks
 // (fat-tree leaves); ignored elsewhere.
 func ECMP(policy string) NetOption { return func(o *netOpts) { o.ecmp = policy } }
-
-// LinkQueue bounds each direction's transmit queue to the given frame
-// count.
-//
-// Deprecated: use Queue.
-func LinkQueue(frames int) NetOption { return Queue(frames) }
-
-// SwitchQueue bounds every output port's queue to the given frame
-// count (apply before Attach).
-//
-// Deprecated: use Queue.
-func SwitchQueue(frames int) NetOption { return Queue(frames) }
-
-// SwitchImpair installs the profile on every output port, reseeded per
-// port (apply before Attach).
-//
-// Deprecated: use Impair.
-func SwitchImpair(im Impairment) NetOption { return Impair(im) }
-
-// SwitchLatency overrides the switch's forwarding latency.
-//
-// Deprecated: use Latency.
-func SwitchLatency(d sim.Duration) NetOption { return Latency(d) }
 
 // ImpairLane impairs both directions of one lane of an aggregated
 // link (the reverse direction independently reseeded), leaving every

@@ -24,6 +24,7 @@ import (
 	"omxsim/figures"
 	"omxsim/imb"
 	"omxsim/mpi"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/runner"
 )
@@ -69,7 +70,7 @@ func main() {
 
 	stack := figures.Stack{Kind: "openmx", OMX: openmx.Config{IOAT: *ioat, IOATShm: *ioat, RegCache: *regcache}}
 	if *transport == "mxoe" {
-		stack = figures.Stack{Kind: "mxoe", MXRegCache: *regcache}
+		stack = figures.Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: *regcache}}
 	}
 	name := *transport + ioatSuffix(*transport, *ioat)
 	points := make([]imb.Point, len(tests))

@@ -40,13 +40,17 @@
 //     NUMA-distance deposit costs and mark every deposit
 //     (WrittenByDMA, or WrittenByDCA on a platform.ClovertownDCA
 //     machine, where the NIC pushes receive-ring lines into the
-//     interrupt core's LLC). Both stacks share the
-//     adaptive-transport tier in
-//     internal/proto (Config.Adaptive): per-peer Jacobson/Karels RTT
-//     estimation driving every retransmit timeout, AIMD pull windows
-//     bounded by the lane count, and load-based IRQ steering from CPU
-//     ledger deltas on multi-NIC hosts — with Adaptive off the static
-//     path is bit-identical to before the tier existed.
+//     interrupt core's LLC). internal/proto owns what the two stacks
+//     share: the MXoE wire messages, the reliability-window
+//     arithmetic, and the transport core (proto.Transport) both
+//     stacks embed — lane choice, retransmit timing and backoff,
+//     rendezvous dedup, registration pin costs, the shared counters
+//     and trace events, and the adaptive tier (Config.Adaptive):
+//     per-peer Jacobson/Karels RTT estimation driving every
+//     retransmit timeout and AIMD pull windows bounded by the lane
+//     count. Open-MX adds load-based IRQ steering from CPU ledger
+//     deltas on multi-NIC hosts; with Adaptive off the static path is
+//     bit-identical to before the tier existed.
 //     internal/cpu models each core as a serial two-priority work
 //     queue with per-category busy ledgers (user library, driver,
 //     bottom-half processing and copies, I/OAT submission,

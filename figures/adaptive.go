@@ -115,10 +115,6 @@ func adaptivePoint(mode, policy string, loss float64, nics, size, iters int) Ada
 	}
 	cfg := adaptiveConfig(mode, policy, nics)
 	sa, sb := openmx.Attach(a, cfg), openmx.Attach(b, cfg)
-	rtx := func(s *openmx.Stack) int64 {
-		t := s.Stats()
-		return t.EagerRetransmits + t.RndvRetransmits + t.PullRetransmits
-	}
 	ea, eb := sa.Open(0, 2), sb.Open(0, 2)
 
 	sendA, recvA := a.Alloc(size), a.Alloc(size)
@@ -168,7 +164,7 @@ func adaptivePoint(mode, policy string, loss float64, nics, size, iters int) Ada
 		Mode: mode, Policy: policy, LossRate: loss, NICs: nics,
 		Bytes: size, Iters: iters,
 		Delivered:   delivered,
-		Retransmits: rtx(sa) + rtx(sb),
+		Retransmits: sa.Stats().Retransmits() + sb.Stats().Retransmits(),
 	}
 	ns := c.NetStats()
 	for _, l := range ns.Links {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"omxsim/imb"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/runner"
 )
@@ -30,7 +31,7 @@ func Fig12Sizes() []int { return []int{128 << 10, 4 << 20} }
 // I/OAT (network and shared-memory offload).
 func fig12Stacks() []Stack {
 	return []Stack{
-		{Kind: "mxoe", MXRegCache: true},
+		{Kind: "mxoe", MX: mxoe.Config{RegCache: true}},
 		{Kind: "openmx", OMX: openmx.Config{RegCache: true}},
 		{Kind: "openmx", OMX: openmx.Config{RegCache: true, IOAT: true, IOATShm: true}},
 	}

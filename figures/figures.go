@@ -31,25 +31,8 @@ type Stack struct {
 	Kind string
 	// OMX configures the Open-MX stack (Kind "openmx").
 	OMX openmx.Config
-	// MXRegCache enables the native stack's registration cache
-	// (Kind "mxoe").
-	MXRegCache bool
-	// MX carries the native stack's remaining options (retransmit
-	// tuning for impaired sweeps); MXRegCache wins over MX.RegCache
-	// when set.
+	// MX configures the native stack (Kind "mxoe").
 	MX mxoe.Config
-}
-
-// mxConfig resolves the native-stack configuration: MX carries the
-// full option set, with the legacy MXRegCache flag overriding its
-// RegCache field when set. Every figure that attaches an mxoe stack
-// must go through this one merge.
-func (s Stack) mxConfig() mxoe.Config {
-	cfg := s.MX
-	if s.MXRegCache {
-		cfg.RegCache = true
-	}
-	return cfg
 }
 
 // Name returns the paper-style legend label for the stack.
@@ -135,7 +118,7 @@ func worldOverE(c *cluster.Cluster, s Stack, ppn int) (*mpi.World, error) {
 	var open func(h *cluster.Host) openmx.Transport
 	switch s.Kind {
 	case "mxoe":
-		open = func(h *cluster.Host) openmx.Transport { return mxoe.Attach(h, s.mxConfig()) }
+		open = func(h *cluster.Host) openmx.Transport { return mxoe.Attach(h, s.MX) }
 	case "openmx":
 		open = func(h *cluster.Host) openmx.Transport { return openmx.Attach(h, s.OMX) }
 	default:
@@ -223,7 +206,7 @@ func Fig3() *metrics.Table {
 	return pingPongTable(
 		"Fig. 3: Expected Open-MX improvement when removing the BH receive copy",
 		[]curve{
-			{"MX", Stack{Kind: "mxoe", MXRegCache: true}},
+			{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}},
 			{"Open-MX ignoring BH receive copy", Stack{Kind: "openmx", OMX: openmx.Config{SkipBHCopy: true, RegCache: true}}},
 			{"Open-MX", Stack{Kind: "openmx", OMX: openmx.Config{RegCache: true}}},
 		},
@@ -236,7 +219,7 @@ func Fig8() *metrics.Table {
 	return pingPongTable(
 		"Fig. 8: Ping-pong improvement using I/OAT vs the no-copy prediction",
 		[]curve{
-			{"MX", Stack{Kind: "mxoe", MXRegCache: true}},
+			{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}},
 			{"Open-MX ignoring BH receive copy", Stack{Kind: "openmx", OMX: openmx.Config{SkipBHCopy: true, RegCache: true}}},
 			{"Open-MX with DMA copy in BH receive", Stack{Kind: "openmx", OMX: openmx.Config{IOAT: true, RegCache: true}}},
 			{"Open-MX", Stack{Kind: "openmx", OMX: openmx.Config{RegCache: true}}},
@@ -250,7 +233,7 @@ func Fig11() *metrics.Table {
 	return pingPongTable(
 		"Fig. 11: IMB PingPong with I/OAT and registration cache on/off",
 		[]curve{
-			{"MX", Stack{Kind: "mxoe", MXRegCache: true}},
+			{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}},
 			{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: openmx.Config{IOAT: true, RegCache: true}}},
 			{"Open-MX", Stack{Kind: "openmx", OMX: openmx.Config{RegCache: true}}},
 			{"Open-MX I/OAT w/o regcache", Stack{Kind: "openmx", OMX: openmx.Config{IOAT: true}}},

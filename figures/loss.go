@@ -65,7 +65,7 @@ func lossStacks() []struct {
 		name string
 		s    Stack
 	}{
-		{"MX", Stack{Kind: "mxoe", MXRegCache: true, MX: mxoe.Config{RetransmitTimeout: lossRtx}}},
+		{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true, RetransmitTimeout: lossRtx}}},
 		{"Open-MX", Stack{Kind: "openmx", OMX: omx(false)}},
 		{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: omx(true)}},
 	}
@@ -87,14 +87,11 @@ func lossPoint(name string, s Stack, loss float64, size, iters int) LossPoint {
 	open := func(h *cluster.Host) (openmx.Transport, func() int64) {
 		switch s.Kind {
 		case "mxoe":
-			st := mxoe.Attach(h, s.mxConfig())
+			st := mxoe.Attach(h, s.MX)
 			return st, func() int64 { return st.Stats().Retransmits() }
 		default:
 			st := openmx.Attach(h, s.OMX)
-			return st, func() int64 {
-				t := st.Stats()
-				return t.EagerRetransmits + t.RndvRetransmits + t.PullRetransmits
-			}
+			return st, func() int64 { return st.Stats().Retransmits() }
 		}
 	}
 	ta, rtxA := open(a)

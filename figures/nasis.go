@@ -8,6 +8,7 @@ import (
 
 	"omxsim/cluster"
 	"omxsim/mpi"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/runner"
 	"omxsim/sim"
@@ -174,7 +175,7 @@ func NASIS(keysPerRank, iterations int) []NASISResult {
 		s    Stack
 		name string
 	}{
-		{Stack{Kind: "mxoe", MXRegCache: true}, "MXoE"},
+		{Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}, "MXoE"},
 		{Stack{Kind: "openmx", OMX: omxCfg(false)}, "Open-MX"},
 		{Stack{Kind: "openmx", OMX: omxCfg(true)}, "Open-MX I/OAT"},
 	}

@@ -9,6 +9,7 @@ import (
 	"omxsim/cluster"
 	"omxsim/internal/cpu"
 	"omxsim/mpi"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/runner"
 	"omxsim/sim"
@@ -79,8 +80,8 @@ func nicollSeriesList() []nicollSeries {
 	return []nicollSeries{
 		{"Open-MX host", Stack{Kind: "openmx", OMX: omxCfg(false)}, mpi.OffloadHost},
 		{"Open-MX I/OAT host", Stack{Kind: "openmx", OMX: omxCfg(true)}, mpi.OffloadHost},
-		{"MX host", Stack{Kind: "mxoe", MXRegCache: true}, mpi.OffloadHost},
-		{"MX NIC-offload", Stack{Kind: "mxoe", MXRegCache: true}, mpi.OffloadNIC},
+		{"MX host", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}, mpi.OffloadHost},
+		{"MX NIC-offload", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}, mpi.OffloadNIC},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"omxsim/cluster"
 	"omxsim/metrics"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/runner"
 	"omxsim/sim"
@@ -29,7 +30,7 @@ func withPool(workers int, fn func()) {
 func TestParallelMatchesSerialPingPong(t *testing.T) {
 	sizes := []int{16, 4096, 256 << 10, 4 << 20}
 	curves := []curve{
-		{"MX", Stack{Kind: "mxoe", MXRegCache: true}},
+		{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}},
 		{"Open-MX", Stack{Kind: "openmx", OMX: omxCfg(false)}},
 		{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: omxCfg(true)}},
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"omxsim/cluster"
-	"omxsim/internal/core"
 	"omxsim/internal/proto"
 	"omxsim/openmx"
 	"omxsim/sim"
@@ -34,7 +33,7 @@ func Timeline(withIOAT bool) string {
 // spans, transport spans, counters). Both the ASCII Timeline and the
 // Chrome trace-event export render from this one capture, so the two
 // views can never disagree on span boundaries.
-func TimelineEvents(withIOAT bool) []core.TraceEvent {
+func TimelineEvents(withIOAT bool) []proto.TraceEvent {
 	const frags = 5
 	msgSize := frags * proto.LargeFragSize
 
@@ -49,8 +48,8 @@ func TimelineEvents(withIOAT bool) []core.TraceEvent {
 	s0 := openmx.Attach(n0, openmx.Config{RegCache: true})
 	s1 := openmx.Attach(n1, cfg)
 
-	var events []core.TraceEvent
-	s1.Inner().Trace = func(ev core.TraceEvent) { events = append(events, ev) }
+	var events []proto.TraceEvent
+	s1.Inner().Trace = func(ev proto.TraceEvent) { events = append(events, ev) }
 
 	e0, e1 := s0.Open(0, 2), s1.Open(0, 2)
 	src, dst := n0.Alloc(msgSize), n1.Alloc(msgSize)
@@ -81,7 +80,7 @@ var timelineKinds = map[string]bool{
 }
 
 // renderTimeline draws span rows scaled to the terminal width.
-func renderTimeline(title string, events []core.TraceEvent) string {
+func renderTimeline(title string, events []proto.TraceEvent) string {
 	kept := events[:0:0]
 	for _, ev := range events {
 		if timelineKinds[ev.Kind] {
@@ -112,7 +111,7 @@ func renderTimeline(title string, events []core.TraceEvent) string {
 	for _, name := range rowOrder {
 		rows[name] = []byte(strings.Repeat(".", width))
 	}
-	put := func(row string, ev core.TraceEvent, mark byte) {
+	put := func(row string, ev proto.TraceEvent, mark byte) {
 		r := rows[row]
 		a, b := scale(ev.Start), scale(ev.End)
 		if b <= a {

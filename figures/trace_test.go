@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"omxsim/cluster"
-	"omxsim/internal/core"
+	"omxsim/internal/proto"
 	"omxsim/openmx"
 	"omxsim/sim"
 	"omxsim/sim/trace"
@@ -25,15 +25,15 @@ import (
 // tier and trace capture on, so the exported stream contains the full
 // span vocabulary: eager and rndv transport spans, pull blocks,
 // retransmission instants and the cwnd/srtt/pull-queue counters.
-func captureAdaptiveTrace(t *testing.T) []core.TraceEvent {
+func captureAdaptiveTrace(t *testing.T) []proto.TraceEvent {
 	t.Helper()
 	c := cluster.New(nil)
 	a, b := c.NewHost("node0"), c.NewHost("node1")
 	cluster.Link(a, b, cluster.Impair(cluster.Impairment{Seed: 42, LossRate: 0.05}))
 	cfg := openmx.Config{RegCache: true, IOAT: true, Adaptive: true}
 	sa, sb := openmx.Attach(a, cfg), openmx.Attach(b, cfg)
-	var events []core.TraceEvent
-	sa.Inner().Trace = func(ev core.TraceEvent) { events = append(events, ev) }
+	var events []proto.TraceEvent
+	sa.Inner().Trace = func(ev proto.TraceEvent) { events = append(events, ev) }
 	ea, eb := sa.Open(0, 2), sb.Open(0, 2)
 	// Large messages drive the rndv/pull machinery; the small
 	// same-iteration message keeps the eager channel busy too.

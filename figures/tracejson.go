@@ -3,7 +3,7 @@ package figures
 import (
 	"fmt"
 
-	"omxsim/internal/core"
+	"omxsim/internal/proto"
 	"omxsim/sim/trace"
 )
 
@@ -13,7 +13,7 @@ import (
 // trace processes; retransmissions render as instants and the
 // cwnd/srtt/pull-queue samples as counter series. The conversion is
 // deterministic: identical event streams produce byte-identical JSON.
-func TraceJSON(events []core.TraceEvent) []byte {
+func TraceJSON(events []proto.TraceEvent) []byte {
 	doc := trace.NewDoc()
 	rx := doc.Process(1, "receive path")
 	engine := doc.Process(2, "I/OAT engine")

@@ -2,28 +2,16 @@ package core
 
 import (
 	"omxsim/internal/cpu"
-	"omxsim/internal/proto"
 	"omxsim/sim"
 )
 
-// The self-tuning transport tier (Config.Adaptive): retransmission
-// timeouts derived from per-peer SRTT/RTTVAR estimators, the pull
-// window sized per transfer by the shared AIMD controller, and — on
-// multi-NIC hosts — bottom-half work steered off saturated cores at
-// quantized epochs from CPU-ledger snapshots. Everything here reads
-// only simulated state, so adaptive runs stay bit-reproducible.
-
-// adaptiveMinRTO floors the derived retransmission timeout: even on a
-// very fast link the timer must ride out the deferred-ack delay and
-// self-induced queueing behind a full pull window.
-const adaptiveMinRTO = sim.Millisecond
-
-// adaptiveWinMin is the AIMD window's lower bound — the paper's two
-// pipelined blocks. The upper bound is adaptiveWinPerLane x lanes.
-const (
-	adaptiveWinMin     = 2
-	adaptiveWinPerLane = 4
-)
+// The host side of the self-tuning transport tier (Config.Adaptive).
+// RTT-derived timeouts and the per-peer AIMD pull windows live in the
+// shared transport core (proto.Transport); what is Open-MX's own is
+// the per-transfer window bookkeeping and — on multi-NIC hosts —
+// bottom-half work steered off saturated cores at quantized epochs
+// from CPU-ledger snapshots. Everything here reads only simulated
+// state, so adaptive runs stay bit-reproducible.
 
 // Steering epochs: decisions are taken at most once per steerEpoch of
 // simulated time, each from the delta of two ledger snapshots. A NIC's
@@ -38,61 +26,6 @@ const (
 	steerShareFrac   = 0.30
 	steerDstBusyFrac = 0.25
 )
-
-// rtxTimeout returns the retransmission timeout towards peer after
-// the given number of consecutive unanswered attempts. Static stacks
-// (and adaptive ones whose Config pins RetransmitTimeout) back off
-// from the configured base; adaptive stacks back off from the peer's
-// estimated RTO — srtt + 4·rttvar with a safety margin — clamped
-// between adaptiveMinRTO and the static base, so an untuned channel
-// never times out later than the static default and a measured one
-// recovers at RTT scale.
-func (s *Stack) rtxTimeout(peer proto.Addr, attempts int) sim.Duration {
-	base := s.Cfg.RetransmitTimeout
-	if s.adaptiveRTO {
-		if e := s.rtt[peer]; e != nil {
-			base = e.RTO(adaptiveMinRTO, s.Cfg.RetransmitTimeout)
-		}
-	}
-	return proto.Backoff(base, s.Cfg.RetransmitMax, s.Cfg.RetransmitBackoff, attempts)
-}
-
-// observeRTT feeds one clean (never-retransmitted) round-trip sample
-// into peer's estimator and publishes the new SRTT to the trace
-// stream.
-func (s *Stack) observeRTT(peer proto.Addr, rtt sim.Duration) {
-	if s.rtt == nil || rtt < 0 {
-		return
-	}
-	e := s.rtt[peer]
-	if e == nil {
-		e = &proto.RTTEstimator{}
-		s.rtt[peer] = e
-	}
-	e.Observe(rtt)
-	if s.Trace != nil {
-		now := s.H.E.Now()
-		s.Trace(TraceEvent{
-			Kind: "counter", Frag: -1, Start: now, End: now,
-			Name: "srtt", Value: sim.Time(e.SRTT()).Micros(),
-		})
-	}
-}
-
-// pullWindowFor returns (creating on first use) the shared AIMD
-// controller for pulls from peer, bounded by the paper's two blocks
-// below and four blocks per lane above. The controller is per peer,
-// not per transfer: the window a transfer earned persists into the
-// next one, so repeated messages converge instead of re-ramping from
-// the minimum every time.
-func (s *Stack) pullWindowFor(peer proto.Addr) *proto.AIMDWindow {
-	aw := s.pullWin[peer]
-	if aw == nil {
-		aw = proto.NewAIMDWindow(adaptiveWinMin, adaptiveWinPerLane*s.lanes)
-		s.pullWin[peer] = aw
-	}
-	return aw
-}
 
 // pullWindow returns a transfer's current window in blocks: the AIMD
 // value for adaptive transfers, the configured PullBlocks otherwise.
@@ -111,37 +44,8 @@ func (s *Stack) traceCwnd(lp *largePull) {
 	}
 	if w := lp.aw.Window(); w != lp.lastWin {
 		lp.lastWin = w
-		now := s.H.E.Now()
-		s.Trace(TraceEvent{
-			Kind: "counter", Frag: -1, Start: now, End: now,
-			Name: "cwnd", Value: float64(w),
-		})
+		s.TraceCounter("cwnd", float64(w))
 	}
-}
-
-// traceQueue publishes a transfer's outstanding-block queue depth to
-// the trace stream.
-func (s *Stack) traceQueue(lp *largePull) {
-	if s.Trace == nil {
-		return
-	}
-	now := s.H.E.Now()
-	s.Trace(TraceEvent{
-		Kind: "counter", Frag: -1, Start: now, End: now,
-		Name: "pull-queue", Value: float64(len(lp.blocks)),
-	})
-}
-
-// traceRetransmit publishes one retransmission as a zero-length span.
-func (s *Stack) traceRetransmit(seq uint32, block, lane int) {
-	if s.Trace == nil {
-		return
-	}
-	now := s.H.E.Now()
-	s.Trace(TraceEvent{
-		Kind: "retransmit", Frag: -1, Start: now, End: now,
-		Seq: seq, Block: block, Lane: lane,
-	})
 }
 
 // maybeSteer runs the steering decision when the current time has

@@ -33,7 +33,6 @@ import (
 	"omxsim/internal/ioat"
 	"omxsim/internal/nic"
 	"omxsim/internal/proto"
-	"omxsim/internal/wire"
 	"omxsim/sim"
 )
 
@@ -146,22 +145,11 @@ type Config struct {
 	// ---- Multi-NIC link aggregation ----
 
 	// StripePolicy selects how traffic spreads across a multi-NIC
-	// host's lanes (StripeRoundRobin, StripeHash, StripeSingle). It is
-	// ignored on single-NIC hosts, where every frame takes lane 0.
+	// host's lanes (proto.StripeRoundRobin, StripeHash or StripeSingle,
+	// re-exported by openmx). It is ignored on single-NIC hosts, where
+	// every frame takes lane 0.
 	StripePolicy string
 }
-
-// Stripe policies for multi-NIC hosts. Round-robin (the default)
-// spreads the units of one message — eager fragments, pull blocks —
-// across lanes for maximum aggregate bandwidth; hash pins each
-// message to one seeded lane (classic L3/L4 link-aggregation
-// hashing: per-flow ordering, no per-message striping win); single
-// forces lane 0 (aggregation disabled, the control baseline).
-const (
-	StripeRoundRobin = "roundrobin"
-	StripeHash       = "hash"
-	StripeSingle     = "single"
-)
 
 // Defaults returns the paper's configuration (memcpy everywhere; turn
 // on IOAT/RegCache/etc. per experiment).
@@ -174,9 +162,9 @@ func Defaults() Config {
 		PullBlockFrags:    8,
 		PullBlocks:        2,
 		RingSlots:         512,
-		RetransmitTimeout: 50 * sim.Millisecond,
-		RetransmitBackoff: 2,
-		RetransmitMax:     800 * sim.Millisecond,
+		RetransmitTimeout: proto.RtxTimeout,
+		RetransmitBackoff: proto.RtxBackoff,
+		RetransmitMax:     proto.RtxMaxScale * proto.RtxTimeout,
 		DeferredAckDelay:  100 * sim.Microsecond,
 	}
 }
@@ -211,91 +199,41 @@ func (c *Config) fillDefaults() {
 	if c.RingSlots == 0 {
 		c.RingSlots = d.RingSlots
 	}
-	if c.RetransmitTimeout == 0 {
-		c.RetransmitTimeout = d.RetransmitTimeout
-	}
-	if c.RetransmitBackoff == 0 {
-		c.RetransmitBackoff = d.RetransmitBackoff
-	}
-	if c.RetransmitMax == 0 {
-		// Scale the cap with a custom base timeout: 16x the base,
-		// i.e. four doublings at the default backoff of 2.
-		c.RetransmitMax = 16 * c.RetransmitTimeout
-	}
 	if c.DeferredAckDelay == 0 {
 		c.DeferredAckDelay = d.DeferredAckDelay
 	}
 	switch c.StripePolicy {
-	case "", StripeRoundRobin, StripeHash, StripeSingle:
+	case "", proto.StripeRoundRobin, proto.StripeHash, proto.StripeSingle:
 	default:
 		panic(fmt.Sprintf("openmx: unknown stripe policy %q", c.StripePolicy))
 	}
 }
 
-// Stats counts protocol activity for tests and diagnostics.
+// Stats counts protocol activity for tests and diagnostics: the
+// counters shared with the native stack, plus the driver's own.
 type Stats struct {
-	EagerSent        int64
-	RndvSent         int64
-	PullsSent        int64
-	LargeFragsSent   int64
-	AcksSent         int64
-	EagerRetransmits int64
-	PullRetransmits  int64
-	RndvRetransmits  int64
-	RingDrops        int64
-	DupFrags         int64
-	IOATSubmits      int64
-	CleanupFrees     int64
-	LocalMsgs        int64
-	LocalIOATCopies  int64
+	proto.Counters
+	PullsSent       int64
+	LargeFragsSent  int64
+	AcksSent        int64
+	RingDrops       int64
+	IOATSubmits     int64
+	CleanupFrees    int64
+	LocalMsgs       int64
+	LocalIOATCopies int64
 	// CollDropped counts NIC-collective frames (CollData/CollAck)
 	// dropped because this stack runs collectives on the host — only a
 	// firmware-mode stack (internal/mxoe) terminates them.
 	CollDropped int64
-	// NICTxFrames counts frames this stack transmitted per NIC lane —
-	// the striping balance (index = lane; single-NIC stacks have one
-	// entry). Receive-side per-NIC counters live in cluster.NetStats.
-	NICTxFrames []int64
 }
 
-// TraceEvent is one span or counter sample of the stack's trace
-// stream, emitted through Stack.Trace. The receive-path kinds
-// ("process", "memcpy", "submit", "dma-copy", "wait", "notify") are
-// the paper's Figures 5/6 timeline; the protocol kinds ("eager",
-// "rndv", "pull", "retransmit") span whole exchanges with their lane,
-// sequence and window annotations; Kind "counter" carries a named
-// scalar sample (cwnd, srtt, queue-depth) for timeline export.
-type TraceEvent struct {
-	// Kind: "process", "memcpy", "submit", "dma-copy", "wait",
-	// "notify", "eager", "rndv", "pull", "collective", "retransmit",
-	// "counter" (counter Names: "cwnd", "srtt", "pull-queue").
-	Kind  string
-	Frag  int // fragment id for receive-path spans, -1 otherwise
-	Start sim.Time
-	End   sim.Time
-
-	// Protocol-span annotations (zero for receive-path spans).
-	Lane   int    // transmit lane of the spanned unit
-	Seq    uint32 // channel or rendezvous sequence
-	Block  int    // pull block index ("pull"/"retransmit" on a block)
-	Window int    // pull window in blocks when the span closed
-
-	// Counter samples (Kind "counter") only.
-	Name  string
-	Value float64
-}
-
-// Stack is the Open-MX driver+library instance of one host.
+// Stack is the Open-MX driver+library instance of one host. The
+// embedded transport core holds the host, lanes, trace sink,
+// registration cache, retransmission timing and rendezvous dedup it
+// shares with the native stack.
 type Stack struct {
-	H   *host.Host
+	proto.Transport
 	Cfg Config
-
-	// lanes is the host's NIC count; striping decisions are modulo it.
-	lanes int
-
-	// Trace, when non-nil, receives receive-path spans (see
-	// TraceEvent). Used by the timeline renderer; nil in normal runs.
-	Trace func(TraceEvent)
 
 	endpoints map[int]*Endpoint
 
@@ -304,56 +242,17 @@ type Stack struct {
 	sends      map[int]*largeSend // by sender handle
 	pulls      map[int]*largePull // by receiver handle
 
-	// Rendezvous dedup: remembers handled rendezvous by (src, seq) so
-	// retransmitted requests don't restart transfers. Completed
-	// entries are kept (to re-ack lost RndvAcks) in a bounded FIFO:
-	// rndvDone evicts the oldest past proto.RndvDedupWindow, so the
-	// map cannot grow without bound and a wrapped-around sequence
-	// number cannot collide with an ancient entry.
-	rndvSeen map[rndvKey]*rndvState
-	rndvDone []rndvKey
-
-	// Adaptive-transport state (Config.Adaptive; see adaptive.go).
-	// adaptiveRTO / adaptiveWin record whether the timeout and the pull
-	// window are derived online (an explicit RetransmitTimeout or
-	// PullBlocks in the Config pins the static value even with
-	// Adaptive set).
-	adaptiveRTO bool
+	// adaptiveWin records whether the pull window is derived online
+	// (Config.Adaptive; an explicit PullBlocks pins the static value
+	// even with Adaptive set).
 	adaptiveWin bool
-	rtt         map[proto.Addr]*proto.RTTEstimator
-	pullWin     map[proto.Addr]*proto.AIMDWindow
 	// IRQ/bottom-half steering epochs (multi-NIC adaptive hosts).
 	steerEvery  sim.Duration // 0 = steering disabled
 	steerNext   sim.Time     // next quantized decision boundary
 	steerLastAt sim.Time     // time of the previous ledger sample
 	steerPrev   [][cpu.NumCategories]sim.Duration
 
-	// reg is the per-stack registration cache (Config.RegCache); nil
-	// when the cache is disabled and every post pins afresh.
-	reg *hostmem.RegCache
-
 	Stats Stats
-}
-
-// RegStats snapshots the registration cache's counters (zero value
-// when Config.RegCache is off).
-func (s *Stack) RegStats() hostmem.RegStats {
-	if s.reg == nil {
-		return hostmem.RegStats{}
-	}
-	return s.reg.Stats()
-}
-
-type rndvKey struct {
-	src proto.Addr
-	dst int // local endpoint
-	seq uint32
-}
-
-type rndvState struct {
-	handle int  // receiver pull handle
-	done   bool // transfer finished; re-ack on duplicate request
-	sender int  // sender handle, for re-acks
 }
 
 // Attach builds an Open-MX stack on h and registers its receive
@@ -367,9 +266,8 @@ type rndvState struct {
 // PullBlocks explicitly to measure that plateau). An explicit
 // PullBlocks always wins.
 func Attach(h *host.Host, cfg Config) *Stack {
-	// Adaptive derivations apply only where no explicit value pins the
-	// static behaviour — decided before any default is filled in.
-	adaptiveRTO := cfg.Adaptive && cfg.RetransmitTimeout == 0
+	// The adaptive window applies only where no explicit PullBlocks
+	// pins the static one — decided before any default is filled in.
 	adaptiveWin := cfg.Adaptive && cfg.PullBlocks == 0
 	if cfg.PullBlocks == 0 && h.Lanes() > 1 {
 		cfg.PullBlocks = Defaults().PullBlocks * h.Lanes()
@@ -392,27 +290,20 @@ func Attach(h *host.Host, cfg Config) *Stack {
 	}
 	cfg.fillDefaults()
 	s := &Stack{
-		H:           h,
 		Cfg:         cfg,
-		lanes:       h.Lanes(),
 		endpoints:   make(map[int]*Endpoint),
 		sends:       make(map[int]*largeSend),
 		pulls:       make(map[int]*largePull),
-		rndvSeen:    make(map[rndvKey]*rndvState),
-		adaptiveRTO: adaptiveRTO,
 		adaptiveWin: adaptiveWin,
 	}
-	if cfg.Adaptive {
-		s.rtt = make(map[proto.Addr]*proto.RTTEstimator)
-		s.pullWin = make(map[proto.Addr]*proto.AIMDWindow)
-		if s.lanes > 1 {
-			s.steerEvery = steerEpoch
-		}
+	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{
+		StripePolicy: cfg.StripePolicy, RegCache: cfg.RegCache, RegCacheEntries: cfg.RegCacheEntries,
+		RetransmitTimeout: cfg.RetransmitTimeout, RetransmitBackoff: cfg.RetransmitBackoff,
+		RetransmitMax: cfg.RetransmitMax, Adaptive: cfg.Adaptive,
+	})
+	if cfg.Adaptive && s.Lanes > 1 {
+		s.steerEvery = steerEpoch
 	}
-	if cfg.RegCache {
-		s.reg = hostmem.NewRegCache(cfg.RegCacheEntries)
-	}
-	s.Stats.NICTxFrames = make([]int64, s.lanes)
 	for i, n := range h.NICs {
 		lane := i
 		n.SetRxHandler(func(p *sim.Proc, core *cpu.Core, skb *nic.Skb) {
@@ -427,49 +318,6 @@ func Attach(h *host.Host, cfg Config) *Stack {
 
 // addr returns the address of a local endpoint.
 func (s *Stack) addr(ep int) proto.Addr { return proto.Addr{Host: s.H.Name, EP: ep} }
-
-// laneOf picks the transmit lane for one unit of a message under the
-// configured stripe policy. seq identifies the message (the channel
-// or rendezvous sequence), unit the stripeable piece within it — the
-// eager fragment index or the pull block index. Retransmissions
-// recompute the same lane, so a lossy lane is retried on itself and
-// per-lane impairment stays attributable.
-func (s *Stack) laneOf(seq uint32, unit int) int {
-	if s.lanes <= 1 {
-		return 0
-	}
-	switch s.Cfg.StripePolicy {
-	case StripeHash:
-		// Per-message lane: a seeded multiplicative hash of the
-		// message identity, like a switch's L3/L4 flow hash.
-		return int((uint64(seq) * 0x9E3779B97F4A7C15 >> 33) % uint64(s.lanes))
-	case StripeSingle:
-		return 0
-	default: // round-robin
-		return (int(seq) + unit) % s.lanes
-	}
-}
-
-// transmit sends a protocol frame on lane 0 (control traffic: acks,
-// rendezvous completion). payload may be nil for control frames; wire
-// accounting always includes the Open-MX header.
-func (s *Stack) transmit(dst proto.Addr, msg any, payload []byte) {
-	s.transmitOn(0, dst, msg, payload)
-}
-
-// transmitOn sends a protocol frame on the given NIC lane, addressed
-// to the peer's same-numbered lane (striping peers use symmetric lane
-// numbering; see wire.LaneAddr).
-func (s *Stack) transmitOn(lane int, dst proto.Addr, msg any, payload []byte) {
-	f := &wire.Frame{
-		Data:    payload,
-		WireLen: len(payload) + s.H.P.OMXHeaderBytes,
-		Msg:     msg,
-		DstAddr: wire.LaneAddr(dst.Host, lane),
-	}
-	s.Stats.NICTxFrames[lane]++
-	s.H.NICs[lane].Transmit(f)
-}
 
 // largeSend is the sender side of a rendezvous transfer.
 type largeSend struct {
@@ -507,7 +355,7 @@ type largePull struct {
 	req          *Request
 	src          proto.Addr
 	senderHandle int
-	key          rndvKey
+	key          proto.RndvKey
 	buf          *hostmem.Buffer
 	off, n       int
 

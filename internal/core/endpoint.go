@@ -236,41 +236,6 @@ func (ep *Endpoint) pushEvent(ev *event) {
 	ep.evSig.Broadcast()
 }
 
-// pagesSpanned is the page count of an n-byte region (what the
-// driver actually pins — not the whole buffer).
-func pagesSpanned(n, pageSize int) int64 {
-	if n <= 0 {
-		return 1
-	}
-	return int64((n + pageSize - 1) / pageSize)
-}
-
-// pinCost returns the driver time to pin the n-byte region of buf,
-// honouring the stack's registration cache, and takes the pin
-// reference. A cache hit costs nothing; a miss pays PinPerPage over
-// the region, plus UnpinPerPage over any region the cache's LRU bound
-// forced out to make room.
-func (ep *Endpoint) pinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	p := ep.S.H.P
-	if ep.S.reg != nil {
-		pinned, evicted := ep.S.reg.Acquire(buf, n)
-		return sim.Duration(pinned*p.PinPerPage + evicted*p.UnpinPerPage)
-	}
-	buf.Pin()
-	return sim.Duration(pagesSpanned(n, p.PageSize) * p.PinPerPage)
-}
-
-// unpinCost returns the driver time to release the region after a
-// transfer (zero with the registration cache, which defers
-// deregistration).
-func (ep *Endpoint) unpinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	if ep.S.Cfg.RegCache {
-		return 0
-	}
-	buf.Unpin()
-	return sim.Duration(pagesSpanned(n, ep.S.H.P.PageSize) * ep.S.H.P.UnpinPerPage)
-}
-
 // takeAck returns the piggyback cumulative ack for outgoing traffic to
 // dst and disarms any pending explicit-ack timer.
 func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
@@ -284,10 +249,9 @@ func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
 	return c.win.Edge()
 }
 
-// matches implements MX matching: the receive's masked match value
-// must equal the message's masked match value.
+// matches implements MX matching (see proto.Matches).
 func matches(recvMatch, recvMask, msgMatch uint64) bool {
-	return recvMatch&recvMask == msgMatch&recvMask
+	return proto.Matches(recvMatch, recvMask, msgMatch)
 }
 
 // ---------------------------------------------------------------------
@@ -427,13 +391,13 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 	case evRndv:
 		ep.handleRndv(p, ev)
 	case evLargeDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
+		d := ep.S.UnpinCost(ev.req.buf, ev.req.n)
 		if d > 0 {
 			ep.core().RunOn(p, cpu.DriverCmd, d)
 		}
 		ev.req.done = true
 	case evSendDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
+		d := ep.S.UnpinCost(ev.req.buf, ev.req.n)
 		if d > 0 {
 			ep.core().RunOn(p, cpu.DriverCmd, d)
 		}
@@ -609,7 +573,7 @@ func (s *Stack) transmitEager(ep *Endpoint, tc *txChan, seq uint32, match uint64
 		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).
-		s.transmitOn(s.laneOf(seq, f), tc.dst, &proto.Eager{
+		s.TransmitOn(s.LaneOf(seq, f), tc.dst, &proto.Eager{
 			Src: ep.Addr(), Dst: tc.dst,
 			Match: match, Seq: seq, MsgLen: n,
 			FragID: f, FragCount: frags, Offset: fo,
@@ -626,14 +590,14 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 		return
 	}
 	s := ep.S
-	tc.rtx = s.H.E.Schedule(s.rtxTimeout(tc.dst, tc.rtxAttempts), func() {
+	tc.rtx = s.H.E.Schedule(s.RtxTimeout(tc.dst, tc.rtxAttempts), func() {
 		tc.rtx = sim.Timer{}
 		if len(tc.unacked) == 0 {
 			return
 		}
 		tc.rtxAttempts++
 		s.Stats.EagerRetransmits++
-		s.traceRetransmit(tc.unacked[0].seq, -1, 0)
+		s.TraceRetransmit(tc.unacked[0].seq, -1, 0)
 		// Rebuild and resend every unacked message; receivers dedup.
 		// One timer, one softirq context: the rebuild runs on the
 		// primary NIC's interrupt core even though the fragments then
@@ -664,7 +628,7 @@ func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 	s := ep.S
 	tc := ep.txChan(r.dst)
 	r.seq = tc.nextTxSeq()
-	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + ep.pinCost(r.buf, r.n)
+	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + s.PinCost(r.buf, r.n, s.H.P.PinPerPage)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
@@ -676,7 +640,7 @@ func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 }
 
 func (s *Stack) transmitRndv(ls *largeSend) {
-	s.transmitOn(s.laneOf(ls.seq, 0), ls.dst, &proto.RndvRequest{
+	s.TransmitOn(s.LaneOf(ls.seq, 0), ls.dst, &proto.RndvRequest{
 		Src: ls.ep.Addr(), Dst: ls.dst,
 		Match: ls.req.MatchInfo, Seq: ls.seq, MsgLen: ls.n,
 		SenderHandle: ls.handle,
@@ -688,7 +652,7 @@ func (s *Stack) transmitRndv(ls *largeSend) {
 // re-sends the request, backing off exponentially until the receiver
 // answers (progress resets the backoff).
 func (s *Stack) armRndvRtx(ls *largeSend) {
-	ls.rtx = s.H.E.Schedule(s.rtxTimeout(ls.dst, ls.attempts), func() {
+	ls.rtx = s.H.E.Schedule(s.RtxTimeout(ls.dst, ls.attempts), func() {
 		if ls.finished {
 			return
 		}
@@ -696,7 +660,7 @@ func (s *Stack) armRndvRtx(ls *largeSend) {
 			// The request (or everything since) was lost: resend it.
 			ls.attempts++
 			s.Stats.RndvRetransmits++
-			s.traceRetransmit(ls.seq, -1, s.laneOf(ls.seq, 0))
+			s.TraceRetransmit(ls.seq, -1, s.LaneOf(ls.seq, 0))
 			s.transmitRndv(ls)
 		} else {
 			ls.attempts = 0
@@ -712,14 +676,14 @@ func (s *Stack) armRndvRtx(ls *largeSend) {
 func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	s := ep.S
 	n := min(u.msgLen, r.n)
-	cost := sim.Duration(s.H.P.SyscallCost) + ep.pinCost(r.buf, n)
+	cost := sim.Duration(s.H.P.SyscallCost) + s.PinCost(r.buf, n, s.H.P.PinPerPage)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
 	lp := &largePull{
 		handle: s.nextHandle, ep: ep, req: r,
 		src: u.src, senderHandle: u.handle,
-		key: rndvKey{src: u.src, dst: ep.ID, seq: u.seq},
+		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
 		buf: r.buf, off: r.off, n: n,
 		frags:  proto.FragsOf(n),
 		blocks: make(map[int]*pullBlock),
@@ -730,25 +694,20 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 		// One DMA channel per NIC lane: a striped message overlaps its
 		// lanes' copies on distinct channels (a single-NIC message keeps
 		// the paper's one-channel-per-message assignment).
-		for i := 0; i < s.lanes; i++ {
+		for i := 0; i < s.Lanes; i++ {
 			lp.chs = append(lp.chs, s.H.IOAT.PickChannel())
 		}
-		lp.lastSeq = make([]uint64, s.lanes)
+		lp.lastSeq = make([]uint64, s.Lanes)
 	}
 	if s.adaptiveWin {
-		lp.aw = s.pullWindowFor(lp.src)
+		lp.aw = s.PullWindowFor(lp.src)
 		lp.lastWin = lp.aw.Window()
 	}
 	lp.startedAt = s.H.E.Now()
 	r.MatchInfo = u.match
 	r.SenderAddr = u.src
 	s.pulls[lp.handle] = lp
-	st := s.rndvSeen[lp.key]
-	if st == nil {
-		st = &rndvState{sender: u.handle}
-		s.rndvSeen[lp.key] = st
-	}
-	st.handle = lp.handle
+	s.RndvInsert(lp.key, u.handle)
 
 	for b := 0; b < s.pullWindow(lp) && lp.nextBlock < lp.numBlocks; b++ {
 		s.sendPullBlock(lp, lp.nextBlock, 0)

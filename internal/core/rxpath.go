@@ -23,7 +23,7 @@ func (s *Stack) rxCallback(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb) 
 	core.RunOn(p, cpu.BHProc, sim.Duration(s.H.P.OMXRecvCallbackCost))
 	if s.Trace != nil {
 		if m, ok := skb.Frame.Msg.(*proto.LargeFrag); ok {
-			s.Trace(TraceEvent{Kind: "process", Frag: m.FragID, Start: t0, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "process", Frag: m.FragID, Start: t0, End: p.Now()})
 		}
 	}
 	switch m := skb.Frame.Msg.(type) {
@@ -90,11 +90,11 @@ func (s *Stack) applyAck(p *sim.Proc, core *cpu.Core, epID int, from proto.Addr,
 				sample = now - es.sentAt
 			}
 			if s.Trace != nil {
-				s.Trace(TraceEvent{Kind: "eager", Frag: -1, Seq: es.seq, Lane: s.laneOf(es.seq, 0), Start: es.sentAt, End: now})
+				s.Trace(proto.TraceEvent{Kind: "eager", Frag: -1, Seq: es.seq, Lane: s.LaneOf(es.seq, 0), Start: es.sentAt, End: now})
 			}
 		}
 		if sample >= 0 {
-			s.observeRTT(from, sample)
+			s.ObserveRTT(from, sample)
 		}
 		s.chargeEvent(p, core)
 		ep.pushEvent(&event{kind: evEagerAcked, reqs: done})
@@ -211,15 +211,15 @@ func (s *Stack) rxRndv(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvR
 	if ep == nil {
 		return
 	}
-	key := rndvKey{src: m.Src, dst: m.Dst.EP, seq: m.Seq}
-	if st := s.rndvSeen[key]; st != nil {
-		if st.done {
+	key := proto.RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
+	if sender, done, ok := s.RndvSeen(key); ok {
+		if done {
 			// We finished but our ack was lost: re-ack.
-			s.transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: st.sender}, nil)
+			s.Transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: sender}, nil)
 		}
 		return // duplicate; pull timers drive recovery otherwise
 	}
-	s.rndvSeen[key] = &rndvState{handle: -1, sender: m.SenderHandle}
+	s.RndvInsert(key, m.SenderHandle)
 	s.chargeEvent(p, core)
 	ep.pushEvent(&event{
 		kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
@@ -242,7 +242,7 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 	if !ls.sampled && ls.attempts == 0 {
 		// First pull answers the (never-retransmitted) rendezvous
 		// request: a clean request->pull round trip to the receiver.
-		s.observeRTT(m.Src, s.H.E.Now()-ls.sentAt)
+		s.ObserveRTT(m.Src, s.H.E.Now()-ls.sentAt)
 	}
 	ls.sampled = true
 	ls.pulled = true
@@ -268,7 +268,7 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 		}
 		payload := make([]byte, fl)
 		ls.buf.ReadAt(payload, ls.off+fo)
-		s.transmitOn(lane, m.Src, &proto.LargeFrag{
+		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ls.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
 			FragID: fragID, Offset: fo, MsgLen: ls.n,
@@ -337,11 +337,11 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		t1 := p.Now()
 		core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(len(reqs)))
 		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: "submit", Frag: m.FragID, Start: t1, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "submit", Frag: m.FragID, Start: t1, End: p.Now()})
 			subEnd := p.Now()
 			frag := m.FragID
 			reqs[len(reqs)-1].OnDone = func() {
-				s.Trace(TraceEvent{Kind: "dma-copy", Frag: frag, Start: subEnd, End: s.H.E.Now()})
+				s.Trace(proto.TraceEvent{Kind: "dma-copy", Frag: frag, Start: subEnd, End: s.H.E.Now()})
 			}
 		}
 		s.Stats.IOATSubmits += int64(len(reqs))
@@ -354,7 +354,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		d := s.H.Copy.Memcpy(lp.buf, dstOff, skb.Buf, 0, n, core.ID)
 		core.RunOn(p, cpu.BHCopy, d)
 		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: "memcpy", Frag: m.FragID, Start: t1, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "memcpy", Frag: m.FragID, Start: t1, End: p.Now()})
 		}
 		skb.Free()
 	}
@@ -363,9 +363,9 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		blk.timer.Stop()
 		delete(lp.blocks, m.Block)
 		if s.Trace != nil {
-			s.Trace(TraceEvent{
-				Kind: "pull", Frag: -1, Seq: lp.key.seq, Block: blk.idx,
-				Lane: s.laneOf(lp.key.seq, blk.idx), Window: s.pullWindow(lp),
+			s.Trace(proto.TraceEvent{
+				Kind: "pull", Frag: -1, Seq: lp.key.Seq, Block: blk.idx,
+				Lane: s.LaneOf(lp.key.Seq, blk.idx), Window: s.pullWindow(lp),
 				Start: blk.sentAt, End: p.Now(),
 			})
 		}
@@ -374,7 +374,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			// and the transfer's window controller (which may also back
 			// off here, on round-trip inflation).
 			rtt := p.Now() - blk.sentAt
-			s.observeRTT(lp.src, rtt)
+			s.ObserveRTT(lp.src, rtt)
 			if lp.aw != nil {
 				lp.aw.OnSample(rtt)
 				s.traceCwnd(lp)
@@ -400,7 +400,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			lp.nextBlock++
 			s.cleanup(p, core, lp)
 		}
-		s.traceQueue(lp)
+		s.TraceCounter("pull-queue", float64(len(lp.blocks)))
 	}
 
 	if last {
@@ -439,40 +439,28 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 				}
 			})
 			if s.Trace != nil {
-				s.Trace(TraceEvent{Kind: "wait", Frag: m.FragID, Start: tw, End: p.Now()})
+				s.Trace(proto.TraceEvent{Kind: "wait", Frag: m.FragID, Start: tw, End: p.Now()})
 			}
 			s.freeRetired(lp)
 		}
 		lp.done = true
 		delete(s.pulls, lp.handle)
-		s.markRndvDone(lp)
+		s.RndvMarkDone(lp.key)
 		lp.req.Len = lp.n
 		if s.Trace != nil {
-			s.Trace(TraceEvent{
-				Kind: "rndv", Frag: -1, Seq: lp.key.seq,
+			s.Trace(proto.TraceEvent{
+				Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
 				Window: s.pullWindow(lp), Start: lp.startedAt, End: p.Now(),
 			})
 		}
 		tn := p.Now()
 		s.chargeEvent(p, core)
 		if s.Trace != nil {
-			s.Trace(TraceEvent{Kind: "notify", Frag: m.FragID, Start: tn, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "notify", Frag: m.FragID, Start: tn, End: p.Now()})
 		}
 		lp.ep.pushEvent(&event{kind: evLargeDone, req: lp.req})
-		s.transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
+		s.Transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
 	}
-}
-
-// markRndvDone flags the rendezvous as complete so duplicate requests
-// get re-acked instead of restarting the transfer, evicting the
-// oldest completed entry beyond the dedup window.
-func (s *Stack) markRndvDone(lp *largePull) {
-	st := s.rndvSeen[lp.key]
-	if st == nil {
-		return
-	}
-	st.done = true
-	s.rndvDone = proto.EvictOldest(s.rndvSeen, s.rndvDone, lp.key, proto.RndvDedupWindow)
 }
 
 // cleanup is the paper's Section III-B routine: poll the DMA engine's
@@ -533,7 +521,7 @@ func (s *Stack) sendPullBlock(lp *largePull, blockIdx int, mask uint64) {
 	if mask == 0 {
 		mask = blk.asm.FullMask()
 	}
-	s.transmitOn(s.laneOf(lp.key.seq, blockIdx), lp.src, &proto.Pull{
+	s.TransmitOn(s.LaneOf(lp.key.Seq, blockIdx), lp.src, &proto.Pull{
 		Src: lp.ep.Addr(), Dst: lp.src,
 		SenderHandle: lp.senderHandle, RecvHandle: lp.handle,
 		Block: blockIdx, FirstFrag: firstFrag, FragCount: count,
@@ -550,14 +538,14 @@ func (s *Stack) sendPullBlock(lp *largePull, blockIdx int, mask uint64) {
 // fragment arriving back off exponentially.
 func (s *Stack) armBlockTimer(lp *largePull, blk *pullBlock) {
 	blk.timer.Stop()
-	blk.timer = s.H.E.Schedule(s.rtxTimeout(lp.src, blk.attempts), func() {
+	blk.timer = s.H.E.Schedule(s.RtxTimeout(lp.src, blk.attempts), func() {
 		if lp.done || blk.asm.Done() {
 			return
 		}
 		blk.attempts++
 		blk.rtxed = true
 		s.Stats.PullRetransmits++
-		s.traceRetransmit(lp.key.seq, blk.idx, s.laneOf(lp.key.seq, blk.idx))
+		s.TraceRetransmit(lp.key.Seq, blk.idx, s.LaneOf(lp.key.Seq, blk.idx))
 		if lp.aw != nil {
 			// The timeout is the loss signal: halve the window once per
 			// loss epoch (the next clean sample reopens the epoch).
@@ -569,7 +557,7 @@ func (s *Stack) armBlockTimer(lp *largePull, blk *pullBlock) {
 		// the core whose bottom half owns this block's traffic — so
 		// retransmission cost under per-lane impairment is charged
 		// where the lane's receive work already runs.
-		irq := s.H.Sys.Core(s.H.NICs[s.laneOf(lp.key.seq, blk.idx)].IRQCore)
+		irq := s.H.Sys.Core(s.H.NICs[s.LaneOf(lp.key.Seq, blk.idx)].IRQCore)
 		irq.Exec(cpu.BHProc, sim.Duration(s.H.P.OMXTxBuildCost), func() {
 			if lp.done || blk.asm.Done() {
 				return
@@ -610,7 +598,7 @@ func (ep *Endpoint) armAckTimer(c *rxChan, force bool) {
 			return
 		}
 		c.lastAckSent = c.win.Edge()
-		s.transmit(c.src, &proto.Ack{Src: c.src, Dst: ep.Addr(), AckSeq: c.win.Edge()}, nil)
+		s.Transmit(c.src, &proto.Ack{Src: c.src, Dst: ep.Addr(), AckSeq: c.win.Edge()}, nil)
 		s.Stats.AcksSent++
 	})
 }

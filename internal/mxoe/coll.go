@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
 	"omxsim/internal/proto"
@@ -230,7 +229,7 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 	}
 	cost := sim.Duration(s.H.P.MXPostCost)
 	if rbuf != nil {
-		cost += ep.pinCost(rbuf, n)
+		cost += s.PinCost(rbuf, n, s.H.P.MXPinPerPage)
 	}
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	c.posted = true
@@ -458,7 +457,7 @@ func (s *Stack) fwCollData(f *wire.Frame, m *proto.CollData) {
 	// Hop-level ack, duplicates included: a duplicate proves the
 	// sender missed the previous ack.
 	s.Stats.Coll.Acks++
-	s.collEmit(s.laneOf(m.Seq, m.FragID), m.Src, &proto.CollAck{
+	s.collEmit(s.LaneOf(m.Seq, m.FragID), m.Src, &proto.CollAck{
 		Src: proto.Addr{Host: s.H.Name, EP: m.Dst.EP}, Dst: m.Src,
 		Group: m.Group, Seq: m.Seq, Down: m.Down, SrcRank: g.me, FragID: m.FragID,
 	}, nil)
@@ -698,7 +697,7 @@ func (s *Stack) collFinish(c *collCall) {
 	}
 	c.complete = true
 	if s.Trace != nil {
-		s.Trace(core.TraceEvent{
+		s.Trace(proto.TraceEvent{
 			Kind: "collective", Frag: -1, Seq: c.seq,
 			Name: c.op.String(), Start: c.startedAt, End: s.H.E.Now(),
 		})
@@ -789,7 +788,7 @@ func (s *Stack) collOutSend(c *collCall, key collOutKey, m *proto.CollData, payl
 	if c.outs[key] != nil {
 		return
 	}
-	o := &collOut{m: m, payload: payload, lane: s.laneOf(m.Seq, m.FragID)}
+	o := &collOut{m: m, payload: payload, lane: s.LaneOf(m.Seq, m.FragID)}
 	c.outs[key] = o
 	c.unacked++
 	if m.Down {
@@ -804,13 +803,13 @@ func (s *Stack) collOutSend(c *collCall, key collOutKey, m *proto.CollData, payl
 // armCollRtx (re)arms one hop fragment's retransmission timer with
 // the firmware's standard backoff.
 func (s *Stack) armCollRtx(o *collOut) {
-	o.timer = s.H.E.Schedule(s.rtxTimeout(o.m.Dst, o.attempts), func() {
+	o.timer = s.H.E.Schedule(s.RtxTimeout(o.m.Dst, o.attempts), func() {
 		if o.acked {
 			return
 		}
 		o.attempts++
 		s.Stats.Coll.Retransmits++
-		s.traceRetransmit(o.m.Seq, o.m.FragID, o.lane)
+		s.TraceRetransmit(o.m.Seq, o.m.FragID, o.lane)
 		s.collEmit(o.lane, o.m.Dst, o.m, o.payload)
 		s.armCollRtx(o)
 	})
@@ -825,5 +824,5 @@ func (s *Stack) collEmit(lane int, dst proto.Addr, msg any, payload []byte) {
 		s.H.E.Schedule(sim.Duration(s.H.P.NICFixedLatency), func() { s.firmwareRx(lane, f) })
 		return
 	}
-	s.transmitOn(lane, dst, msg, payload)
+	s.TransmitOn(lane, dst, msg, payload)
 }

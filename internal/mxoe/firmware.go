@@ -1,7 +1,6 @@
 package mxoe
 
 import (
-	"omxsim/internal/core"
 	"omxsim/internal/hostmem"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
@@ -97,11 +96,11 @@ func (s *Stack) fwAck(m *proto.Ack) {
 				sample = now - u.sentAt
 			}
 			if s.Trace != nil {
-				s.Trace(core.TraceEvent{Kind: "eager", Frag: -1, Seq: u.seq, Lane: s.laneOf(u.seq, 0), Start: u.sentAt, End: now})
+				s.Trace(proto.TraceEvent{Kind: "eager", Frag: -1, Seq: u.seq, Lane: s.LaneOf(u.seq, 0), Start: u.sentAt, End: now})
 			}
 		}
 		if sample >= 0 {
-			s.observeRTT(m.Dst, sample)
+			s.ObserveRTT(m.Dst, sample)
 		}
 	}
 	if len(tc.unacked) == 0 {
@@ -128,7 +127,7 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	if ch.isDup(m.Seq) {
 		s.Stats.DupFrags++
 		// The sender clearly lost our ack: refresh it immediately.
-		s.transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.win.Edge()}, nil)
+		s.Transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.win.Edge()}, nil)
 		return
 	}
 	a := ch.asm[m.Seq]
@@ -181,14 +180,14 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 	if m.AckSeq != 0 {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
 	}
-	key := rndvKey{src: m.Src, dst: m.Dst.EP, seq: m.Seq}
-	if st := s.rndvSeen[key]; st != nil {
-		if st.done {
-			s.transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: st.sender}, nil)
+	key := proto.RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
+	if sender, done, ok := s.RndvSeen(key); ok {
+		if done {
+			s.Transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: sender}, nil)
 		}
 		return // in progress: pull-block timers drive recovery
 	}
-	s.rndvSeen[key] = &rndvState{sender: m.SenderHandle, recvEP: m.Dst.EP}
+	s.RndvInsert(key, m.SenderHandle)
 	// A rendezvous consumes a sequence number on the eager channel so
 	// cumulative acks can advance across it.
 	ep.mxRx(m.Src).markComplete(m.Seq)
@@ -211,7 +210,7 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 	if !ms.sampled && ms.attempts == 0 {
 		// First pull answers the (never-retransmitted) rendezvous
 		// request: a clean request->pull round trip to the receiver.
-		s.observeRTT(m.Src, s.H.E.Now()-ms.sentAt)
+		s.ObserveRTT(m.Src, s.H.E.Now()-ms.sentAt)
 	}
 	ms.sampled = true
 	ms.pulled = true
@@ -238,7 +237,7 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 		ms.buf.ReadAt(payload, ms.off+fo)
 		// Answer on the lane the pull arrived on: the block stays on
 		// one physical path end to end.
-		s.transmitOn(lane, m.Src, &proto.LargeFrag{
+		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ms.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
 			FragID: frag, Offset: fo, MsgLen: ms.n,
@@ -278,13 +277,13 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 		blk.timer.Stop()
 		delete(lp.blocks, m.Block)
 		if s.Trace != nil {
-			win := 2 * s.lanes
+			win := 2 * s.Lanes
 			if lp.aw != nil {
 				win = lp.aw.Window()
 			}
-			s.Trace(core.TraceEvent{
-				Kind: "pull", Frag: -1, Seq: lp.key.seq, Block: blk.idx,
-				Lane: s.laneOf(lp.key.seq, blk.idx), Window: win,
+			s.Trace(proto.TraceEvent{
+				Kind: "pull", Frag: -1, Seq: lp.key.Seq, Block: blk.idx,
+				Lane: s.LaneOf(lp.key.Seq, blk.idx), Window: win,
 				Start: blk.sentAt, End: s.H.E.Now(),
 			})
 		}
@@ -292,7 +291,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 			// A clean block round trip: feed the peer's RTO estimator
 			// and the transfer's window controller.
 			rtt := s.H.E.Now() - blk.sentAt
-			s.observeRTT(lp.src, rtt)
+			s.ObserveRTT(lp.src, rtt)
 			if lp.aw != nil {
 				lp.aw.OnSample(rtt)
 			}
@@ -305,13 +304,7 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 				s.pullNextBlock(lp)
 			}
 		}
-		if s.Trace != nil {
-			now := s.H.E.Now()
-			s.Trace(core.TraceEvent{
-				Kind: "counter", Frag: -1, Start: now, End: now,
-				Name: "pull-queue", Value: float64(len(lp.blocks)),
-			})
-		}
+		s.TraceCounter("pull-queue", float64(len(lp.blocks)))
 	}
 	n := len(f.Data)
 	s.H.E.Schedule(s.dmaDelayTo(lp.buf, n), func() {
@@ -331,20 +324,20 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 				b.timer.Stop()
 			}
 			delete(s.pulls, lp.handle)
-			s.markRndvDone(lp.key)
+			s.RndvMarkDone(lp.key)
 			lp.req.Len = lp.n
 			if s.Trace != nil {
-				win := 2 * s.lanes
+				win := 2 * s.Lanes
 				if lp.aw != nil {
 					win = lp.aw.Window()
 				}
-				s.Trace(core.TraceEvent{
-					Kind: "rndv", Frag: -1, Seq: lp.key.seq,
+				s.Trace(proto.TraceEvent{
+					Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
 					Window: win, Start: lp.startedAt, End: s.H.E.Now(),
 				})
 			}
 			lp.ep.pushEvent(&event{kind: evRecvDone, req: lp.req})
-			s.transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
+			s.Transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
 		}
 	})
 }

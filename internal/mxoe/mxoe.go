@@ -33,7 +33,6 @@ package mxoe
 import (
 	"fmt"
 
-	"omxsim/internal/core"
 	"omxsim/internal/cpu"
 	"omxsim/internal/host"
 	"omxsim/internal/hostmem"
@@ -65,57 +64,39 @@ type Config struct {
 	RetransmitTimeout sim.Duration
 	RetransmitBackoff float64
 	RetransmitMax     sim.Duration
-	// Adaptive enables the firmware's self-tuning tier (adaptive.go):
+	// Adaptive enables the firmware's self-tuning tier, run by the
+	// shared transport core (proto.Transport) in firmware context:
 	// per-peer RTT-derived retransmission timeouts (unless an explicit
 	// RetransmitTimeout pins the static base) and AIMD-sized pull
-	// windows. Off, the firmware behaves bit-identically to the fixed
+	// windows. There is no IRQ steering: the firmware never interrupts
+	// the host. Off, the firmware behaves bit-identically to the fixed
 	// two-blocks-per-lane configuration.
 	Adaptive bool
 }
 
-// Stats counts firmware protocol activity for tests and diagnostics.
+// Stats counts firmware protocol activity for tests and diagnostics:
+// the counters shared with the Open-MX stack, plus the firmware's own.
 type Stats struct {
-	EagerSent        int64
-	RndvSent         int64
-	FragsSent        int64
-	EagerRetransmits int64
-	RndvRetransmits  int64
-	PullRetransmits  int64
-	DupFrags         int64
-	QueueDrops       int64
-	// NICTxFrames counts frames transmitted per NIC lane — the
-	// striping balance on a multi-NIC host (one entry per NIC).
-	NICTxFrames []int64
+	proto.Counters
+	FragsSent  int64
+	QueueDrops int64
 	// Coll counts NIC-offloaded collective activity (coll.go).
 	Coll CollStats
 }
 
-// Retransmits sums every retransmission class.
-func (st Stats) Retransmits() int64 {
-	return st.EagerRetransmits + st.RndvRetransmits + st.PullRetransmits
-}
-
-// Stack is the native MXoE instance of one host.
+// Stack is the native MXoE instance of one host. The embedded
+// transport core (lanes, trace sink, registration cache,
+// retransmission timing, rendezvous dedup) is the one the Open-MX
+// stack runs too; the firmware always stripes round-robin (real MX
+// firmware has no configurable hash policy) and widens its pull
+// window to two blocks per lane.
 type Stack struct {
-	H   *host.Host
+	proto.Transport
 	Cfg Config
 
-	// lanes is the host's NIC count. The firmware stripes eager
-	// fragments and pull blocks round-robin across lanes (real MX
-	// firmware has no configurable hash policy) and widens its pull
-	// window to two blocks per lane.
-	lanes int
-
-	endpoints map[int]*Endpoint
-	sends     map[int]*mxSend
-	pulls     map[int]*mxPull
-	// rndvSeen deduplicates retransmitted rendezvous requests;
-	// completed entries are bounded by the rndvDone FIFO (oldest
-	// evicted past proto.RndvDedupWindow) so the map cannot grow
-	// without bound and wrapped sequence numbers cannot hit ancient
-	// entries.
-	rndvSeen   map[rndvKey]*rndvState
-	rndvDone   []rndvKey
+	endpoints  map[int]*Endpoint
+	sends      map[int]*mxSend
+	pulls      map[int]*mxPull
 	nextHandle int
 
 	// Firmware collective-group state (coll.go): registered groups by
@@ -124,88 +105,34 @@ type Stack struct {
 	collGroups  map[collKey]*CollGroup
 	collPending map[collKey][]*wire.Frame
 
-	// Adaptive-tier state (adaptive.go): whether timeouts derive from
-	// measured RTTs, and the per-peer estimators feeding them.
-	adaptiveRTO bool
-	rtt         map[proto.Addr]*proto.RTTEstimator
-	pullWin     map[proto.Addr]*proto.AIMDWindow
-
-	// Trace, when set, receives transport span and counter events
-	// (pull blocks, collectives, retransmissions, SRTT samples) in the
-	// host stack's TraceEvent format, for the Chrome trace exporter.
-	Trace func(core.TraceEvent)
-
-	// reg is the per-stack registration cache (Config.RegCache); nil
-	// when disabled.
-	reg *hostmem.RegCache
-
 	Stats Stats
-}
-
-// RegStats snapshots the registration cache's counters (zero value
-// when Config.RegCache is off).
-func (s *Stack) RegStats() hostmem.RegStats {
-	if s.reg == nil {
-		return hostmem.RegStats{}
-	}
-	return s.reg.Stats()
 }
 
 // Attach builds a native MX stack on h, switching the NIC to firmware
 // mode.
 func Attach(h *host.Host, cfg Config) *Stack {
-	// Adaptive RTO applies only when no explicit timeout pins the
-	// static base — decided before the default is filled in.
-	adaptiveRTO := cfg.Adaptive && cfg.RetransmitTimeout == 0
 	if cfg.RingSlots == 0 {
 		cfg.RingSlots = 512
 	}
-	if cfg.RetransmitTimeout == 0 {
-		cfg.RetransmitTimeout = 50 * sim.Millisecond
-	}
-	if cfg.RetransmitBackoff == 0 {
-		cfg.RetransmitBackoff = 2
-	}
-	if cfg.RetransmitMax == 0 {
-		cfg.RetransmitMax = 16 * cfg.RetransmitTimeout
-	}
 	s := &Stack{
-		H:         h,
 		Cfg:       cfg,
-		lanes:     h.Lanes(),
 		endpoints: make(map[int]*Endpoint),
 		sends:     make(map[int]*mxSend),
 		pulls:     make(map[int]*mxPull),
-		rndvSeen:  make(map[rndvKey]*rndvState),
 
 		collGroups:  make(map[collKey]*CollGroup),
 		collPending: make(map[collKey][]*wire.Frame),
-
-		adaptiveRTO: adaptiveRTO,
 	}
-	if cfg.Adaptive {
-		s.rtt = make(map[proto.Addr]*proto.RTTEstimator)
-		s.pullWin = make(map[proto.Addr]*proto.AIMDWindow)
-	}
-	if cfg.RegCache {
-		s.reg = hostmem.NewRegCache(cfg.RegCacheEntries)
-	}
-	s.Stats.NICTxFrames = make([]int64, s.lanes)
+	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{
+		RegCache: cfg.RegCache, RegCacheEntries: cfg.RegCacheEntries,
+		RetransmitTimeout: cfg.RetransmitTimeout, RetransmitBackoff: cfg.RetransmitBackoff,
+		RetransmitMax: cfg.RetransmitMax, Adaptive: cfg.Adaptive,
+	})
 	for i, n := range h.NICs {
 		lane := i
 		n.SetFirmware(func(f *wire.Frame) { s.firmwareRx(lane, f) })
 	}
 	return s
-}
-
-// laneOf picks the transmit lane for one unit (eager fragment or pull
-// block) of message seq: fixed round-robin, recomputed identically on
-// retransmission so a lossy lane retries on itself.
-func (s *Stack) laneOf(seq uint32, unit int) int {
-	if s.lanes <= 1 {
-		return 0
-	}
-	return (int(seq) + unit) % s.lanes
 }
 
 // Endpoint is one MX endpoint (user library + firmware queue state).
@@ -335,7 +262,7 @@ type mxPull struct {
 	req          *Request
 	src          proto.Addr
 	senderHandle int
-	key          rndvKey
+	key          proto.RndvKey
 	buf          *hostmem.Buffer
 	off, n       int
 	frags        int
@@ -379,50 +306,6 @@ func (ep *Endpoint) pushEvent(ev *event) {
 	ep.evSig.Broadcast()
 }
 
-// pinCost models MX registration of an n-byte region: per-page cost
-// including the NIC translation-table update, amortized by the
-// registration cache.
-func (ep *Endpoint) pinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	p := ep.S.H.P
-	if ep.S.reg != nil {
-		pinned, evicted := ep.S.reg.Acquire(buf, n)
-		return sim.Duration(pinned*p.MXPinPerPage + evicted*p.UnpinPerPage)
-	}
-	buf.Pin()
-	pages := int64((max(n, 1) + p.PageSize - 1) / p.PageSize)
-	return sim.Duration(pages * p.MXPinPerPage)
-}
-
-func (ep *Endpoint) unpinCost(buf *hostmem.Buffer, n int) sim.Duration {
-	if ep.S.Cfg.RegCache {
-		return 0
-	}
-	buf.Unpin()
-	pages := int64((max(n, 1) + ep.S.H.P.PageSize - 1) / ep.S.H.P.PageSize)
-	return sim.Duration(pages * ep.S.H.P.UnpinPerPage)
-}
-
-func matches(recvMatch, recvMask, msgMatch uint64) bool {
-	return recvMatch&recvMask == msgMatch&recvMask
-}
-
-// transmit hands a control frame to the primary NIC (lane 0).
-func (s *Stack) transmit(dst proto.Addr, msg any, payload []byte) {
-	s.transmitOn(0, dst, msg, payload)
-}
-
-// transmitOn hands a frame to the lane-th NIC, addressed to the
-// peer's same-numbered lane (symmetric lane numbering, wire.LaneAddr).
-func (s *Stack) transmitOn(lane int, dst proto.Addr, msg any, payload []byte) {
-	s.Stats.NICTxFrames[lane]++
-	s.H.NICs[lane].Transmit(&wire.Frame{
-		Data:    payload,
-		WireLen: len(payload) + s.H.P.OMXHeaderBytes,
-		Msg:     msg,
-		DstAddr: wire.LaneAddr(dst.Host, lane),
-	})
-}
-
 // ISend posts a send: an OS-bypass NIC command. Intra-node messages
 // take the library's shared-memory channel; eager messages stream
 // immediately; large ones pin and send a rendezvous request.
@@ -435,12 +318,12 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	tc := ep.mxTx(dst)
 	seq := tc.next()
 	if n > 32*1024 {
-		cost := sim.Duration(s.H.P.MXPostCost) + ep.pinCost(buf, n)
+		cost := sim.Duration(s.H.P.MXPostCost) + s.PinCost(buf, n, s.H.P.MXPinPerPage)
 		ep.core().RunOn(p, cpu.UserLib, cost)
 		s.nextHandle++
 		ms := &mxSend{handle: s.nextHandle, ep: ep, req: r, dst: dst, seq: seq, buf: buf, off: off, n: n, sentAt: s.H.E.Now()}
 		s.sends[ms.handle] = ms
-		s.transmitOn(s.laneOf(seq, 0), dst, &proto.RndvRequest{
+		s.TransmitOn(s.LaneOf(seq, 0), dst, &proto.RndvRequest{
 			Src: ep.Addr(), Dst: dst, Match: match, Seq: seq, MsgLen: n, SenderHandle: ms.handle,
 		}, nil)
 		s.Stats.RndvSent++
@@ -469,7 +352,7 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		u.loads = append(u.loads, payload)
 		// Fragments stripe round-robin across NIC lanes; the firmware
 		// assembly bitmaps tolerate any cross-lane arrival order.
-		s.transmitOn(s.laneOf(seq, f), dst, m, payload)
+		s.TransmitOn(s.LaneOf(seq, f), dst, m, payload)
 	}
 	s.Stats.EagerSent++
 	// The firmware keeps the frame snapshots until the peer's
@@ -487,7 +370,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
 	r := &Request{ep: ep, isRecv: true, match: match, mask: mask, buf: buf, off: off, n: n}
 	for i, u := range ep.ux {
-		if !matches(match, mask, u.match) {
+		if !proto.Matches(match, mask, u.match) {
 			continue
 		}
 		ep.ux = append(ep.ux[:i], ep.ux[i+1:]...)
@@ -513,7 +396,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	var claim *assembly
 	var claimKey asmKey
 	for k, a := range ep.asm {
-		if a.dst == nil && matches(match, mask, a.match) && (claim == nil || claimKeyBefore(k, claimKey)) {
+		if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || claimKeyBefore(k, claimKey)) {
 			claim, claimKey = a, k
 		}
 	}
@@ -584,7 +467,7 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 	case evRndv:
 		u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
 		for i, r := range ep.posted {
-			if matches(r.match, r.mask, ev.match) {
+			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 				ep.startPull(p, r, u)
 				return
@@ -592,13 +475,13 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 		}
 		ep.ux = append(ep.ux, u)
 	case evRecvDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
+		d := ep.S.UnpinCost(ev.req.buf, ev.req.n)
 		if d > 0 {
 			ep.core().RunOn(p, cpu.UserLib, d)
 		}
 		ev.req.done = true
 	case evSendDone:
-		d := ep.unpinCost(ev.req.buf, ev.req.n)
+		d := ep.S.UnpinCost(ev.req.buf, ev.req.n)
 		if d > 0 {
 			ep.core().RunOn(p, cpu.UserLib, d)
 		}
@@ -607,7 +490,7 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 		// Barriers post no destination buffer, so there may be
 		// nothing to unregister.
 		if ev.req.buf != nil {
-			if d := ep.unpinCost(ev.req.buf, ev.req.n); d > 0 {
+			if d := ep.S.UnpinCost(ev.req.buf, ev.req.n); d > 0 {
 				ep.core().RunOn(p, cpu.UserLib, d)
 			}
 		}
@@ -625,7 +508,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	if a == nil {
 		a = &assembly{match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
 		for i, r := range ep.posted {
-			if matches(r.match, r.mask, ev.match) {
+			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 				a.dst = r
 				break
@@ -675,7 +558,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		if ch := ep.rx[ev.src]; ch != nil {
 			ack = ch.win.Edge()
 		}
-		ep.S.transmit(ev.src, &proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack}, nil)
+		ep.S.Transmit(ev.src, &proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack}, nil)
 	}
 }
 
@@ -686,12 +569,12 @@ func (ep *Endpoint) slotOff(i int) int { return i * proto.MediumFragSize }
 func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	s := ep.S
 	n := min(u.msgLen, r.n)
-	cost := sim.Duration(s.H.P.MXPostCost) + ep.pinCost(r.buf, n)
+	cost := sim.Duration(s.H.P.MXPostCost) + s.PinCost(r.buf, n, s.H.P.MXPinPerPage)
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	s.nextHandle++
 	lp := &mxPull{
 		handle: s.nextHandle, ep: ep, req: r, src: u.src, senderHandle: u.handle,
-		key: rndvKey{src: u.src, dst: ep.ID, seq: u.seq},
+		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
 		buf: r.buf, off: r.off, n: n, frags: proto.FragsOf(n),
 		blocks: make(map[int]*mxBlock),
 	}
@@ -704,9 +587,9 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	// keeps a block's worth of fragments in flight. An adaptive
 	// transfer instead starts at the AIMD controller's minimum and
 	// grows as clean block round trips accumulate.
-	want := 2 * s.lanes
+	want := 2 * s.Lanes
 	if s.Cfg.Adaptive {
-		lp.aw = s.pullWindowFor(lp.src)
+		lp.aw = s.PullWindowFor(lp.src)
 		want = lp.aw.Window()
 	}
 	for i := 0; i < want; i++ {

@@ -123,20 +123,20 @@ func (ep *Endpoint) armEagerRtx(tc *mxTxChan) {
 		return
 	}
 	s := ep.S
-	tc.rtx = s.H.E.Schedule(s.rtxTimeout(tc.dst, tc.attempts), func() {
+	tc.rtx = s.H.E.Schedule(s.RtxTimeout(tc.dst, tc.attempts), func() {
 		tc.rtx = sim.Timer{}
 		if len(tc.unacked) == 0 {
 			return
 		}
 		tc.attempts++
 		s.Stats.EagerRetransmits++
-		s.traceRetransmit(tc.unacked[0].seq, -1, 0)
+		s.TraceRetransmit(tc.unacked[0].seq, -1, 0)
 		for _, u := range tc.unacked {
 			u.rtxed = true // Karn: never sample a retransmitted send
 			for i, m := range u.msgs {
 				// Same lane as the original fragment, so a lossy
 				// lane retries on itself and stays attributable.
-				s.transmitOn(s.laneOf(u.seq, m.FragID), tc.dst, m, u.loads[i])
+				s.TransmitOn(s.LaneOf(u.seq, m.FragID), tc.dst, m, u.loads[i])
 			}
 		}
 		ep.armEagerRtx(tc)
@@ -147,15 +147,15 @@ func (ep *Endpoint) armEagerRtx(tc *mxTxChan) {
 // the last expiry it re-sends the request (the receiver deduplicates
 // and, if the transfer already finished, re-acks).
 func (s *Stack) armRndvRtx(ms *mxSend) {
-	ms.rtx = s.H.E.Schedule(s.rtxTimeout(ms.dst, ms.attempts), func() {
+	ms.rtx = s.H.E.Schedule(s.RtxTimeout(ms.dst, ms.attempts), func() {
 		if ms.finished {
 			return
 		}
 		if !ms.pulled {
 			ms.attempts++
 			s.Stats.RndvRetransmits++
-			s.traceRetransmit(ms.seq, -1, s.laneOf(ms.seq, 0))
-			s.transmitOn(s.laneOf(ms.seq, 0), ms.dst, &proto.RndvRequest{
+			s.TraceRetransmit(ms.seq, -1, s.LaneOf(ms.seq, 0))
+			s.TransmitOn(s.LaneOf(ms.seq, 0), ms.dst, &proto.RndvRequest{
 				Src: ms.ep.Addr(), Dst: ms.dst,
 				Match: ms.req.MatchInfo, Seq: ms.seq, MsgLen: ms.n,
 				SenderHandle: ms.handle,
@@ -189,14 +189,14 @@ type mxBlock struct {
 // expiry the firmware re-requests the block's missing fragments.
 func (s *Stack) armBlockTimer(lp *mxPull, blk *mxBlock) {
 	blk.timer.Stop()
-	blk.timer = s.H.E.Schedule(s.rtxTimeout(lp.src, blk.attempts), func() {
+	blk.timer = s.H.E.Schedule(s.RtxTimeout(lp.src, blk.attempts), func() {
 		if lp.done || blk.asm.Done() {
 			return
 		}
 		blk.attempts++
 		blk.rtxed = true
 		s.Stats.PullRetransmits++
-		s.traceRetransmit(lp.key.seq, blk.idx, s.laneOf(lp.key.seq, blk.idx))
+		s.TraceRetransmit(lp.key.Seq, blk.idx, s.LaneOf(lp.key.Seq, blk.idx))
 		if lp.aw != nil {
 			// The timeout is the loss signal: halve the window once per
 			// loss epoch (the next clean sample reopens the epoch).
@@ -210,38 +210,11 @@ func (s *Stack) armBlockTimer(lp *mxPull, blk *mxBlock) {
 // block — on the block's stripe lane, where the data answers — and
 // arms its retransmission timer.
 func (s *Stack) sendPull(lp *mxPull, blk *mxBlock, mask uint64) {
-	s.transmitOn(s.laneOf(lp.key.seq, blk.idx), lp.src, &proto.Pull{
+	s.TransmitOn(s.LaneOf(lp.key.Seq, blk.idx), lp.src, &proto.Pull{
 		Src: lp.ep.Addr(), Dst: lp.src,
 		SenderHandle: lp.senderHandle, RecvHandle: lp.handle,
 		Block: blk.idx, FirstFrag: blk.firstFrag, FragCount: blk.asm.Frags,
 		NeedMask: mask,
 	}, nil)
 	s.armBlockTimer(lp, blk)
-}
-
-// rndvKey identifies a rendezvous for duplicate suppression.
-type rndvKey struct {
-	src proto.Addr
-	dst int
-	seq uint32
-}
-
-// rndvState remembers a handled rendezvous so retransmitted requests
-// do not restart transfers, and finished ones can be re-acked.
-type rndvState struct {
-	sender int
-	recvEP int
-	done   bool
-}
-
-// markRndvDone flags a completed rendezvous for duplicate re-acking
-// and evicts the oldest completed entry beyond the dedup window
-// (mirrors internal/core's markRndvDone).
-func (s *Stack) markRndvDone(key rndvKey) {
-	st := s.rndvSeen[key]
-	if st == nil {
-		return
-	}
-	st.done = true
-	s.rndvDone = proto.EvictOldest(s.rndvSeen, s.rndvDone, key, proto.RndvDedupWindow)
 }

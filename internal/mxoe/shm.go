@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/proto"
 	"omxsim/sim"
 )
 
@@ -62,7 +63,7 @@ func (ep *Endpoint) shmSend(p *sim.Proc, r *Request) *Request {
 // unexpected (the segment doubles as the temporary storage).
 func (ep *Endpoint) handleShm(p *sim.Proc, ev *event) {
 	for i, r := range ep.posted {
-		if matches(r.match, r.mask, ev.match) {
+		if proto.Matches(r.match, r.mask, ev.match) {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			n := min(ev.msgLen, r.n)
 			if n > 0 {

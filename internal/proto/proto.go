@@ -1,9 +1,10 @@
-// Package proto defines the MXoE wire message formats shared by the
-// Open-MX stack (internal/core) and the native MX stack
-// (internal/mxoe). Both speak the same protocol — wire compatibility
-// between Open-MX on commodity NICs and Myricom's native MXoE firmware
-// is one of Open-MX's core features, and the interop example depends
-// on these being common.
+// Package proto defines the MXoE protocol shared by the Open-MX stack
+// (internal/core) and the native MX stack (internal/mxoe): the wire
+// message formats, the reliability-window arithmetic, and the
+// per-peer transport core (Transport) both stacks embed. Both speak
+// the same protocol — wire compatibility between Open-MX on commodity
+// NICs and Myricom's native MXoE firmware is one of Open-MX's core
+// features, and the interop example depends on these being common.
 //
 // Header sizes are abstracted: every frame pays
 // platform.OMXHeaderBytes of wire time, and the decoded fields ride in

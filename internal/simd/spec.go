@@ -15,6 +15,7 @@ import (
 
 	"omxsim/cluster"
 	"omxsim/figures"
+	"omxsim/mxoe"
 	"omxsim/openmx"
 	"omxsim/sim"
 )
@@ -155,7 +156,7 @@ func (s StackSpec) stack() (figures.Stack, error) {
 			IOAT: s.IOAT, RegCache: s.RegCache, SkipBHCopy: s.SkipBHCopy,
 		}}, nil
 	case "mxoe":
-		return figures.Stack{Kind: "mxoe", MXRegCache: s.RegCache}, nil
+		return figures.Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: s.RegCache}}, nil
 	}
 	return figures.Stack{}, fmt.Errorf(`simd: unknown stack kind %q (want "openmx" or "mxoe")`, s.Kind)
 }

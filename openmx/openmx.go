@@ -59,9 +59,9 @@ func Defaults() Config { return core.Defaults() }
 // Stats().NICTxFrames and cluster.NetStats report the resulting
 // per-NIC balance.
 const (
-	StripeRoundRobin = core.StripeRoundRobin
-	StripeHash       = core.StripeHash
-	StripeSingle     = core.StripeSingle
+	StripeRoundRobin = proto.StripeRoundRobin
+	StripeHash       = proto.StripeHash
+	StripeSingle     = proto.StripeSingle
 )
 
 // AutoTuned returns an I/OAT-enabled configuration whose offload and
