@@ -72,6 +72,7 @@ stress:
 		-run 'Stress|Storm|Loss|Impair|Recover|Fuzz' \
 		./cluster ./internal/core ./internal/mxoe ./internal/interop \
 		./internal/proto ./figures
+	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/Loss' ./figures
 
 # Multi-NIC striping battery: the striped storms under per-lane
 # impairment and cross-NIC skew (all three stack pairings), the
@@ -82,6 +83,7 @@ multinic:
 	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
 		-run 'Striping|StripedLoss|StripeReassembly|MultiNIC|RingDropAttributed|1NICMatchesLegacy' \
 		./cluster ./internal/core ./internal/proto ./figures
+	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/MultiNIC' ./figures
 
 # Fat-tree battery: topology/Build equivalence, ECMP determinism and
 # spread, the trunk-incast drop-attribution storm, the 64-rank
@@ -91,6 +93,7 @@ fattree:
 	$(GO) test -race -count=1 ./sim
 	$(GO) test -race -count=1 -run 'FatTree|ECMP|Trunk|Topology|Build' \
 		./cluster ./internal/wire ./figures
+	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/FatTree' ./figures
 
 # NIC-offloaded collective battery: host≡firmware result equality
 # (odd/single-rank/zero-byte worlds), dispatcher≡pinned for the
@@ -100,6 +103,7 @@ fattree:
 nicoll:
 	$(GO) test -race -count=1 -run 'NIColl|Nicoll|CollDrop' \
 		./mpi ./internal/core ./internal/mxoe ./figures
+	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/NIColl' ./figures
 
 # Adaptive-transport battery: the adaptive-vs-static acceptance tests
 # (never >10% below the best static policy, wins outright under loss),
@@ -112,6 +116,7 @@ adaptive:
 		-run 'Adaptive|RTT|AIMD|Steer|Trace|GoldenCanary' \
 		./cluster ./internal/core ./internal/mxoe ./internal/proto \
 		./internal/simd ./sim/trace ./figures
+	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/Adaptive' ./figures
 
 # Memory-hierarchy battery: warmth-coverage and DMA/DCA ledger unit
 # tests, registration-cache churn, the copy-rate decision table, the
@@ -121,6 +126,7 @@ adaptive:
 dca:
 	$(GO) test -race -count=1 ./internal/hostmem ./internal/memmodel ./internal/ioat
 	$(GO) test -race -count=1 -run 'DCA|GoldenCanary' ./figures
+	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/DCA' ./figures
 
 # The omxsimd service battery: the multi-tenant HTTP job service
 # end to end under the race detector — concurrent tenants whose sweep

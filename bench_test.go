@@ -65,7 +65,6 @@ func sweepPoints() []imb.Point {
 	for _, s := range stacks {
 		for _, size := range []int{64 << 10, 1 << 20} {
 			for _, ppn := range []int{1, 2} {
-				s, size, ppn := s, size, ppn
 				points = append(points, imb.Point{
 					Name:  fmt.Sprintf("%s/%d/%dppn", s.Name(), size, ppn),
 					Build: func() (*cluster.Cluster, *mpi.World) { return figures.Testbed(s, ppn) },

@@ -41,7 +41,6 @@ func TestAdaptiveStormUnderImpairment(t *testing.T) {
 		eps, count = 2, 2
 	}
 	for _, combo := range adaptiveCombos() {
-		combo := combo
 		t.Run(fmt.Sprintf("%s-%s", combo[0], combo[1]), func(t *testing.T) {
 			for s := 0; s < seeds; s++ {
 				seed := int64(7000 + s*13)
@@ -71,7 +70,6 @@ func TestAdaptiveStripingUnderSkew(t *testing.T) {
 	eps, count := 3, 3
 	const nics = 3
 	for _, combo := range adaptiveCombos() {
-		combo := combo
 		t.Run(fmt.Sprintf("%s-%s", combo[0], combo[1]), func(t *testing.T) {
 			for s := 0; s < seeds; s++ {
 				seed := int64(8100 + s*29)
@@ -144,7 +142,6 @@ func TestAdaptiveIncastWithCrossTraffic(t *testing.T) {
 		}
 	})
 	for _, s := range senders {
-		s := s
 		c.Go(fmt.Sprintf("storm%d", s), func(p *sim.Proc) {
 			for k := 0; k < perSender; k++ {
 				m := bufs[[2]int{s, k}]

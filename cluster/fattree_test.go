@@ -78,7 +78,6 @@ func allPairs(t *testing.T, c *cluster.Cluster, size int) {
 	}
 	completed := 0
 	for i := range hosts {
-		i := i
 		c.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 			var reqs []openmx.Request
 			for j := range hosts {
@@ -128,7 +127,6 @@ func flowPaths(c *cluster.Cluster) []map[[2]string]string {
 // multiple spines.
 func TestFatTreeECMPDeterminism(t *testing.T) {
 	for _, policy := range []string{wire.ECMPHash, wire.ECMPRoundRobin} {
-		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			run := func() []map[[2]string]string {
 				c := buildFatTree(8, 4, 2, policy)
@@ -218,7 +216,6 @@ func TestFatTreeIncastTrunkDropAttribution(t *testing.T) {
 		}
 	})
 	for _, s := range senders {
-		s := s
 		c.Go(fmt.Sprintf("storm%d", s), func(p *sim.Proc) {
 			for k := 0; k < perSender; k++ {
 				m := bufs[[2]int{s, k}]

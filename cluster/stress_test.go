@@ -240,7 +240,6 @@ func TestStressStormUnderImpairment(t *testing.T) {
 		eps, count = 2, 2
 	}
 	for _, combo := range stressCombos() {
-		combo := combo
 		t.Run(fmt.Sprintf("%s-%s", combo[0], combo[1]), func(t *testing.T) {
 			for s := 0; s < seeds; s++ {
 				runStorm(t, combo[0], combo[1], int64(1000+s*17), eps, count)
@@ -264,7 +263,6 @@ func TestStressStripingUnderSkew(t *testing.T) {
 	}
 	const nics = 3
 	for _, combo := range stressCombos() {
-		combo := combo
 		t.Run(fmt.Sprintf("%s-%s", combo[0], combo[1]), func(t *testing.T) {
 			for s := 0; s < seeds; s++ {
 				seed := int64(4000 + s*31)

@@ -88,7 +88,6 @@ func main() {
 	// serial concatenation of the individual commands.
 	jobs := make([]runner.Job, len(selected))
 	for i, s := range selected {
-		s := s
 		jobs[i] = runner.Job{
 			Label: "omxsim/" + s.Name,
 			Run:   func() (any, error) { return s.Render(*plot), nil },

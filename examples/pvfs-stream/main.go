@@ -75,7 +75,6 @@ func run(ioat bool) sim.Duration {
 	var finished sim.Time
 	doneCount := 0
 	for n := 0; n < nodes; n++ {
-		n := n
 		ep := computeEPs[n]
 		h := computeHosts[n]
 		c.Go(fmt.Sprintf("client%d", n), func(p *sim.Proc) {

@@ -20,9 +20,10 @@ import (
 // streamTput measures unidirectional large-message streaming
 // throughput (MiB/s) node0→node1 for a given Open-MX config.
 func streamTput(cfg openmx.Config, msgSize, rounds int) float64 {
-	tb := newTestbed(Stack{Kind: "openmx", OMX: cfg}, 1)
+	c, w := Testbed(Stack{Kind: "openmx", OMX: cfg}, 1)
+	defer c.Close()
 	var t0, t1 sim.Time
-	tb.w.Spawn(func(r *mpi.Rank) {
+	w.Spawn(func(r *mpi.Rank) {
 		sbuf := r.Host.Alloc(msgSize)
 		rbuf := r.Host.Alloc(msgSize)
 		for i := 0; i < rounds; i++ {
@@ -40,7 +41,7 @@ func streamTput(cfg openmx.Config, msgSize, rounds int) float64 {
 			t1 = r.Now()
 		}
 	})
-	if tb.c.Run() != 0 {
+	if c.Run() != 0 {
 		panic("figures: ablation stream deadlocked")
 	}
 	return float64(msgSize) * float64(rounds-1) / 1024 / 1024 / (t1 - t0).Seconds()
@@ -48,11 +49,8 @@ func streamTput(cfg openmx.Config, msgSize, rounds int) float64 {
 
 // streamJob wraps one streamTput measurement as a runner job.
 func streamJob(label string, cfg openmx.Config, msgSize, rounds int) runner.Job {
-	return runner.Job{
-		Label: label,
-		Key:   runner.Key("ablate-stream", cfg, msgSize, rounds),
-		Run:   func() (any, error) { return streamTput(cfg, msgSize, rounds), nil },
-	}
+	return job(label, runner.Key("ablate-stream", cfg, msgSize, rounds),
+		func() float64 { return streamTput(cfg, msgSize, rounds) })
 }
 
 // AblateMinFrag sweeps the minimum-fragment offload threshold
@@ -67,7 +65,7 @@ func AblateMinFrag() *metrics.Table {
 		cfg := openmx.Config{IOAT: true, RegCache: true, IOATMinFrag: frag}
 		jobs[i] = streamJob(fmt.Sprintf("ablate/minfrag/%d", frag), cfg, 1<<20, 6)
 	}
-	for i, y := range sweep[float64](jobs) {
+	for i, y := range sweep[float64](jobs...) {
 		s.Add(float64(frags[i]), y)
 	}
 	return t
@@ -85,7 +83,7 @@ func AblatePullWindow() *metrics.Table {
 			jobs = append(jobs, streamJob(fmt.Sprintf("ablate/pull/%dx%d", blocks, frags), cfg, 4<<20, 5))
 		}
 	}
-	ys := sweep[float64](jobs)
+	ys := sweep[float64](jobs...)
 	for fi, frags := range fragCases {
 		s := t.AddSeries(fmt.Sprintf("%d frags/block", frags))
 		for bi, blocks := range blockCases {
@@ -107,6 +105,7 @@ func AblateIRQSteering() *metrics.Table {
 	const msg = 16 * 1024
 	run := func(irqCore int) float64 {
 		c := cluster.New(nil)
+		defer c.Close()
 		n0, n1 := c.NewHost("n0"), c.NewHost("n1")
 		cluster.Link(n0, n1)
 		n1.Machine().NIC.IRQCore = irqCore
@@ -150,14 +149,10 @@ func AblateIRQSteering() *metrics.Table {
 	}
 	jobs := make([]runner.Job, len(irqCores))
 	for i, core := range irqCores {
-		core := core
-		jobs[i] = runner.Job{
-			Label: fmt.Sprintf("ablate/irq/core%d", core),
-			Key:   runner.Key("ablate-irq", msg, core),
-			Run:   func() (any, error) { return run(core), nil },
-		}
+		jobs[i] = job(fmt.Sprintf("ablate/irq/core%d", core), runner.Key("ablate-irq", msg, core),
+			func() float64 { return run(core) })
 	}
-	for i, y := range sweep[float64](jobs) {
+	for i, y := range sweep[float64](jobs...) {
 		s.Add(float64(i), y)
 	}
 	return t
@@ -201,30 +196,23 @@ func AblateExtensions() string {
 		jobs = append(jobs, streamJob("ablate/ext/"+c.name, c.cfg, 4<<20, 5))
 	}
 	for _, c := range shmCases {
-		cfg := c.cfg
-		jobs = append(jobs, runner.Job{
-			Label: "ablate/ext-shm/" + c.name,
-			Key:   runner.Key("ablate-ext-shm", cfg),
-			Run: func() (any, error) {
-				tput, busy := shmStreamOnce(cfg)
-				return [2]float64{tput, busy}, nil
-			},
-		})
+		jobs = append(jobs, job("ablate/ext-shm/"+c.name, runner.Key("ablate-ext-shm", c.cfg),
+			func() [2]float64 {
+				tput, busy := shmStreamOnce(c.cfg)
+				return [2]float64{tput, busy}
+			}))
 	}
-	results := activePool().Run(jobs...)
-	if err := runner.FirstErr(results); err != nil {
-		panic(err)
-	}
+	results := sweep[any](jobs...)
 
 	fmt.Fprintf(&b, "# Extension ablations (4 MiB network stream)\n")
 	fmt.Fprintf(&b, "%-34s %10s\n", "configuration", "MiB/s")
 	for i, c := range netCases {
-		fmt.Fprintf(&b, "%-34s %10.0f\n", c.name, results[i].Value.(float64))
+		fmt.Fprintf(&b, "%-34s %10.0f\n", c.name, results[i].(float64))
 	}
 	fmt.Fprintf(&b, "\n# Extension ablations (4 MiB local one-copy)\n")
 	fmt.Fprintf(&b, "%-34s %10s %14s\n", "configuration", "MiB/s", "driver CPU")
 	for i, c := range shmCases {
-		v := results[len(netCases)+i].Value.([2]float64)
+		v := results[len(netCases)+i].([2]float64)
 		fmt.Fprintf(&b, "%-34s %10.0f %13.0f%%\n", c.name, v[0], v[1])
 	}
 	return b.String()
@@ -234,6 +222,7 @@ func AblateExtensions() string {
 // and the receiving process's driver CPU share.
 func shmStreamOnce(cfg openmx.Config) (mibps, driverPct float64) {
 	c := cluster.New(nil)
+	defer c.Close()
 	h := c.NewHost("node")
 	st := openmx.Attach(h, cfg)
 	e0, e1 := st.Open(0, 0), st.Open(1, 4)

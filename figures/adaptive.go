@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"omxsim/cluster"
@@ -103,6 +102,7 @@ func adaptiveSeed(loss float64, nics int) int64 {
 // aggregated cables and a seeded impaired link.
 func adaptivePoint(mode, policy string, loss float64, nics, size, iters int) AdaptivePoint {
 	c := cluster.New(nil)
+	defer c.Close()
 	irq := cluster.NICIRQCores(multiNICIRQCores...)
 	a := c.NewHost("node0", cluster.MultiNIC(nics, irq))
 	b := c.NewHost("node1", cluster.MultiNIC(nics, irq))
@@ -115,101 +115,37 @@ func adaptivePoint(mode, policy string, loss float64, nics, size, iters int) Ada
 	}
 	cfg := adaptiveConfig(mode, policy, nics)
 	sa, sb := openmx.Attach(a, cfg), openmx.Attach(b, cfg)
-	ea, eb := sa.Open(0, 2), sb.Open(0, 2)
-
-	sendA, recvA := a.Alloc(size), a.Alloc(size)
-	sendB, recvB := b.Alloc(size), b.Alloc(size)
-
-	total := adaptiveWarmup + iters
-	lat := make([]sim.Duration, 0, iters)
-	delivered := 0
-	var tStart, elapsed sim.Time
-	c.Go("rankB", func(p *sim.Proc) {
-		for i := 0; i < total; i++ {
-			r := eb.IRecv(p, uint64(i), ^uint64(0), recvB, 0, size)
-			eb.Wait(p, r)
-			sendB.Fill(byte(2*i + 2))
-			sendB.Produce(2)
-			eb.Wait(p, eb.ISend(p, ea.Addr(), uint64(1000+i), sendB, 0, size))
-		}
-	})
-	c.Go("rankA", func(p *sim.Proc) {
-		for i := 0; i < total; i++ {
-			if i == adaptiveWarmup {
-				tStart = p.Now()
-			}
-			t0 := p.Now()
-			sendA.Fill(byte(2*i + 1))
-			sendA.Produce(2)
-			rs := ea.ISend(p, eb.Addr(), uint64(i), sendA, 0, size)
-			rr := ea.IRecv(p, uint64(1000+i), ^uint64(0), recvA, 0, size)
-			ea.Wait(p, rs)
-			ea.Wait(p, rr)
-			if i < adaptiveWarmup {
-				continue
-			}
-			lat = append(lat, (p.Now()-t0)/2)
-			// Verify both directions' payloads end to end (the fill
-			// pattern differs per iteration, so a stale echo fails).
-			if cluster.Equal(sendB, recvA) && cluster.Equal(sendA, recvB) {
-				delivered++
-			}
-			elapsed = p.Now()
-		}
-	})
-	c.RunFor(120 * sim.Second)
-	defer c.Close()
-
+	lat, delivered, elapsed := pingPong(c, sa.Open(0, 2), sb.Open(0, 2), size, adaptiveWarmup, iters, 120*sim.Second)
 	pt := AdaptivePoint{
 		Mode: mode, Policy: policy, LossRate: loss, NICs: nics,
 		Bytes: size, Iters: iters,
-		Delivered:   delivered,
-		Retransmits: sa.Stats().Retransmits() + sb.Stats().Retransmits(),
+		Delivered:    delivered,
+		GoodputMiBps: goodput(delivered, size, elapsed),
+		Retransmits:  sa.Stats().Retransmits() + sb.Stats().Retransmits(),
+		WireLost:     wireLost(c),
 	}
-	ns := c.NetStats()
-	for _, l := range ns.Links {
-		pt.WireLost += l.AB.FramesLost + l.BA.FramesLost
-	}
-	if len(lat) > 0 {
-		sorted := append([]sim.Duration(nil), lat...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pt.P50Usec = sim.Time(sorted[(len(sorted)-1)/2]).Micros()
-		pt.P99Usec = sim.Time(sorted[(99*len(sorted)-1)/100]).Micros()
-	}
-	if elapsed > tStart {
-		pt.GoodputMiBps = float64(delivered*size) / (1 << 20) / (elapsed - tStart).Seconds()
-	}
+	pt.P50Usec, pt.P99Usec = percentiles(lat)
 	return pt
 }
 
-// AdaptiveSweep measures every (mode, policy, loss, NICs) point as an
-// independent runner job, in sweep order (mode outermost, then loss,
-// then NICs, then policy).
-func AdaptiveSweep() []AdaptivePoint {
-	return adaptiveSweepOver(AdaptiveLossRates(), AdaptiveNICCounts(), AdaptiveIters)
-}
-
-// adaptiveSweepOver shards an arbitrary (loss, NICs) grid across the
-// figures pool (reduced grids keep the guardrail tests cheap).
-func adaptiveSweepOver(rates []float64, counts []int, iters int) []AdaptivePoint {
+// AdaptiveSweep measures every (mode, policy, loss, NICs) point of the
+// grid as an independent runner job, in sweep order (mode outermost,
+// then loss, then NICs, then policy). The section renders the default
+// grid (AdaptiveLossRates, AdaptiveNICCounts, AdaptiveIters).
+func AdaptiveSweep(rates []float64, counts []int, iters int) []AdaptivePoint {
 	var jobs []runner.Job
 	for _, mode := range adaptiveModes() {
 		for _, loss := range rates {
 			for _, nics := range counts {
 				for _, policy := range AdaptivePolicies() {
-					mode, policy, loss, nics := mode, policy, loss, nics
-					jobs = append(jobs, runner.Job{
-						Label: fmt.Sprintf("adaptive/%s/%g%%/%dnic/%s", mode, loss*100, nics, policy),
-						Key:   runner.Key("adaptive", mode, policy, loss, nics, AdaptiveMsgSize, iters),
-						Run: func() (any, error) {
-							return adaptivePoint(mode, policy, loss, nics, AdaptiveMsgSize, iters), nil
-						},
-					})
+					jobs = append(jobs, job(fmt.Sprintf("adaptive/%s/%g%%/%dnic/%s", mode, loss*100, nics, policy),
+						runner.Key("adaptive", mode, policy, loss, nics, AdaptiveMsgSize, iters),
+						func() AdaptivePoint { return adaptivePoint(mode, policy, loss, nics, AdaptiveMsgSize, iters) }))
 				}
 			}
 		}
 	}
-	return sweep[AdaptivePoint](jobs)
+	return sweep[AdaptivePoint](jobs...)
 }
 
 // RenderAdaptive formats the sweep: one row per (mode, loss, NICs)

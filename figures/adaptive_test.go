@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // The adaptive-vs-static acceptance battery: the self-tuning transport
 // tier must match the best hand-tuned static policy at every measured
@@ -31,7 +28,7 @@ func adaptiveGrid(t *testing.T) (rates []float64, counts []int) {
 // verified end to end), and the impaired points really lost frames.
 func TestAdaptiveNeverWorse(t *testing.T) {
 	rates, counts := adaptiveGrid(t)
-	points := adaptiveSweepOver(rates, counts, AdaptiveIters)
+	points := AdaptiveSweep(rates, counts, AdaptiveIters)
 
 	type cell struct{ s2, sn, ad AdaptivePoint }
 	grid := make(map[string]*cell)
@@ -89,7 +86,7 @@ func TestAdaptiveNeverWorse(t *testing.T) {
 // hand-tuned 2 ms clamp.
 func TestAdaptiveWinsUnderLoss(t *testing.T) {
 	_, counts := adaptiveGrid(t)
-	points := adaptiveSweepOver([]float64{0.05}, counts, AdaptiveIters)
+	points := AdaptiveSweep([]float64{0.05}, counts, AdaptiveIters)
 	byPolicy := make(map[string]map[string]AdaptivePoint)
 	for _, p := range points {
 		k := p.Mode + "/" + string(rune('0'+p.NICs))
@@ -106,27 +103,5 @@ func TestAdaptiveWinsUnderLoss(t *testing.T) {
 					k, ad.GoodputMiBps, static, s.GoodputMiBps)
 			}
 		}
-	}
-}
-
-// TestParallelMatchesSerialAdaptive: the determinism guardrail for the
-// adaptive sweep — AIMD state, RTT estimators and steering epochs live
-// per testbed, so sharding the sweep across workers must change
-// nothing but wall time, and a repeat run must be bit-identical.
-func TestParallelMatchesSerialAdaptive(t *testing.T) {
-	rates := []float64{0, 0.05}
-	counts := []int{2}
-	run := func(workers int) (pts []AdaptivePoint) {
-		withPool(workers, func() { pts = adaptiveSweepOver(rates, counts, 4) })
-		return pts
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel adaptive sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-	if again := run(1); !reflect.DeepEqual(serial, again) {
-		t.Errorf("adaptive sweep not run-to-run deterministic:\nfirst:  %+v\nsecond: %+v",
-			serial, again)
 	}
 }

@@ -184,11 +184,8 @@ func availPoint(mode, place string, size, iters int) AvailPoint {
 	both, _, deliveredBoth := availRun(mode, place, size, iters, computeIter)
 
 	pt := AvailPoint{Mode: mode, Place: place, Bytes: size, Iters: iters,
-		Delivered: min(delivered, deliveredBoth)}
-	if denom := min(comm, compute); denom > 0 {
-		overlap := float64(comm+compute-both) / float64(denom) * 100
-		pt.OverlapPct = max(0, min(100, overlap))
-	}
+		Delivered:  min(delivered, deliveredBoth),
+		OverlapPct: overlapPct(comm, compute, both)}
 	moved := float64(2*iters*size) / (1 << 20) // both directions
 	if moved > 0 {
 		pt.HostCPUPerMB = sim.Time(commCPU).Micros() / moved
@@ -199,32 +196,33 @@ func availPoint(mode, place string, size, iters int) AvailPoint {
 	return pt
 }
 
-// AvailSweep measures every (mode, placement, size) point as an
-// independent runner job and returns them in sweep order (placement
-// outermost, then mode, then size).
-func AvailSweep() []AvailPoint {
-	return availSweepOver(AvailSizes(), AvailIters)
+// overlapPct is the achieved overlap, in percent clamped to [0, 100],
+// of a run that took both with compute of application work injected
+// and comm without it: (comm + compute − both) / min(comm, compute).
+func overlapPct(comm, compute, both sim.Duration) float64 {
+	denom := min(comm, compute)
+	if denom <= 0 {
+		return 0
+	}
+	return max(0, min(100, float64(comm+compute-both)/float64(denom)*100))
 }
 
-// availSweepOver shards an arbitrary size grid across the figures
-// pool (reduced grids keep the determinism guardrail cheap).
-func availSweepOver(sizes []int, iters int) []AvailPoint {
+// AvailSweep measures every (mode, placement, size) point of the grid
+// as an independent runner job and returns them in sweep order
+// (placement outermost, then mode, then size). The section renders
+// the default grid (AvailSizes, AvailIters).
+func AvailSweep(sizes []int, iters int) []AvailPoint {
 	var jobs []runner.Job
 	for _, place := range []string{"remote", "local"} {
 		for _, mode := range []string{"memcpy", "I/OAT"} {
 			for _, size := range sizes {
-				place, mode, size := place, mode, size
-				jobs = append(jobs, runner.Job{
-					Label: fmt.Sprintf("avail/%s/%s/%s", place, mode, sizeName(size)),
-					Key:   runner.Key("avail", place, mode, size, iters),
-					Run: func() (any, error) {
-						return availPoint(mode, place, size, iters), nil
-					},
-				})
+				jobs = append(jobs, job(fmt.Sprintf("avail/%s/%s/%s", place, mode, sizeName(size)),
+					runner.Key("avail", place, mode, size, iters),
+					func() AvailPoint { return availPoint(mode, place, size, iters) }))
 			}
 		}
 	}
-	return sweep[AvailPoint](jobs)
+	return sweep[AvailPoint](jobs...)
 }
 
 // RenderAvail formats the sweep as a fixed-width table with the

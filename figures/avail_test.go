@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 // the figures pool, so the assertions below simulate it once).
 func availGrid(t *testing.T) []AvailPoint {
 	t.Helper()
-	return availSweepOver([]int{128 << 10, 512 << 10}, AvailIters)
+	return AvailSweep([]int{128 << 10, 512 << 10}, AvailIters)
 }
 
 func availFind(pts []AvailPoint, mode, place string, size int) AvailPoint {
@@ -68,30 +67,6 @@ func TestAvailIOATOverlapWins(t *testing.T) {
 	if ioL.GoodputMiBps <= memL.GoodputMiBps {
 		t.Errorf("local 512kB: I/OAT goodput %.1f not above memcpy %.1f",
 			ioL.GoodputMiBps, memL.GoodputMiBps)
-	}
-}
-
-// TestParallelMatchesSerialAvail: the determinism guardrail for the
-// new figure — self-calibrated compute injection derives from a
-// deterministic measurement, so sharding the sweep across workers
-// must change nothing but wall time.
-func TestParallelMatchesSerialAvail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sizes := []int{128 << 10}
-	run := func(workers int) (pts []AvailPoint) {
-		withPool(workers, func() { pts = availSweepOver(sizes, 4) })
-		return pts
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel avail sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-	if again := run(1); !reflect.DeepEqual(serial, again) {
-		t.Errorf("avail sweep not run-to-run deterministic:\nfirst:  %+v\nsecond: %+v",
-			serial, again)
 	}
 }
 

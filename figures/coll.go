@@ -3,10 +3,8 @@ package figures
 import (
 	"fmt"
 
-	"omxsim/imb"
 	"omxsim/metrics"
 	"omxsim/mpi"
-	"omxsim/runner"
 )
 
 // The collective-scaling figure (beyond the paper): collective
@@ -37,14 +35,8 @@ func CollSizes() []int { return []int{1 << 10, 16 << 10, 128 << 10, 1 << 20} }
 
 // collStacks are the two compared stacks: plain Open-MX and Open-MX
 // with I/OAT offload (network and shared-memory).
-func collStacks() []struct {
-	name string
-	s    Stack
-} {
-	return []struct {
-		name string
-		s    Stack
-	}{
+func collStacks() []curve {
+	return []curve{
 		{"Open-MX", Stack{Kind: "openmx", OMX: omxCfg(false)}},
 		{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: omxCfg(true)}},
 	}
@@ -57,28 +49,18 @@ func Coll() []*metrics.Table {
 }
 
 // collTables sweeps every (test, world, stack) run as an independent
-// pool job on a fresh testbed and assembles the latency tables.
+// IMB point on a fresh testbed and assembles the latency tables.
 func collTables(tests []string, sizes []int, worlds []collWorld) []*metrics.Table {
 	stacks := collStacks()
-	iters := func(int) int { return 3 }
-	var jobs []runner.Job
+	var runs []imbRun
 	for _, test := range tests {
 		for _, wl := range worlds {
 			for _, st := range stacks {
-				test, wl, st := test, wl, st
-				jobs = append(jobs, runner.Job{
-					Label: fmt.Sprintf("coll/%s/%s/%dx%dppn", test, st.name, wl.nodes, wl.ppn),
-					Key:   runner.Key("coll", st.s, wl.nodes, wl.ppn, test, sizes, "fixed3"),
-					Run: func() (any, error) {
-						tb := newTestbedN(st.s, wl.nodes, wl.ppn)
-						r := &imb.Runner{C: tb.c, W: tb.w, Iters: iters}
-						return r.Run(test, sizes), nil
-					},
-				})
+				runs = append(runs, imbRun{s: st.s, nodes: wl.nodes, ppn: wl.ppn, test: test, sizes: sizes, iters: 3})
 			}
 		}
 	}
-	results := sweep[[]imb.Result](jobs)
+	results := imbSweep(runs)
 	var tables []*metrics.Table
 	i := 0
 	for _, test := range tests {
@@ -103,30 +85,41 @@ func collTables(tests []string, sizes []int, worlds []collWorld) []*metrics.Tabl
 // algorithm-selection footer, so the figure records which algorithm
 // produced each point.
 func RenderColl(tables []*metrics.Table) string {
-	out := ""
-	for _, t := range tables {
-		out += t.Render() + "\n"
-	}
-	out += "# algorithm selection (default tuning)\n"
-	tn := mpi.DefaultTuning()
+	out := renderTables(tables, false) + "# algorithm selection (default tuning)\n"
 	for _, test := range CollTests() {
 		for _, wl := range collWorlds() {
-			p := wl.nodes * wl.ppn
-			out += fmt.Sprintf("%-10s %2d procs:", test, p)
-			for _, n := range CollSizes() {
-				var alg string
-				switch test {
-				case "Allreduce":
-					alg = tn.AllreduceAlg(n, p)
-				case "Alltoall":
-					alg = tn.AlltoallAlg(n, p)
-				case "Bcast":
-					alg = tn.BcastAlg(n, p)
-				}
-				out += fmt.Sprintf(" %s=%s", sizeName(n), alg)
-			}
-			out += "\n"
+			out += algLine(test, wl.nodes*wl.ppn, 2, CollSizes())
 		}
 	}
 	return out
+}
+
+// algLine is one algorithm-selection footer line: the collective on p
+// ranks (p printed width wide) and the algorithm the default tuning
+// selects at each size.
+func algLine(test string, p, width int, sizes []int) string {
+	tn := mpi.DefaultTuning()
+	out := fmt.Sprintf("%-10s %*d procs:", test, width, p)
+	for _, n := range sizes {
+		out += fmt.Sprintf(" %s=%s", sizeName(n), collAlg(tn, test, n, p))
+	}
+	return out + "\n"
+}
+
+// collAlg names the host algorithm the tuning selects for one
+// collective of n bytes on p ranks.
+func collAlg(tn mpi.Tuning, test string, n, p int) string {
+	switch test {
+	case "Barrier":
+		return tn.BarrierAlg(p)
+	case "Bcast":
+		return tn.BcastAlg(n, p)
+	case "Allreduce":
+		return tn.AllreduceAlg(n, p)
+	case "Alltoall":
+		return tn.AlltoallAlg(n, p)
+	case "Scan":
+		return tn.ScanAlg(n, p)
+	}
+	return ""
 }

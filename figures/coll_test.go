@@ -3,8 +3,6 @@ package figures
 import (
 	"strings"
 	"testing"
-
-	"omxsim/metrics"
 )
 
 // TestCollIOATWinsLargeMessages: the point of the collective figure —
@@ -42,30 +40,6 @@ func TestCollLatencyScalesWithWorld(t *testing.T) {
 	big, _ := tab.Get("Open-MX, 8 procs").At(64 << 10)
 	if big <= small {
 		t.Errorf("64kB Allreduce: 8 procs (%.0fus) not slower than 4 procs (%.0fus)", big, small)
-	}
-}
-
-// TestParallelMatchesSerialColl is the runner-determinism guardrail
-// for collective sweeps: sharding the (test, world, stack) points of
-// the collective figure across 8 workers must produce bit-identical
-// tables to a serial run — switch-topology worlds included.
-func TestParallelMatchesSerialColl(t *testing.T) {
-	tests := []string{"Allreduce", "Bcast"}
-	sizes := []int{4 << 10, 64 << 10}
-	worlds := []collWorld{{2, 2}, {4, 1}}
-	run := func(workers int) (tabs []*metrics.Table) {
-		withPool(workers, func() { tabs = collTables(tests, sizes, worlds) })
-		return tabs
-	}
-	serial, parallel := run(1), run(8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("table counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !serial[i].Equal(parallel[i]) {
-			t.Errorf("parallel collective table %d differs from serial:\nserial:\n%s\nparallel:\n%s",
-				i, serial[i].Render(), parallel[i].Render())
-		}
 	}
 }
 

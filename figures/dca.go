@@ -208,31 +208,22 @@ func DCAModes() []string { return []string{"memcpy", "I/OAT", "DCA", "I/OAT+warm
 // DCAPlaces lists the consumer placements in output order.
 func DCAPlaces() []string { return []string{"same-core", "same-socket", "cross-socket"} }
 
-// DCASweep measures every (placement, mode, size) point as an
-// independent runner job and returns them in sweep order (placement
-// outermost, then mode, then size).
-func DCASweep() []DCAPoint {
-	return dcaSweepOver(DCASizes(), DCAIters)
-}
-
-// dcaSweepOver shards an arbitrary size grid across the figures pool.
-func dcaSweepOver(sizes []int, iters int) []DCAPoint {
+// DCASweep measures every (placement, mode, size) point of the grid as
+// an independent runner job and returns them in sweep order
+// (placement outermost, then mode, then size). The section renders
+// the default grid (DCASizes, DCAIters).
+func DCASweep(sizes []int, iters int) []DCAPoint {
 	var jobs []runner.Job
 	for _, place := range DCAPlaces() {
 		for _, mode := range DCAModes() {
 			for _, size := range sizes {
-				place, mode, size := place, mode, size
-				jobs = append(jobs, runner.Job{
-					Label: fmt.Sprintf("dca/%s/%s/%s", place, mode, sizeName(size)),
-					Key:   runner.Key("dca", place, mode, size, iters),
-					Run: func() (any, error) {
-						return dcaPoint(mode, place, size, iters), nil
-					},
-				})
+				jobs = append(jobs, job(fmt.Sprintf("dca/%s/%s/%s", place, mode, sizeName(size)),
+					runner.Key("dca", place, mode, size, iters),
+					func() DCAPoint { return dcaPoint(mode, place, size, iters) }))
 			}
 		}
 	}
-	return sweep[DCAPoint](jobs)
+	return sweep[DCAPoint](jobs...)
 }
 
 // RenderDCA formats the sweep as a fixed-width table.

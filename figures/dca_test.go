@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func dcaFind(pts []DCAPoint, mode, place string, size int) DCAPoint {
 	for _, p := range pts {
@@ -25,7 +22,7 @@ func TestDCAShape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const size = 256 << 10
-	pts := dcaSweepOver([]int{size}, DCAIters)
+	pts := DCASweep([]int{size}, DCAIters)
 
 	mem := dcaFind(pts, "memcpy", "same-core", size)
 	io := dcaFind(pts, "I/OAT", "same-core", size)
@@ -72,28 +69,5 @@ func TestDCAShape(t *testing.T) {
 		if p.RegHitPct <= 50 {
 			t.Errorf("%s/%s: regcache hit rate %.1f%% not amortizing", p.Place, p.Mode, p.RegHitPct)
 		}
-	}
-}
-
-// TestParallelMatchesSerialDCA: the determinism guardrail for the new
-// figure — per-point clusters share nothing, so sharding the sweep
-// across workers must change nothing but wall time.
-func TestParallelMatchesSerialDCA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sizes := []int{64 << 10}
-	run := func(workers int) (pts []DCAPoint) {
-		withPool(workers, func() { pts = dcaSweepOver(sizes, 3) })
-		return pts
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel dca sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-	if again := run(1); !reflect.DeepEqual(serial, again) {
-		t.Errorf("dca sweep not run-to-run deterministic:\nfirst:  %+v\nsecond: %+v",
-			serial, again)
 	}
 }

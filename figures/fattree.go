@@ -55,9 +55,10 @@ func FatTreeAlltoallSizes() []int { return []int{1 << 10} }
 // regression point.
 const FatTreeLossRate = 0.01
 
-// newFatTreeTestbed builds a nodes-machine world wired as the
-// figure's leaf/spine fabric.
-func newFatTreeTestbed(s Stack, nodes, ppn int, trunkOpts ...cluster.NetOption) *testbed {
+// fatTreeTestbed builds a nodes-machine world wired as the figure's
+// leaf/spine fabric, ppn ranks per node. The caller closes the
+// cluster.
+func fatTreeTestbed(s Stack, nodes, ppn int, trunkOpts ...cluster.NetOption) (*cluster.Cluster, *mpi.World) {
 	c := cluster.Build(cluster.Topology{
 		Hosts: []cluster.HostSet{{Name: "node", N: nodes, Indexed: true}},
 		Wiring: cluster.FatTree{
@@ -66,15 +67,7 @@ func newFatTreeTestbed(s Stack, nodes, ppn int, trunkOpts ...cluster.NetOption) 
 			TrunkOpts: trunkOpts,
 		},
 	})
-	return worldOver(c, s, ppn)
-}
-
-// ftTestbed builds the testbed for one topology label.
-func ftTestbed(s Stack, nodes int, topo string) *testbed {
-	if topo == "1-switch" {
-		return newTestbedN(s, nodes, ftPpn)
-	}
-	return newFatTreeTestbed(s, nodes, ftPpn)
+	return c, worldOver(c, s, ppn)
 }
 
 // ftTopos lists the topologies compared at a given node count.
@@ -120,16 +113,14 @@ func FatTree() ([]*metrics.Table, FatTreeLossPoint) {
 }
 
 // fatTreeTables sweeps every (case, ranks, topology, stack) run as an
-// independent pool job on a fresh testbed (reduced grids keep the
+// independent IMB point on a fresh testbed (reduced grids keep the
 // determinism guardrail cheap).
 func fatTreeTables(cases []ftCase, ranksList []int) []*metrics.Table {
-	stacks := collStacks()
-	iters := func(int) int { return 1 }
 	type meta struct {
 		test   string
 		series string
 	}
-	var jobs []runner.Job
+	var runs []imbRun
 	var metas []meta
 	for _, cs := range cases {
 		for _, ranks := range ranksList {
@@ -138,17 +129,9 @@ func fatTreeTables(cases []ftCase, ranksList []int) []*metrics.Table {
 			}
 			nodes := ranks / ftPpn
 			for _, topo := range ftTopos(nodes) {
-				for _, st := range stacks {
-					cs, ranks, nodes, topo, st := cs, ranks, nodes, topo, st
-					jobs = append(jobs, runner.Job{
-						Label: fmt.Sprintf("fattree/%s/%s/%dranks/%s", cs.test, st.name, ranks, topo),
-						Key:   runner.Key("fattree", st.s, nodes, ftPpn, topo, cs.test, cs.sizes, "fixed1"),
-						Run: func() (any, error) {
-							tb := ftTestbed(st.s, nodes, topo)
-							r := &imb.Runner{C: tb.c, W: tb.w, Iters: iters}
-							return r.Run(cs.test, cs.sizes), nil
-						},
-					})
+				for _, st := range collStacks() {
+					runs = append(runs, imbRun{s: st.s, nodes: nodes, ppn: ftPpn, fatTree: topo == "fat-tree",
+						test: cs.test, sizes: cs.sizes, iters: 1})
 					metas = append(metas, meta{
 						test:   cs.test,
 						series: fmt.Sprintf("%s, %d procs, %s", st.name, ranks, topo),
@@ -157,7 +140,7 @@ func fatTreeTables(cases []ftCase, ranksList []int) []*metrics.Table {
 			}
 		}
 	}
-	results := sweep[[]imb.Result](jobs)
+	results := imbSweep(runs)
 	tabByTest := map[string]*metrics.Table{}
 	var tables []*metrics.Table
 	for i, m := range metas {
@@ -184,57 +167,39 @@ func fatTreeTables(cases []ftCase, ranksList []int) []*metrics.Table {
 func fatTreeLossPoint() FatTreeLossPoint {
 	const ranks = 64
 	size := FatTreeAlltoallSizes()[0]
-	job := runner.Job{
-		Label: fmt.Sprintf("fattree/loss/%dranks", ranks),
-		Key:   runner.Key("fattree-loss", ranks, ftPpn, size, FatTreeLossRate, "fixed1"),
-		Run: func() (any, error) {
-			s := Stack{Kind: "openmx", OMX: openmx.Config{
-				IOAT: true, RegCache: true, RetransmitTimeout: lossRtx,
-			}}
-			tb := newFatTreeTestbed(s, ranks/ftPpn, ftPpn, cluster.Impair(cluster.Impairment{
-				Seed: lossSeed(FatTreeLossRate, size), LossRate: FatTreeLossRate,
-			}))
-			r := &imb.Runner{C: tb.c, W: tb.w, Iters: func(int) int { return 1 }}
-			res := r.Run("Alltoall", []int{size})
-			return FatTreeLossPoint{
-				Ranks: ranks, LossRate: FatTreeLossRate, Bytes: size,
-				TimeUsec: res[0].TimeUsec,
-				WireLost: tb.c.NetStats().TotalWireLoss(),
-			}, nil
-		},
+	run := func() FatTreeLossPoint {
+		s := Stack{Kind: "openmx", OMX: openmx.Config{
+			IOAT: true, RegCache: true, RetransmitTimeout: lossRtx,
+		}}
+		c, w := fatTreeTestbed(s, ranks/ftPpn, ftPpn, cluster.Impair(cluster.Impairment{
+			Seed: lossSeed(FatTreeLossRate, size), LossRate: FatTreeLossRate,
+		}))
+		defer c.Close()
+		r := &imb.Runner{C: c, W: w, Iters: func(int) int { return 1 }}
+		res := r.Run("Alltoall", []int{size})
+		return FatTreeLossPoint{
+			Ranks: ranks, LossRate: FatTreeLossRate, Bytes: size,
+			TimeUsec: res[0].TimeUsec,
+			WireLost: c.NetStats().TotalWireLoss(),
+		}
 	}
-	return sweep[FatTreeLossPoint]([]runner.Job{job})[0]
+	return sweep[FatTreeLossPoint](job(fmt.Sprintf("fattree/loss/%dranks", ranks),
+		runner.Key("fattree-loss", ranks, ftPpn, size, FatTreeLossRate, "fixed1"), run))[0]
 }
 
 // RenderFatTree formats the fat-tree tables plus the footer recording
 // the fabric shape, the algorithm each point selected, and the
 // trunk-loss regression line.
 func RenderFatTree(tables []*metrics.Table, lp FatTreeLossPoint) string {
-	out := ""
-	for _, t := range tables {
-		out += t.Render() + "\n"
-	}
+	out := renderTables(tables, false)
 	out += fmt.Sprintf("# topology: 2-tier fat tree, %d hosts/leaf, %d spines (%d:1 oversubscribed), ECMP hash, flow-sticky\n",
 		ftLeafRadix, ftSpines, ftLeafRadix/ftSpines)
 	out += "# algorithm selection (default tuning)\n"
-	tn := mpi.DefaultTuning()
 	for _, cs := range ftCases() {
 		for _, ranks := range FatTreeRanks() {
-			if ranks > cs.maxRanks {
-				continue
+			if ranks <= cs.maxRanks {
+				out += algLine(cs.test, ranks, 3, cs.sizes)
 			}
-			out += fmt.Sprintf("%-10s %3d procs:", cs.test, ranks)
-			for _, n := range cs.sizes {
-				var alg string
-				switch cs.test {
-				case "Allreduce":
-					alg = tn.AllreduceAlg(n, ranks)
-				case "Alltoall":
-					alg = tn.AlltoallAlg(n, ranks)
-				}
-				out += fmt.Sprintf(" %s=%s", sizeName(n), alg)
-			}
-			out += "\n"
 		}
 	}
 	out += fmt.Sprintf("# loss regression: fat-tree, %d procs, trunk loss %.1f%%: Alltoall %s t=%.2f usec, wire-lost %d, completed\n",

@@ -3,44 +3,7 @@ package figures
 import (
 	"strings"
 	"testing"
-
-	"omxsim/metrics"
 )
-
-// TestParallelMatchesSerialFatTree: the determinism guardrail at
-// scale — a 64-rank world (32 hosts behind 2 leaves and 4 spines,
-// ECMP-hashed trunks) must produce bit-identical tables whether the
-// sweep runs on one worker or eight, and repeat run-to-run.
-func TestParallelMatchesSerialFatTree(t *testing.T) {
-	cases := []ftCase{
-		{"Allreduce", []int{1 << 10}, 64},
-		{"Alltoall", []int{1 << 10}, 64},
-	}
-	run := func(workers int) (tabs []*metrics.Table) {
-		withPool(workers, func() { tabs = fatTreeTables(cases, []int{64}) })
-		return tabs
-	}
-	serial, parallel := run(1), run(8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("table count %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if !serial[i].Equal(parallel[i]) {
-			t.Errorf("parallel fat-tree table differs from serial:\nserial:\n%s\nparallel:\n%s",
-				serial[i].Render(), parallel[i].Render())
-		}
-	}
-	// Run-to-run: a second serial sweep must be bit-identical (the
-	// ECMP flow hashing is seedless and the worlds are rebuilt from
-	// scratch, so any drift means hidden shared state).
-	again := run(1)
-	for i := range serial {
-		if !serial[i].Equal(again[i]) {
-			t.Errorf("fat-tree sweep not run-to-run deterministic:\nfirst:\n%s\nsecond:\n%s",
-				serial[i].Render(), again[i].Render())
-		}
-	}
-}
 
 // TestFatTreeFigureShape: the full figure's sweep grid — every
 // (collective, world, topology) lands its series, the 1-switch

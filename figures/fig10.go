@@ -38,15 +38,12 @@ func Fig10() *metrics.Table {
 	var jobs []runner.Job
 	for _, c := range cases {
 		for _, size := range sizes {
-			c, size := c, size
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("fig10/%s/%s", c.name, sizeName(size)),
-				Key:   runner.Key("fig10-shm", c.cfg, c.coreA, c.coreB, size),
-				Run:   func() (any, error) { return shmPingPong(c.cfg, c.coreA, c.coreB, size), nil },
-			})
+			jobs = append(jobs, job(fmt.Sprintf("fig10/%s/%s", c.name, sizeName(size)),
+				runner.Key("fig10-shm", c.cfg, c.coreA, c.coreB, size),
+				func() float64 { return shmPingPong(c.cfg, c.coreA, c.coreB, size) }))
 		}
 	}
-	ys := sweep[float64](jobs)
+	ys := sweep[float64](jobs...)
 	for ci, c := range cases {
 		s := t.AddSeries(c.name)
 		for si, size := range sizes {
@@ -60,6 +57,7 @@ func Fig10() *metrics.Table {
 // on the given cores and returns MiB/s (size over half round trip).
 func shmPingPong(cfg openmx.Config, coreA, coreB, size int) float64 {
 	c := cluster.New(nil)
+	defer c.Close()
 	h := c.NewHost("node0")
 	st := openmx.Attach(h, cfg)
 	ea := st.Open(0, coreA)

@@ -42,15 +42,14 @@ func fig12Stacks() []Stack {
 // shards across the pool as one flat sweep.
 func Fig12(bytes, ppn int) Fig12Result {
 	res := Fig12Result{Bytes: bytes, PPN: ppn, Tests: imb.Tests()}
-	iters := func(int) int { return 4 }
 	stacks := fig12Stacks()
-	var jobs []runner.Job
+	var runs []imbRun
 	for _, test := range res.Tests {
 		for _, s := range stacks {
-			jobs = append(jobs, imbJob(s, ppn, test, []int{bytes}, "fixed4", iters))
+			runs = append(runs, imbRun{s: s, nodes: 2, ppn: ppn, test: test, sizes: []int{bytes}, iters: 4})
 		}
 	}
-	results := sweep[[]imb.Result](jobs)
+	results := imbSweep(runs)
 	for ti := range res.Tests {
 		var times [3]float64
 		for si := range stacks {
@@ -69,15 +68,12 @@ func Fig12All() []Fig12Result {
 	var jobs []runner.Job
 	for _, size := range Fig12Sizes() {
 		for _, ppn := range []int{1, 2} {
-			size, ppn := size, ppn
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("fig12/%s/%dppn", sizeName(size), ppn),
-				// No key: the panel aggregates cached per-run jobs.
-				Run: func() (any, error) { return Fig12(size, ppn), nil },
-			})
+			// No key: the panel aggregates cached per-run jobs.
+			jobs = append(jobs, job(fmt.Sprintf("fig12/%s/%dppn", sizeName(size), ppn), "",
+				func() Fig12Result { return Fig12(size, ppn) }))
 		}
 	}
-	return sweep[Fig12Result](jobs)
+	return sweep[Fig12Result](jobs...)
 }
 
 // Averages reports the mean percentage across tests for both curves.

@@ -33,15 +33,11 @@ func Fig9() (memcpyRows, ioatRows []Fig9Row) {
 	var jobs []runner.Job
 	for _, withIOAT := range []bool{false, true} {
 		for _, size := range sizes {
-			withIOAT, size := withIOAT, size
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("fig9/%s/ioat=%v", sizeName(size), withIOAT),
-				Key:   runner.Key("fig9-point", size, withIOAT),
-				Run:   func() (any, error) { return fig9Point(size, withIOAT), nil },
-			})
+			jobs = append(jobs, job(fmt.Sprintf("fig9/%s/ioat=%v", sizeName(size), withIOAT),
+				runner.Key("fig9-point", size, withIOAT), func() Fig9Row { return fig9Point(size, withIOAT) }))
 		}
 	}
-	rows := sweep[Fig9Row](jobs)
+	rows := sweep[Fig9Row](jobs...)
 	return rows[:len(sizes)], rows[len(sizes):]
 }
 
@@ -49,14 +45,15 @@ func Fig9() (memcpyRows, ioatRows []Fig9Row) {
 // and accounts node1's CPU time by category.
 func fig9Point(size int, withIOAT bool) Fig9Row {
 	cfg := openmx.Config{IOAT: withIOAT}
-	tb := newTestbed(Stack{Kind: "openmx", OMX: cfg}, 1)
+	c, w := Testbed(Stack{Kind: "openmx", OMX: cfg}, 1)
+	defer c.Close()
 	iters := 6
 	if size >= 4<<20 {
 		iters = 3
 	}
-	recvHost := tb.w.Rank(1).Host.Machine()
+	recvHost := w.Rank(1).Host.Machine()
 	var t0, t1 sim.Time
-	tb.w.Spawn(func(r *mpi.Rank) {
+	w.Spawn(func(r *mpi.Rank) {
 		sbuf := r.Host.Alloc(size)
 		rbuf := r.Host.Alloc(size)
 		// Warm-up message, then measure.
@@ -83,15 +80,15 @@ func fig9Point(size int, withIOAT bool) Fig9Row {
 			t1 = r.Now()
 		}
 	})
-	if blocked := tb.c.Run(); blocked != 0 {
+	if blocked := c.Run(); blocked != 0 {
 		panic("figures: Fig9 run deadlocked")
 	}
 	elapsed := float64(t1 - t0)
 	by := recvHost.Sys.BusyByCategory()
 	pct := func(cats ...cpu.Category) float64 {
 		var ns sim.Duration
-		for _, c := range cats {
-			ns += by[c]
+		for _, cat := range cats {
+			ns += by[cat]
 		}
 		return float64(ns) / elapsed * 100
 	}

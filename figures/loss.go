@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"omxsim/cluster"
@@ -54,17 +53,11 @@ type LossPoint struct {
 
 // lossStacks are the compared stacks, every one tuned to the sweep's
 // retransmission timeout.
-func lossStacks() []struct {
-	name string
-	s    Stack
-} {
+func lossStacks() []curve {
 	omx := func(ioat bool) openmx.Config {
 		return openmx.Config{IOAT: ioat, RegCache: true, RetransmitTimeout: lossRtx}
 	}
-	return []struct {
-		name string
-		s    Stack
-	}{
+	return []curve{
 		{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true, RetransmitTimeout: lossRtx}}},
 		{"Open-MX", Stack{Kind: "openmx", OMX: omx(false)}},
 		{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: omx(true)}},
@@ -80,6 +73,7 @@ func lossSeed(loss float64, size int) int64 {
 // lossPoint runs one point on a fresh two-host impaired testbed.
 func lossPoint(name string, s Stack, loss float64, size, iters int) LossPoint {
 	c := cluster.New(nil)
+	defer c.Close()
 	a, b := c.NewHost("node0"), c.NewHost("node1")
 	cluster.Link(a, b, cluster.Impair(cluster.Impairment{
 		Seed: lossSeed(loss, size), LossRate: loss,
@@ -96,93 +90,34 @@ func lossPoint(name string, s Stack, loss float64, size, iters int) LossPoint {
 	}
 	ta, rtxA := open(a)
 	tb, rtxB := open(b)
-	ea, eb := ta.Open(0, 2), tb.Open(0, 2)
-
-	sendA, recvA := a.Alloc(size), a.Alloc(size)
-	sendB, recvB := b.Alloc(size), b.Alloc(size)
-
-	lat := make([]sim.Duration, 0, iters)
-	delivered := 0
-	var elapsed sim.Time
-	c.Go("rankB", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
-			r := eb.IRecv(p, uint64(i), ^uint64(0), recvB, 0, size)
-			eb.Wait(p, r)
-			sendB.Fill(byte(2*i + 2))
-			sendB.Produce(2)
-			rs := eb.ISend(p, ea.Addr(), uint64(1000+i), sendB, 0, size)
-			eb.Wait(p, rs)
-		}
-	})
-	c.Go("rankA", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
-			t0 := p.Now()
-			sendA.Fill(byte(2*i + 1))
-			sendA.Produce(2)
-			rs := ea.ISend(p, eb.Addr(), uint64(i), sendA, 0, size)
-			rr := ea.IRecv(p, uint64(1000+i), ^uint64(0), recvA, 0, size)
-			ea.Wait(p, rs)
-			ea.Wait(p, rr)
-			lat = append(lat, (p.Now()-t0)/2)
-			// Verify both directions' payloads end to end (the fill
-			// pattern differs per iteration, so a stale echo fails).
-			if cluster.Equal(sendB, recvA) && cluster.Equal(sendA, recvB) {
-				delivered++
-			}
-			elapsed = p.Now()
-		}
-	})
-	c.RunFor(120 * sim.Second)
-	defer c.Close()
-
+	lat, delivered, elapsed := pingPong(c, ta.Open(0, 2), tb.Open(0, 2), size, 0, iters, 120*sim.Second)
 	pt := LossPoint{
 		Stack: name, LossRate: loss, Bytes: size, Iters: iters,
-		Delivered:   delivered,
-		Retransmits: rtxA() + rtxB(),
+		Delivered:    delivered,
+		GoodputMiBps: goodput(delivered, size, elapsed),
+		Retransmits:  rtxA() + rtxB(),
+		WireLost:     wireLost(c),
 	}
-	ns := c.NetStats()
-	for _, l := range ns.Links {
-		pt.WireLost += l.AB.FramesLost + l.BA.FramesLost
-	}
-	if len(lat) > 0 {
-		sorted := append([]sim.Duration(nil), lat...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pt.P50Usec = sim.Time(sorted[(len(sorted)-1)/2]).Micros()
-		pt.P99Usec = sim.Time(sorted[(99*len(sorted)-1)/100]).Micros()
-	}
-	if elapsed > 0 {
-		pt.GoodputMiBps = float64(delivered*size) / (1 << 20) / elapsed.Seconds()
-	}
+	pt.P50Usec, pt.P99Usec = percentiles(lat)
 	return pt
 }
 
-// LossSweep measures every (stack, loss rate, size) point as an
-// independent runner job and returns them in sweep order (stack
-// outermost, then loss rate, then size).
-func LossSweep() []LossPoint {
-	return lossSweepOver(LossRates(), LossSizes(), LossIters)
-}
-
-// lossSweepOver shards an arbitrary (rate, size) grid across the
-// figures pool (reduced grids keep the determinism guardrail cheap).
-func lossSweepOver(rates []float64, sizes []int, iters int) []LossPoint {
-	stacks := lossStacks()
+// LossSweep measures every (stack, loss rate, size) point of the grid
+// as an independent runner job and returns them in sweep order (stack
+// outermost, then loss rate, then size). The section renders the
+// default grid (LossRates, LossSizes, LossIters).
+func LossSweep(rates []float64, sizes []int, iters int) []LossPoint {
 	var jobs []runner.Job
-	for _, st := range stacks {
+	for _, st := range lossStacks() {
 		for _, loss := range rates {
 			for _, size := range sizes {
-				st, loss, size := st, loss, size
-				jobs = append(jobs, runner.Job{
-					Label: fmt.Sprintf("loss/%s/%g%%/%s", st.name, loss*100, sizeName(size)),
-					Key:   runner.Key("loss", st.s, loss, size, iters),
-					Run: func() (any, error) {
-						return lossPoint(st.name, st.s, loss, size, iters), nil
-					},
-				})
+				jobs = append(jobs, job(fmt.Sprintf("loss/%s/%g%%/%s", st.name, loss*100, sizeName(size)),
+					runner.Key("loss", st.s, loss, size, iters),
+					func() LossPoint { return lossPoint(st.name, st.s, loss, size, iters) }))
 			}
 		}
 	}
-	return sweep[LossPoint](jobs)
+	return sweep[LossPoint](jobs...)
 }
 
 // RenderLoss formats the sweep as a fixed-width table.

@@ -43,7 +43,7 @@ func TestLossSweepProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	points := LossSweep()
+	points := LossSweep(LossRates(), LossSizes(), LossIters)
 	byKey := map[[2]int]map[float64]LossPoint{}
 	stackIdx := map[string]int{}
 	for i, st := range lossStacks() {

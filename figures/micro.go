@@ -27,6 +27,7 @@ type Micro struct {
 func MicroNumbers() Micro {
 	p := platform.Clovertown()
 	c := cluster.New(p)
+	defer c.Close()
 	h := c.NewHost("micro")
 	m := h.Machine()
 	var out Micro
@@ -66,6 +67,7 @@ func MicroNumbers() Micro {
 // bytes and returns the sustained rate in GiB/s.
 func ioatChunkRate(chunk, total int) float64 {
 	c := cluster.New(nil)
+	defer c.Close()
 	h := c.NewHost("micro").Machine()
 	src, dst := h.Alloc(total), h.Alloc(total)
 	ch := h.IOAT.Channel(0)
@@ -116,15 +118,11 @@ func Fig7() *metrics.Table {
 	var jobs []runner.Job
 	for _, chunk := range chunks {
 		for _, total := range sizes {
-			chunk, total := chunk, total
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("fig7/ioat/%d/%d", chunk, total),
-				Key:   runner.Key("fig7-ioat", chunk, total),
-				Run:   func() (any, error) { return ioatPipelinedRate(chunk, total), nil },
-			})
+			jobs = append(jobs, job(fmt.Sprintf("fig7/ioat/%d/%d", chunk, total),
+				runner.Key("fig7-ioat", chunk, total), func() float64 { return ioatPipelinedRate(chunk, total) }))
 		}
 	}
-	rates := sweep[float64](jobs)
+	rates := sweep[float64](jobs...)
 	for ci, chunk := range chunks {
 		s := t.AddSeries("I/OAT Copy - " + names[chunk])
 		for si, total := range sizes {
@@ -138,6 +136,7 @@ func Fig7() *metrics.Table {
 // (submission through last completion) and returns MiB/s.
 func ioatPipelinedRate(chunk, total int) float64 {
 	c := cluster.New(nil)
+	defer c.Close()
 	h := c.NewHost("micro").Machine()
 	src, dst := h.Alloc(total), h.Alloc(total)
 	ch := h.IOAT.Channel(0)

@@ -76,6 +76,7 @@ func multiNICConfig(mode, window string) openmx.Config {
 // aggregated cables.
 func multiNICPoint(mode, window string, nics, size, iters int) MultiNICPoint {
 	c := cluster.New(nil)
+	defer c.Close()
 	irq := cluster.NICIRQCores(multiNICIRQCores...)
 	a := c.NewHost("node0", cluster.MultiNIC(nics, irq))
 	b := c.NewHost("node1", cluster.MultiNIC(nics, irq))
@@ -83,44 +84,11 @@ func multiNICPoint(mode, window string, nics, size, iters int) MultiNICPoint {
 	cfg := multiNICConfig(mode, window)
 	ea := openmx.Attach(a, cfg).Open(0, 2)
 	eb := openmx.Attach(b, cfg).Open(0, 2)
-
-	sendA, recvA := a.Alloc(size), a.Alloc(size)
-	sendB, recvB := b.Alloc(size), b.Alloc(size)
-
-	delivered := 0
-	var elapsed sim.Time
-	c.Go("rankB", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
-			r := eb.IRecv(p, uint64(i), ^uint64(0), recvB, 0, size)
-			eb.Wait(p, r)
-			sendB.Fill(byte(2*i + 2))
-			sendB.Produce(2)
-			eb.Wait(p, eb.ISend(p, ea.Addr(), uint64(1000+i), sendB, 0, size))
-		}
-	})
-	c.Go("rankA", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
-			sendA.Fill(byte(2*i + 1))
-			sendA.Produce(2)
-			rs := ea.ISend(p, eb.Addr(), uint64(i), sendA, 0, size)
-			rr := ea.IRecv(p, uint64(1000+i), ^uint64(0), recvA, 0, size)
-			ea.Wait(p, rs)
-			ea.Wait(p, rr)
-			if cluster.Equal(sendB, recvA) && cluster.Equal(sendA, recvB) {
-				delivered++
-			}
-			elapsed = p.Now()
-		}
-	})
-	c.RunFor(60 * sim.Second)
-	defer c.Close()
-
+	_, delivered, elapsed := pingPong(c, ea, eb, size, 0, iters, 60*sim.Second)
 	pt := MultiNICPoint{
 		Mode: mode, Window: window, NICs: nics, Bytes: size, Iters: iters,
-		Delivered: delivered,
-	}
-	if elapsed > 0 {
-		pt.GoodputMiBps = float64(delivered*size) / (1 << 20) / elapsed.Seconds()
+		Delivered:    delivered,
+		GoodputMiBps: goodput(delivered, size, elapsed),
 	}
 	// Striping balance from the per-NIC counters of the initiating
 	// host (data frames answer pulls, so both hosts transmit bulk).
@@ -145,33 +113,24 @@ func multiNICPoint(mode, window string, nics, size, iters int) MultiNICPoint {
 }
 
 // MultiNICSweep measures every (mode, window, NIC count, size) point
-// as an independent runner job, in sweep order (mode outermost, then
-// window, then size, then NIC count).
-func MultiNICSweep() []MultiNICPoint {
-	return multiNICSweepOver(MultiNICCounts(), MultiNICSizes(), MultiNICIters)
-}
-
-// multiNICSweepOver shards an arbitrary (NICs, size) grid across the
-// figures pool (reduced grids keep the guardrail tests cheap).
-func multiNICSweepOver(counts, sizes []int, iters int) []MultiNICPoint {
+// of the grid as an independent runner job, in sweep order (mode
+// outermost, then window, then size, then NIC count). The section
+// renders the default grid (MultiNICCounts, MultiNICSizes,
+// MultiNICIters).
+func MultiNICSweep(counts, sizes []int, iters int) []MultiNICPoint {
 	var jobs []runner.Job
 	for _, mode := range multiNICModes() {
 		for _, window := range multiNICWindows() {
 			for _, size := range sizes {
 				for _, nics := range counts {
-					mode, window, size, nics := mode, window, size, nics
-					jobs = append(jobs, runner.Job{
-						Label: fmt.Sprintf("multinic/%s/%s/%s/%dnic", mode, window, sizeName(size), nics),
-						Key:   runner.Key("multinic", mode, window, nics, size, iters),
-						Run: func() (any, error) {
-							return multiNICPoint(mode, window, nics, size, iters), nil
-						},
-					})
+					jobs = append(jobs, job(fmt.Sprintf("multinic/%s/%s/%s/%dnic", mode, window, sizeName(size), nics),
+						runner.Key("multinic", mode, window, nics, size, iters),
+						func() MultiNICPoint { return multiNICPoint(mode, window, nics, size, iters) }))
 				}
 			}
 		}
 	}
-	return sweep[MultiNICPoint](jobs)
+	return sweep[MultiNICPoint](jobs...)
 }
 
 // RenderMultiNIC formats the sweep: one row per (mode, window, size)

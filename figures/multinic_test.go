@@ -8,7 +8,7 @@ import (
 // (cached on the figures pool, so the assertions simulate it once).
 func multiNICGrid(t *testing.T) []MultiNICPoint {
 	t.Helper()
-	return multiNICSweepOver([]int{1, 4}, []int{512 << 10, 2 << 20}, MultiNICIters)
+	return MultiNICSweep([]int{1, 4}, []int{512 << 10, 2 << 20}, MultiNICIters)
 }
 
 func multiNICFind(t *testing.T, pts []MultiNICPoint, mode, window string, nics, size int) MultiNICPoint {
@@ -83,7 +83,7 @@ func TestMultiNICWindowIrrelevantBelowWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	pts := multiNICSweepOver([]int{4}, []int{128 << 10}, MultiNICIters)
+	pts := MultiNICSweep([]int{4}, []int{128 << 10}, MultiNICIters)
 	fixed := multiNICFind(t, pts, "memcpy", "fixed", 4, 128<<10)
 	widened := multiNICFind(t, pts, "memcpy", "per-NIC", 4, 128<<10)
 	if fixed.GoodputMiBps != widened.GoodputMiBps {

@@ -42,13 +42,14 @@ type NASISResult struct {
 // measured loop time (max across ranks). keysPerRank of 1<<18 gives
 // ≈1 MiB per rank per exchange.
 func RunNASIS(s Stack, name string, keysPerRank, iterations int) NASISResult {
-	tb := newTestbed(s, 2)
-	p := tb.w.Size()
+	c, w := Testbed(s, 2)
+	defer c.Close()
+	p := w.Size()
 	perRank := keysPerRank * 4 // bytes
 	var elapsed sim.Duration
 	verified := 0
 	ok := true
-	tb.w.Spawn(func(r *mpi.Rank) {
+	w.Spawn(func(r *mpi.Rank) {
 		// Deterministic key generation (keys in [0, 1<<20)).
 		keys := make([]uint32, keysPerRank)
 		st := uint32(r.ID*2654435761 + 12345)
@@ -151,7 +152,7 @@ func RunNASIS(s Stack, name string, keysPerRank, iterations int) NASISResult {
 			}
 		}
 	})
-	if blocked := tb.c.Run(); blocked != 0 {
+	if blocked := c.Run(); blocked != 0 {
 		panic("figures: NAS IS deadlocked")
 	}
 	if !ok {
@@ -171,24 +172,17 @@ func getF64(b *cluster.Buffer, i int) float64 {
 // NASIS compares the IS proxy across the three stacks of Section IV,
 // running the three (independent) stack proxies concurrently.
 func NASIS(keysPerRank, iterations int) []NASISResult {
-	cases := []struct {
-		s    Stack
-		name string
-	}{
-		{Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}, "MXoE"},
-		{Stack{Kind: "openmx", OMX: omxCfg(false)}, "Open-MX"},
-		{Stack{Kind: "openmx", OMX: omxCfg(true)}, "Open-MX I/OAT"},
+	cases := []curve{
+		{"MXoE", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}},
+		{"Open-MX", Stack{Kind: "openmx", OMX: omxCfg(false)}},
+		{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: omxCfg(true)}},
 	}
 	jobs := make([]runner.Job, len(cases))
 	for i, c := range cases {
-		c := c
-		jobs[i] = runner.Job{
-			Label: "nasis/" + c.name,
-			Key:   runner.Key("nasis", c.s, c.name, keysPerRank, iterations),
-			Run:   func() (any, error) { return RunNASIS(c.s, c.name, keysPerRank, iterations), nil },
-		}
+		jobs[i] = job("nasis/"+c.name, runner.Key("nasis", c.s, c.name, keysPerRank, iterations),
+			func() NASISResult { return RunNASIS(c.s, c.name, keysPerRank, iterations) })
 	}
-	return sweep[NASISResult](jobs)
+	return sweep[NASISResult](jobs...)
 }
 
 func omxCfg(ioat bool) openmx.Config {

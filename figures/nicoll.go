@@ -48,21 +48,21 @@ const NICollIters = 8
 // slowest host-algorithm points (big world x big payload x 256 ranks).
 const nicollMaxQuanta = 200
 
-// nicollOps lists the swept operations.
-func nicollOps() []nicollOp {
-	ops := []nicollOp{{"Barrier", 0}}
+// NICollOps lists the swept operations.
+func NICollOps() []NICollOp {
+	ops := []NICollOp{{"Barrier", 0}}
 	for _, name := range []string{"Bcast", "Allreduce", "Scan"} {
 		for _, n := range NICollSizes() {
-			ops = append(ops, nicollOp{name, n})
+			ops = append(ops, NICollOp{name, n})
 		}
 	}
 	return ops
 }
 
-// nicollOp is one swept (operation, payload) shape.
-type nicollOp struct {
-	name  string
-	bytes int
+// NICollOp is one swept (operation, payload) shape.
+type NICollOp struct {
+	Name  string
+	Bytes int
 }
 
 // nicollSeries is one compared execution tier: a stack plus a pinned
@@ -155,17 +155,16 @@ func nicollCheck(op string, p, n int, bufs []*cluster.Buffer) bool {
 // host algorithms can only compute after each collective returns,
 // which is exactly the serialization the offload removes.
 func nicollRun(sr nicollSeries, op string, ranks, bytes, iters int, compute sim.Duration) (elapsed, commCPU sim.Duration, verified bool) {
-	nodes := ranks / ftPpn
-	tb := newFatTreeTestbed(sr.s, nodes, ftPpn)
-	defer tb.c.Close()
-	tb.w.Tune.Offload = sr.offload
-	p := tb.w.Size()
+	c, w := fatTreeTestbed(sr.s, ranks/ftPpn, ftPpn)
+	defer c.Close()
+	w.Tune.Offload = sr.offload
+	p := w.Size()
 	alloc := max(bytes, 8)
 	sb := make([]*cluster.Buffer, p)
 	rb := make([]*cluster.Buffer, p)
 	for r := 0; r < p; r++ {
-		sb[r] = tb.w.Rank(r).Host.Alloc(alloc)
-		rb[r] = tb.w.Rank(r).Host.Alloc(alloc)
+		sb[r] = w.Rank(r).Host.Alloc(alloc)
+		rb[r] = w.Rank(r).Host.Alloc(alloc)
 		nicollFill(sb[r], r, bytes)
 	}
 	nicollFill(sb[0], 0, bytes) // bcast root pattern lives in rank 0's sbuf
@@ -177,7 +176,7 @@ func nicollRun(sr nicollSeries, op string, ranks, bytes, iters int, compute sim.
 	tEnd := make([]sim.Time, p)
 	nic := sr.offload == mpi.OffloadNIC
 	quantum := max(availQuantum, compute/nicollMaxQuanta)
-	tb.w.Spawn(func(r *mpi.Rank) {
+	w.Spawn(func(r *mpi.Rank) {
 		one := func() openmx.Request {
 			// Nonblocking on the offloaded tier (one descriptor post),
 			// blocking host algorithm otherwise.
@@ -227,7 +226,7 @@ func nicollRun(sr nicollSeries, op string, ranks, bytes, iters int, compute sim.
 		}
 		if r.ID == 0 {
 			// Measured phase: fresh CPU window on every host.
-			for _, h := range tb.c.Hosts() {
+			for _, h := range c.Hosts() {
 				h.Machine().Sys.ResetAccounting()
 			}
 			t0 = r.Now()
@@ -237,14 +236,14 @@ func nicollRun(sr nicollSeries, op string, ranks, bytes, iters int, compute sim.
 		}
 		tEnd[r.ID] = r.Now()
 	})
-	if blocked := tb.c.Run(); blocked != 0 {
+	if blocked := c.Run(); blocked != 0 {
 		panic(fmt.Sprintf("figures: nicoll %s/%s/%d deadlocked", sr.name, op, ranks))
 	}
 	var t1 sim.Time
 	for _, te := range tEnd {
 		t1 = max(t1, te)
 	}
-	for _, h := range tb.c.Hosts() {
+	for _, h := range c.Hosts() {
 		st := h.Machine().Sys.Snapshot()
 		commCPU += st.Busy() - st.Busy(cpu.AppCompute)
 	}
@@ -279,38 +278,26 @@ func nicollPoint(sr nicollSeries, op string, ranks, bytes, iters int) NICollPoin
 		Iters: iters, Verified: okComm && okBoth}
 	pt.TimeUsec = sim.Time(comm).Micros() / float64(iters)
 	pt.HostCPUUsec = sim.Time(commCPU).Micros() / float64(iters)
-	if denom := min(comm, compute); denom > 0 {
-		overlap := float64(comm+compute-both) / float64(denom) * 100
-		pt.OverlapPct = max(0, min(100, overlap))
-	}
+	pt.OverlapPct = overlapPct(comm, compute, both)
 	return pt
 }
 
-// NICollSweep measures every (op, ranks, series) point as an
-// independent runner job, op outermost, then world size, then series.
-func NICollSweep() []NICollPoint {
-	return nicollSweepOver(nicollOps(), NICollRanks(), NICollIters)
-}
-
-// nicollSweepOver shards an arbitrary grid across the figures pool
-// (reduced grids keep the determinism guardrail cheap).
-func nicollSweepOver(ops []nicollOp, ranksList []int, iters int) []NICollPoint {
+// NICollSweep measures every (op, ranks, series) point of the grid as
+// an independent runner job, op outermost, then world size, then
+// series. The section renders the default grid (NICollOps,
+// NICollRanks, NICollIters).
+func NICollSweep(ops []NICollOp, ranksList []int, iters int) []NICollPoint {
 	var jobs []runner.Job
 	for _, op := range ops {
 		for _, ranks := range ranksList {
 			for _, sr := range nicollSeriesList() {
-				op, ranks, sr := op, ranks, sr
-				jobs = append(jobs, runner.Job{
-					Label: fmt.Sprintf("nicoll/%s/%s/%dranks", op.name, sr.name, ranks),
-					Key:   runner.Key("nicoll", sr.s, sr.offload, op.name, op.bytes, ranks, iters),
-					Run: func() (any, error) {
-						return nicollPoint(sr, op.name, ranks, op.bytes, iters), nil
-					},
-				})
+				jobs = append(jobs, job(fmt.Sprintf("nicoll/%s/%s/%dranks", op.Name, sr.name, ranks),
+					runner.Key("nicoll", sr.s, sr.offload, op.Name, op.Bytes, ranks, iters),
+					func() NICollPoint { return nicollPoint(sr, op.Name, ranks, op.Bytes, iters) }))
 			}
 		}
 	}
-	return sweep[NICollPoint](jobs)
+	return sweep[NICollPoint](jobs...)
 }
 
 // RenderNIColl formats the sweep with the offload-selection footer:
@@ -329,21 +316,10 @@ func RenderNIColl(points []NICollPoint) string {
 	}
 	tn := mpi.DefaultTuning()
 	b.WriteString("# selection (default tuning, collective-capable stack): host algorithm / resolved tier\n")
-	for _, op := range nicollOps() {
-		fmt.Fprintf(&b, "%-10s %5s", op.name, sizeName(op.bytes))
+	for _, op := range NICollOps() {
+		fmt.Fprintf(&b, "%-10s %5s", op.Name, sizeName(op.Bytes))
 		for _, ranks := range NICollRanks() {
-			var alg string
-			switch op.name {
-			case "Barrier":
-				alg = tn.BarrierAlg(ranks)
-			case "Bcast":
-				alg = tn.BcastAlg(op.bytes, ranks)
-			case "Allreduce":
-				alg = tn.AllreduceAlg(op.bytes, ranks)
-			case "Scan":
-				alg = tn.ScanAlg(op.bytes, ranks)
-			}
-			fmt.Fprintf(&b, " %dranks=%s/%s", ranks, alg, tn.CollOffload(op.bytes, ranks, true))
+			fmt.Fprintf(&b, " %dranks=%s/%s", ranks, collAlg(tn, op.Name, op.Bytes, ranks), tn.CollOffload(op.Bytes, ranks, true))
 		}
 		b.WriteString("\n")
 	}

@@ -1,16 +1,13 @@
 package figures
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // nicollGrid is the reduced sweep the guardrails share (cached on the
 // figures pool, so the assertions below simulate it once): the
 // acceptance ops at 64 ranks with a short iteration count.
 func nicollGrid() []NICollPoint {
-	ops := []nicollOp{{"Barrier", 0}, {"Bcast", 4 << 10}, {"Allreduce", 4 << 10}}
-	return nicollSweepOver(ops, []int{64}, 4)
+	ops := []NICollOp{{"Barrier", 0}, {"Bcast", 4 << 10}, {"Allreduce", 4 << 10}}
+	return NICollSweep(ops, []int{64}, 4)
 }
 
 func nicollFind(pts []NICollPoint, op, series string) NICollPoint {
@@ -57,25 +54,5 @@ func TestNicollFirmwareCPUWins(t *testing.T) {
 		if p.OverlapPct < 0 || p.OverlapPct > 100 {
 			t.Errorf("%s/%s: overlap %.1f%% out of range", p.Op, p.Series, p.OverlapPct)
 		}
-	}
-}
-
-// TestNicollParallelMatchesSerial extends the parallel-determinism
-// guardrail to the NIC-collective sweep: sharding the points across
-// workers (and rerunning from a cold cache) must reproduce every
-// measurement bit for bit.
-func TestNicollParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	ops := []nicollOp{{"Barrier", 0}, {"Allreduce", 4 << 10}}
-	run := func(workers int) (pts []NICollPoint) {
-		withPool(workers, func() { pts = nicollSweepOver(ops, []int{64}, 2) })
-		return pts
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel nicoll sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
 	}
 }

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -27,95 +28,86 @@ func withPool(workers int, fn func()) {
 	fn()
 }
 
-func TestParallelMatchesSerialPingPong(t *testing.T) {
-	sizes := []int{16, 4096, 256 << 10, 4 << 20}
-	curves := []curve{
+// TestParallelMatchesSerial runs every figure sweep on a reduced grid
+// serially, in parallel and serially again: the three runs must be
+// bit-identical. Impaired links (seeded loss), multi-NIC striping,
+// AIMD and RTT state, self-calibrated compute injection and NIC
+// firmware all live per testbed, so sharding changes nothing but wall
+// time and a repeat run reproduces every measurement. Rows are
+// subtests, so a battery runs its own with -run
+// 'ParallelMatchesSerial/<row>'.
+func TestParallelMatchesSerial(t *testing.T) {
+	ppCurves := []curve{
 		{"MX", Stack{Kind: "mxoe", MX: mxoe.Config{RegCache: true}}},
 		{"Open-MX", Stack{Kind: "openmx", OMX: omxCfg(false)}},
 		{"Open-MX I/OAT", Stack{Kind: "openmx", OMX: omxCfg(true)}},
 	}
-	run := func(workers int) (tab *metrics.Table) {
-		withPool(workers, func() { tab = pingPongTable("determinism", curves, sizes) })
-		return tab
+	rows := []struct {
+		name string
+		slow bool // skipped in -short mode
+		run  func() any
+	}{
+		{"PingPong", false, func() any {
+			return pingPongTable("determinism", ppCurves, []int{16, 4096, 256 << 10, 4 << 20})
+		}},
+		{"Fig9", false, func() any {
+			mem, io := Fig9()
+			return [2][]Fig9Row{mem, io}
+		}},
+		{"Fig12", true, func() any { return Fig12(128<<10, 1) }},
+		{"Loss", false, func() any { return LossSweep([]float64{0, 0.03}, []int{64 << 10}, 10) }},
+		{"MultiNIC", false, func() any { return MultiNICSweep([]int{1, 4}, []int{512 << 10}, 4) }},
+		{"Adaptive", false, func() any { return AdaptiveSweep([]float64{0, 0.05}, []int{2}, 4) }},
+		{"Avail", true, func() any { return AvailSweep([]int{128 << 10}, 4) }},
+		{"Coll", false, func() any {
+			return collTables([]string{"Allreduce", "Bcast"}, []int{4 << 10, 64 << 10}, []collWorld{{2, 2}, {4, 1}})
+		}},
+		{"DCA", true, func() any { return DCASweep([]int{64 << 10}, 3) }},
+		{"FatTree", false, func() any {
+			cases := []ftCase{
+				{"Allreduce", []int{1 << 10}, 64},
+				{"Alltoall", []int{1 << 10}, 64},
+			}
+			return fatTreeTables(cases, []int{64})
+		}},
+		{"NIColl", true, func() any {
+			return NICollSweep([]NICollOp{{"Barrier", 0}, {"Allreduce", 4 << 10}}, []int{64}, 2)
+		}},
 	}
-	serial, parallel := run(1), run(8)
-	if !serial.Equal(parallel) {
-		t.Errorf("parallel ping-pong table differs from serial:\nserial:\n%s\nparallel:\n%s",
-			serial.Render(), parallel.Render())
-	}
-}
-
-func TestParallelMatchesSerialFig9(t *testing.T) {
-	run := func(workers int) (mem, io []Fig9Row) {
-		withPool(workers, func() { mem, io = Fig9() })
-		return mem, io
-	}
-	memS, ioS := run(1)
-	memP, ioP := run(8)
-	if !reflect.DeepEqual(memS, memP) || !reflect.DeepEqual(ioS, ioP) {
-		t.Errorf("parallel Fig9 rows differ from serial:\nserial:  %+v %+v\nparallel: %+v %+v",
-			memS, ioS, memP, ioP)
-	}
-}
-
-func TestParallelMatchesSerialFig12(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	run := func(workers int) (p Fig12Result) {
-		withPool(workers, func() { p = Fig12(128<<10, 1) })
-		return p
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel Fig12 panel differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-}
-
-// TestParallelMatchesSerialLoss: the determinism guardrail extended
-// to impaired sweeps — seeded loss injection must be exactly as
-// reproducible as a clean run, so sharding the loss figure across
-// workers changes nothing but wall time.
-func TestParallelMatchesSerialLoss(t *testing.T) {
-	rates := []float64{0, 0.03}
-	sizes := []int{64 << 10}
-	run := func(workers int) (pts []LossPoint) {
-		withPool(workers, func() { pts = lossSweepOver(rates, sizes, 10) })
-		return pts
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel loss sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-	// And run-to-run: a second serial sweep must be bit-identical.
-	if again := run(1); !reflect.DeepEqual(serial, again) {
-		t.Errorf("loss sweep not run-to-run deterministic:\nfirst:  %+v\nsecond: %+v",
-			serial, again)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.slow && testing.Short() {
+				t.Skip("short mode")
+			}
+			run := func(workers int) (v any) {
+				withPool(workers, func() { v = row.run() })
+				return v
+			}
+			serial, parallel, again := run(1), run(8), run(1)
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("parallel sweep differs from serial:\nserial:\n%s\nparallel:\n%s", dump(serial), dump(parallel))
+			}
+			if !reflect.DeepEqual(serial, again) {
+				t.Errorf("sweep not run-to-run deterministic:\nfirst:\n%s\nsecond:\n%s", dump(serial), dump(again))
+			}
+		})
 	}
 }
 
-// TestParallelMatchesSerialMultiNIC: the determinism guardrail for
-// the link-aggregation figure — multi-NIC testbeds, striped lanes and
-// per-lane I/OAT channels included, must shard across workers with no
-// effect but wall time, and repeat run-to-run bit-identically.
-func TestParallelMatchesSerialMultiNIC(t *testing.T) {
-	counts := []int{1, 4}
-	sizes := []int{512 << 10}
-	run := func(workers int) (pts []MultiNICPoint) {
-		withPool(workers, func() { pts = multiNICSweepOver(counts, sizes, 4) })
-		return pts
+// dump formats a sweep result for a failure message, rendering tables
+// as text.
+func dump(v any) string {
+	switch x := v.(type) {
+	case *metrics.Table:
+		return x.Render()
+	case []*metrics.Table:
+		out := ""
+		for _, t := range x {
+			out += t.Render()
+		}
+		return out
 	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel multinic sweep differs from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-	if again := run(1); !reflect.DeepEqual(serial, again) {
-		t.Errorf("multinic sweep not run-to-run deterministic:\nfirst:  %+v\nsecond: %+v",
-			serial, again)
-	}
+	return fmt.Sprintf("%+v", v)
 }
 
 // Test1NICMatchesLegacyPath: a 1-NIC host built through the new
@@ -142,45 +134,15 @@ func Test1NICMatchesLegacyPath(t *testing.T) {
 func legacy1NICPoint(t *testing.T, mode string, size, iters int) MultiNICPoint {
 	t.Helper()
 	c := cluster.New(nil)
+	defer c.Close()
 	a, b := c.NewHost("node0"), c.NewHost("node1")
 	cluster.Link(a, b)
 	cfg := openmx.Config{RegCache: true, IOAT: mode == "I/OAT"}
 	ea := openmx.Attach(a, cfg).Open(0, 2)
 	eb := openmx.Attach(b, cfg).Open(0, 2)
-	sendA, recvA := a.Alloc(size), a.Alloc(size)
-	sendB, recvB := b.Alloc(size), b.Alloc(size)
-	delivered := 0
-	var elapsed sim.Time
-	c.Go("rankB", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
-			r := eb.IRecv(p, uint64(i), ^uint64(0), recvB, 0, size)
-			eb.Wait(p, r)
-			sendB.Fill(byte(2*i + 2))
-			sendB.Produce(2)
-			eb.Wait(p, eb.ISend(p, ea.Addr(), uint64(1000+i), sendB, 0, size))
-		}
-	})
-	c.Go("rankA", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
-			sendA.Fill(byte(2*i + 1))
-			sendA.Produce(2)
-			rs := ea.ISend(p, eb.Addr(), uint64(i), sendA, 0, size)
-			rr := ea.IRecv(p, uint64(1000+i), ^uint64(0), recvA, 0, size)
-			ea.Wait(p, rs)
-			ea.Wait(p, rr)
-			if cluster.Equal(sendB, recvA) && cluster.Equal(sendA, recvB) {
-				delivered++
-			}
-			elapsed = p.Now()
-		}
-	})
-	c.RunFor(60 * sim.Second)
-	defer c.Close()
-	pt := MultiNICPoint{Mode: mode, NICs: 1, Bytes: size, Iters: iters, Delivered: delivered}
-	if elapsed > 0 {
-		pt.GoodputMiBps = float64(delivered*size) / (1 << 20) / elapsed.Seconds()
-	}
-	return pt
+	_, delivered, elapsed := pingPong(c, ea, eb, size, 0, iters, 60*sim.Second)
+	return MultiNICPoint{Mode: mode, NICs: 1, Bytes: size, Iters: iters, Delivered: delivered,
+		GoodputMiBps: goodput(delivered, size, elapsed)}
 }
 
 // TestSharedCurveCache: regenerating Figures 3 and 8 on one pool

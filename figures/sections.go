@@ -90,6 +90,16 @@ func renderTable(t *metrics.Table, plot bool) string {
 	return out
 }
 
+// renderTables renders each table (plotted when plot is set) followed
+// by a blank line: the body of the multi-table sections.
+func renderTables(tables []*metrics.Table, plot bool) string {
+	out := ""
+	for _, t := range tables {
+		out += renderTable(t, plot) + "\n"
+	}
+	return out
+}
+
 func renderMicro(bool) string {
 	m := MicroNumbers()
 	var b strings.Builder
@@ -125,51 +135,36 @@ func renderNASISSection(bool) string {
 }
 
 func renderCollSection(plot bool) string {
-	tables := Coll()
-	if plot {
-		out := ""
-		for _, t := range tables {
-			out += t.Render() + t.ASCIIPlot(100, 20) + "\n"
-		}
-		return out + RenderColl(nil)
-	}
-	return RenderColl(tables)
+	return renderTables(Coll(), plot) + RenderColl(nil)
 }
 
 func renderLossSection(bool) string {
-	return RenderLoss(LossSweep())
+	return RenderLoss(LossSweep(LossRates(), LossSizes(), LossIters))
 }
 
 func renderAvailSection(bool) string {
-	return RenderAvail(AvailSweep())
+	return RenderAvail(AvailSweep(AvailSizes(), AvailIters))
 }
 
 func renderMultiNICSection(bool) string {
-	return RenderMultiNIC(MultiNICSweep())
+	return RenderMultiNIC(MultiNICSweep(MultiNICCounts(), MultiNICSizes(), MultiNICIters))
 }
 
 func renderFatTreeSection(plot bool) string {
 	tables, lp := FatTree()
-	if plot {
-		out := ""
-		for _, t := range tables {
-			out += t.Render() + t.ASCIIPlot(100, 20) + "\n"
-		}
-		return out + RenderFatTree(nil, lp)
-	}
-	return RenderFatTree(tables, lp)
+	return renderTables(tables, plot) + RenderFatTree(nil, lp)
 }
 
 func renderNICollSection(bool) string {
-	return RenderNIColl(NICollSweep())
+	return RenderNIColl(NICollSweep(NICollOps(), NICollRanks(), NICollIters))
 }
 
 func renderAdaptiveSection(bool) string {
-	return RenderAdaptive(AdaptiveSweep())
+	return RenderAdaptive(AdaptiveSweep(AdaptiveLossRates(), AdaptiveNICCounts(), AdaptiveIters))
 }
 
 func renderDCASection(bool) string {
-	return RenderDCA(DCASweep())
+	return RenderDCA(DCASweep(DCASizes(), DCAIters))
 }
 
 func renderAblateSection(bool) string {

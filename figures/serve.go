@@ -2,7 +2,7 @@ package figures
 
 // The service-facing sweep entry: omxsimd (internal/simd) runs tenant
 // experiment jobs through SweepOn, which is the error-returning twin
-// of the figure generators' newTestbedN+imb.Runner path. Everything
+// of the figure generators' TestbedN+imb.Runner path. Everything
 // that can be wrong with an untrusted spec — an invalid topology, a
 // ppn out of range, an unknown stack kind or IMB test, a negative
 // message size — comes back as an error; a valid spec measures
@@ -24,7 +24,8 @@ func MaxPPN() int { return len(rankCores) }
 // the stack with ppn ranks per host (block placement on the standard
 // rank cores), and runs one IMB test over the message sizes. The
 // built cluster is returned alongside the results so callers can
-// snapshot NetStats (and per-host CPU ledgers) after the run. iters
+// snapshot NetStats (and per-host CPU ledgers) after the run; the
+// caller closes it. iters
 // overrides the per-size iteration schedule (nil = imb.DefaultIters).
 //
 // Two SweepOn calls with equal arguments are bit-identical — the
@@ -46,6 +47,7 @@ func SweepOn(top cluster.Topology, s Stack, ppn int, test string, sizes []int, i
 	}
 	w, err := worldOverE(c, s, ppn)
 	if err != nil {
+		c.Close()
 		return nil, nil, err
 	}
 	r := &imb.Runner{C: c, W: w, Iters: iters}

@@ -38,6 +38,7 @@ func TimelineEvents(withIOAT bool) []proto.TraceEvent {
 	msgSize := frags * proto.LargeFragSize
 
 	c := cluster.New(nil)
+	defer c.Close()
 	n0, n1 := c.NewHost("sender"), c.NewHost("receiver")
 	cluster.Link(n0, n1)
 	cfg := openmx.Config{RegCache: true}

@@ -17,7 +17,7 @@ type Point struct {
 	Name string
 	// Build returns a fresh cluster and world for this point. It is
 	// called at most once, from whichever pool worker picks the point
-	// up.
+	// up, and Sweep closes the cluster when the run ends.
 	Build func() (*cluster.Cluster, *mpi.World)
 	// Test is the IMB benchmark name (see Tests).
 	Test string
@@ -37,18 +37,19 @@ type PointResult struct {
 }
 
 // Sweep runs every point concurrently on the pool (one fresh testbed
-// each) and returns their results in point order. The first failing
+// each, closed once its run ends) and returns their results in point
+// order. The first failing
 // point — including a captured panic, e.g. a deadlocked benchmark —
 // is returned as an error after every other point has finished.
 func Sweep(p *runner.Pool, points []Point) ([]PointResult, error) {
 	jobs := make([]runner.Job, len(points))
 	for i, pt := range points {
-		pt := pt
 		jobs[i] = runner.Job{
 			Label: fmt.Sprintf("imb/%s/%s", pt.Test, pt.Name),
 			Key:   pt.Key,
 			Run: func() (any, error) {
 				c, w := pt.Build()
+				defer c.Close()
 				r := &Runner{C: c, W: w, Iters: pt.Iters}
 				return r.Run(pt.Test, pt.Sizes), nil
 			},

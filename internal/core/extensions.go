@@ -217,7 +217,6 @@ func (ep *Endpoint) waitStriped(p *sim.Proc, cat cpu.Category, seqs map[*ioat.Ch
 		p.Sleep(predicted)
 	}
 	for ch, seq := range seqs {
-		ch, seq := ch, seq
 		if ch.Completed() >= seq {
 			// One cookie read to observe the completion.
 			ep.core().RunOn(p, cat, s.H.IOAT.PollCost())

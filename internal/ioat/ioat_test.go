@@ -96,7 +96,6 @@ func TestInOrderCompletionWithinChannel(t *testing.T) {
 	ch := eng.Channel(0)
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		n := 512 * (10 - i) // decreasing sizes: later descs are smaller
 		ch.Submit(CopyReq{Dst: dst, DstOff: i * 65536, Src: src, SrcOff: i * 65536, N: n,
 			OnDone: func() { order = append(order, i) }})

@@ -208,7 +208,6 @@ func TestManyPeersIndependentWindows(t *testing.T) {
 		}
 	})
 	for i, s := range p.senders {
-		i, s := i, s
 		ep := p.sendEPs[i]
 		e.Go(fmt.Sprintf("send%d", i), func(pc *sim.Proc) {
 			for k := 0; k < count; k++ {

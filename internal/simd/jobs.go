@@ -388,7 +388,6 @@ func (s *Server) executeJob(j *jobState, topo TopologySpec) (*JobResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		st := st
 		jobs[i] = runner.Job{
 			Label: fmt.Sprintf("sweep/%s/%s", spec.Test, fs.Name()),
 			// The key is pure config — topology, stack, placement, test,
@@ -404,6 +403,7 @@ func (s *Server) executeJob(j *jobState, topo TopologySpec) (*JobResult, error) 
 				if err != nil {
 					return nil, err
 				}
+				defer c.Close()
 				return sweepVal{Results: res, Net: c.NetStats(), CPU: hostCPUs(c)}, nil
 			},
 		}

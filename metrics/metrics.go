@@ -27,15 +27,6 @@ type Series struct {
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
 
-// Clone returns an independent copy of the series, so shared results
-// (e.g. cached sweep curves) can be handed out without aliasing.
-func (s *Series) Clone() *Series {
-	if s == nil {
-		return nil
-	}
-	return &Series{Name: s.Name, Points: append([]Point(nil), s.Points...)}
-}
-
 // At returns the Y value at exactly x (and whether it exists).
 func (s *Series) At(x float64) (float64, bool) {
 	for _, p := range s.Points {

@@ -87,7 +87,6 @@ func TestBcastVariantsAllWorlds(t *testing.T) {
 				for r := range bufs {
 					bufs[r] = w.Rank(r).Host.Alloc(n)
 				}
-				alg := alg
 				runWorld(t, c, w, func(r *Rank) {
 					if r.ID == root {
 						fillPattern(bufs[r.ID], root)
@@ -138,7 +137,6 @@ func TestAllreduceVariantsAllWorlds(t *testing.T) {
 					sb[r] = w.Rank(r).Host.Alloc(n)
 					rb[r] = w.Rank(r).Host.Alloc(n)
 				}
-				alg := alg
 				runWorld(t, c, w, func(r *Rank) {
 					putFloats(sb[r.ID], float64(r.ID+1), 10*float64(r.ID+1), 1, 1, 1, 1, 1, 1)
 					if alg == AlgRing {
@@ -173,7 +171,6 @@ func TestReduceVariantsAllWorlds(t *testing.T) {
 				for r := range sb {
 					sb[r] = w.Rank(r).Host.Alloc(n)
 				}
-				root, alg := root, alg
 				runWorld(t, c, w, func(r *Rank) {
 					putFloats(sb[r.ID], float64(r.ID+1), 10*float64(r.ID+1), 1, 1, 1, 1)
 					var out *cluster.Buffer
@@ -207,7 +204,6 @@ func TestAlltoallVariantsAllWorlds(t *testing.T) {
 					sb[r] = w.Rank(r).Host.Alloc(p * n)
 					rb[r] = w.Rank(r).Host.Alloc(p * n)
 				}
-				alg := alg
 				runWorld(t, c, w, func(r *Rank) {
 					for dst := 0; dst < p; dst++ {
 						for i := 0; i < n; i++ {
@@ -261,7 +257,6 @@ func TestAlltoallvVariants(t *testing.T) {
 				}
 				rb[r] = w.Rank(r).Host.Alloc(tot)
 			}
-			alg := alg
 			runWorld(t, c, w, func(r *Rank) {
 				soffs, scounts := make([]int, p), make([]int, p)
 				off := 0
@@ -318,7 +313,6 @@ func TestGatherScatterVariantsAllRoots(t *testing.T) {
 					sb[r] = w.Rank(r).Host.Alloc(n)
 					rb[r] = w.Rank(r).Host.Alloc(n)
 				}
-				root, alg := root, alg
 				runWorld(t, c, w, func(r *Rank) {
 					fillPattern(sb[r.ID], r.ID)
 					var g *cluster.Buffer
@@ -389,7 +383,6 @@ func TestBarrierVariantsSynchronize(t *testing.T) {
 			c, w := worldN(t, "openmx", 5, 1)
 			var after []sim.Time
 			var before sim.Time
-			alg := alg
 			runWorld(t, c, w, func(r *Rank) {
 				if r.ID == 3 {
 					r.Proc().Sleep(500 * sim.Microsecond) // straggler

@@ -71,7 +71,6 @@ func (w *World) Rank(id int) *Rank { return w.ranks[id] }
 // caller then drives the cluster (c.Run / c.RunFor).
 func (w *World) Spawn(body func(r *Rank)) {
 	for _, r := range w.ranks {
-		r := r
 		w.C.Go(fmt.Sprintf("rank%d", r.ID), func(p *sim.Proc) {
 			r.p = p
 			body(r)

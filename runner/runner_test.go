@@ -89,7 +89,6 @@ func TestDeterministicOrdering(t *testing.T) {
 	const n = 40
 	jobs := make([]Job, n)
 	for i := range jobs {
-		i := i
 		jobs[i] = Job{Label: fmt.Sprint(i), Run: func() (any, error) {
 			// Reverse-staggered sleeps so late jobs finish first.
 			time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
@@ -256,7 +255,6 @@ func TestProgress(t *testing.T) {
 	items := []int{5, 3, 8, 1, 9, 2}
 	jobs := make([]Job, len(items))
 	for i, it := range items {
-		it := it
 		jobs[i] = Job{
 			Label: fmt.Sprintf("sq/%d", it),
 			Key:   Key("sq", it),
@@ -386,7 +384,6 @@ func TestRunWithProgress(t *testing.T) {
 	}})
 	jobs := make([]Job, 5)
 	for i := range jobs {
-		i := i
 		jobs[i] = Job{Label: fmt.Sprint(i), Run: func() (any, error) { return i, nil }}
 	}
 	p.RunWithProgress(func(pr Progress) {

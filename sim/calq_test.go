@@ -45,7 +45,6 @@ func TestFarFutureSameInstantKeepsSeqOrder(t *testing.T) {
 	var got []int
 	at := 7*wheelHorizon + 3
 	for i := 0; i < 10; i++ {
-		i := i
 		e.Schedule(at, func() { got = append(got, i) })
 	}
 	e.Run()
@@ -176,7 +175,6 @@ func TestPropertyCalendarOrdering(t *testing.T) {
 		var fired []rec
 		var timers []Timer
 		for i := 0; i < count; i++ {
-			i := i
 			// Mix bucket-scale and multi-horizon delays.
 			var d Duration
 			if rng.Intn(3) == 0 {

@@ -31,7 +31,6 @@ func TestTieBreakBySequence(t *testing.T) {
 	e := New()
 	var got []int
 	for i := 0; i < 100; i++ {
-		i := i
 		e.Schedule(5, func() { got = append(got, i) })
 	}
 	e.Run()
@@ -70,7 +69,6 @@ func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time
 	for _, d := range []Duration{10, 20, 30, 40} {
-		d := d
 		e.Schedule(d, func() { fired = append(fired, d) })
 	}
 	e.RunUntil(25)
