@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
 .PHONY: all build test test-short race fmt fmt-check vet lint bench bench-ci \
-	golden golden-check stress multinic fattree nicoll adaptive benchalloc simd \
+	golden golden-check digests stress multinic fattree nicoll adaptive benchalloc simd \
 	dca examples linkcheck perfbench-test ci-fast ci-full
 
 all: build
@@ -61,6 +61,16 @@ golden:
 golden-check:
 	$(GO) run ./cmd/omxsim all > /tmp/omxsim-all.rendered
 	diff -u figures/testdata/omxsim-all.golden /tmp/omxsim-all.rendered
+
+# The sections whose event-order digests are committed: the ones cheap
+# enough for the fast gate, which re-checks every line of the file
+# (TestDigestsGolden). Regenerate only together with a change that is
+# meant to move simulated events.
+DIGEST_SECTIONS = micro fig3 fig7 fig8 fig9 fig10 timeline nasis ablate dca
+
+digests:
+	for s in $(DIGEST_SECTIONS); do $(GO) run ./cmd/omxsim -digest $$s || exit 1; done \
+		> figures/testdata/digests.golden
 
 # Long-run reliability battery: seeded message storms under network
 # impairment across all three stack pairings, plus the interop and

@@ -41,6 +41,10 @@
 //
 //	-plot      also draw ASCII plots of the curves
 //	-progress  report sweep progress on stderr
+//	-digest    print each selected section's event-order digest
+//	           instead of its tables: one "<name> <hex>" line per
+//	           section (figures/testdata/digests.golden holds the
+//	           committed values)
 package main
 
 import (
@@ -55,6 +59,7 @@ import (
 var (
 	plot     = flag.Bool("plot", false, "draw ASCII plots of curve figures")
 	progress = flag.Bool("progress", false, "report sweep progress on stderr")
+	digest   = flag.Bool("digest", false, "print each section's event-order digest instead of its tables")
 )
 
 func main() {
@@ -81,6 +86,13 @@ func main() {
 	if len(selected) == 0 {
 		usage()
 		os.Exit(2)
+	}
+	if *digest {
+		// One section at a time: a digest collection is process-wide.
+		for _, s := range selected {
+			fmt.Printf("%s %016x\n", s.Name, s.Digest())
+		}
+		return
 	}
 	// Render the selected sections concurrently — every section is an
 	// independent sweep and the pool is reentrant — then print them in
@@ -134,7 +146,7 @@ func traceCmd(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: omxsim [-plot] [-progress] <command>")
+	fmt.Fprintln(os.Stderr, "usage: omxsim [-plot] [-progress] [-digest] <command>")
 	for _, s := range figures.Sections() {
 		fmt.Fprintf(os.Stderr, "  %-9s %s\n", s.Name, s.Desc)
 	}

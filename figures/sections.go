@@ -12,6 +12,8 @@ import (
 	"strings"
 
 	"omxsim/metrics"
+	"omxsim/runner"
+	"omxsim/sim"
 )
 
 // Section is one named, independently renderable output section: a
@@ -29,6 +31,24 @@ type Section struct {
 // Render regenerates the section and returns its text; plot appends
 // ASCII plots to curve figures (the CLI's -plot flag).
 func (s Section) Render(plot bool) string { return s.render(plot) }
+
+// Digest renders the section with the event-order digest on and
+// returns the combined digest of every simulation it ran (see
+// sim.CollectDigests). The section runs on a private, uncached pool,
+// so every point simulates whatever ran before. Digest swaps the
+// figures pool and starts a process-wide collection, so it must not
+// run concurrently with any other rendering.
+func (s Section) Digest() uint64 { return s.digest(0) }
+
+// digest is Digest on a pool of the given worker count (< 1 selects
+// GOMAXPROCS).
+func (s Section) digest(workers int) uint64 {
+	defer setPool(setPool(runner.New(runner.Options{Workers: workers})))
+	stop := sim.CollectDigests()
+	defer stop()
+	s.render(false)
+	return stop()
+}
 
 // Sections lists every section in canonical output order (the order
 // "omxsim all" prints).

@@ -175,6 +175,7 @@ func (n *NIC) txNext() {
 		if n.hose == nil {
 			panic(fmt.Sprintf("nic %s: transmit with no hose attached", n.Name))
 		}
+		n.E.DigestFrame(f.SrcAddr, f.DstAddr, f.WireLen)
 		n.hose.Send(f)
 		n.txNext()
 	})

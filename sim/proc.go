@@ -13,6 +13,7 @@ import "fmt"
 type Proc struct {
 	e        *Engine
 	name     string
+	id       uint64 // creation index on the engine (folded into the digest)
 	resume   chan struct{}
 	yield    chan struct{}
 	dead     chan struct{} // closed by Engine.Close to abort the goroutine
@@ -31,10 +32,12 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		e:      e,
 		name:   name,
+		id:     e.nprocs,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 		dead:   make(chan struct{}),
 	}
+	e.nprocs++
 	e.procs[p] = struct{}{}
 	go func() {
 		defer func() {
@@ -82,6 +85,9 @@ func (p *Proc) Daemon() bool { return p.daemon }
 func (p *Proc) step() {
 	if p.finished {
 		return
+	}
+	if p.e.dig != nil {
+		p.e.digestResume(p)
 	}
 	p.resume <- struct{}{}
 	<-p.yield

@@ -98,14 +98,18 @@ type Engine struct {
 	q       calq
 	live    int // scheduled, non-cancelled events
 	procs   map[*Proc]struct{}
-	daemons int // live procs flagged as daemons
+	daemons int    // live procs flagged as daemons
+	nprocs  uint64 // procs created so far; the next proc's creation index
 	closing bool
 	running bool
+	dig     *digest // event-order digest; nil when off (see digest.go)
 }
 
 // New returns a ready-to-use engine at time zero.
 func New() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	e := &Engine{procs: make(map[*Proc]struct{})}
+	collectDigest(e)
+	return e
 }
 
 // Now returns the current simulated time.

@@ -367,3 +367,32 @@ func TestPendingCount(t *testing.T) {
 		t.Fatalf("Pending after Stop = %d", e.Pending())
 	}
 }
+
+// TestDigestFollowsResumeTimes: the event-order digest is off (0) by
+// default, stable run to run, and moves when a process resumes 1 ns
+// later.
+func TestDigestFollowsResumeTimes(t *testing.T) {
+	run := func(d Duration, on bool) uint64 {
+		e := New()
+		if on {
+			e.EnableDigest()
+		}
+		e.Go("sleeper", func(p *Proc) {
+			p.Sleep(d)
+			p.Sleep(d)
+		})
+		e.Run()
+		e.DigestFrame("a", "b", 64)
+		return e.Digest()
+	}
+	if got := run(5, false); got != 0 {
+		t.Fatalf("digest off reads %x, want 0", got)
+	}
+	base := run(5, true)
+	if again := run(5, true); again != base {
+		t.Fatalf("digest not stable: %x then %x", base, again)
+	}
+	if moved := run(6, true); moved == base {
+		t.Fatal("a later resume left the digest unchanged")
+	}
+}
