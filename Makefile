@@ -147,18 +147,23 @@ dca:
 simd:
 	$(GO) test -race -count=1 ./internal/simd ./cmd/omxsimd
 
-# The event-core allocation gate: the calendar-queue benchmark must
-# report exactly 0 allocs/op in steady state, or the zero-allocation
-# claim (and with it the 512-rank CI budget) has regressed.
+# The allocation gate: the calendar-queue benchmark and the CPU-charge
+# benchmark (a process charging a core through RunOn and RunOnDyn)
+# must each report exactly 0 allocs/op in steady state, or the
+# zero-allocation claim (and with it the 512-rank CI budget) has
+# regressed.
 benchalloc:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEventCoreCalendar' -benchmem ./sim); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkEventCoreCalendar/ {print $$(NF-1)}'); \
-	if [ -z "$$allocs" ]; then echo "benchalloc: benchmark did not run" >&2; exit 1; fi; \
-	if [ "$$allocs" != "0" ]; then \
-		echo "benchalloc: event core steady state allocates $$allocs allocs/op, want 0" >&2; \
-		exit 1; \
-	fi
+	@check() { \
+		out=$$($(GO) test -run '^$$' -bench "^$$1$$" -benchmem $$2); \
+		echo "$$out"; \
+		allocs=$$(echo "$$out" | awk -v b="$$1" '$$1 ~ "^"b {print $$(NF-1)}'); \
+		if [ -z "$$allocs" ]; then echo "benchalloc: $$1 did not run" >&2; exit 1; fi; \
+		if [ "$$allocs" != "0" ]; then \
+			echo "benchalloc: $$1 allocates $$allocs allocs/op in steady state, want 0" >&2; \
+			exit 1; \
+		fi; \
+	}; \
+	check BenchmarkEventCoreCalendar ./sim && check BenchmarkRunOn ./internal/cpu
 
 # Run every committed godoc example (they are living documentation
 # with verified Output comments).

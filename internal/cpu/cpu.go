@@ -80,12 +80,21 @@ func priorityOf(c Category) priority {
 	}
 }
 
-// task is one unit of queued work.
+// task is one unit of queued work. Tasks are pooled per core: finish
+// returns each one to its core's free list once it retires, so the
+// steady-state CPU charge allocates nothing.
 type task struct {
+	c   *Core
 	cat Category
 	dur sim.Duration // fixed duration (dyn == nil)
 	fn  func()       // completion callback
 	dyn func(finish func(extra sim.Duration))
+	p   *sim.Proc // RunOn/RunOnDyn caller, unparked when the work completes
+	// done is the finish callback handed to dyn: t.finishDyn, bound
+	// once when the task is first built.
+	done     func(extra sim.Duration)
+	finished bool  // dyn: done was called since the last dispatch
+	next     *task // free-list link
 }
 
 // Core is one processor core: a serial resource executing tasks.
@@ -97,6 +106,11 @@ type Core struct {
 	busyNs  [numCategories]sim.Duration
 	totalNs sim.Duration
 	started sim.Time // start of current task, for dyn accounting
+	cur     *task    // the executing task (a core runs one at a time)
+	free    *task    // retired tasks, reused by newTask
+	// finishCur is c.finish bound once in NewSystem: the event every
+	// task retires through.
+	finishCur func()
 }
 
 // System is the set of cores of one host.
@@ -114,7 +128,9 @@ type System struct {
 func NewSystem(e *sim.Engine, p *platform.Platform) *System {
 	s := &System{E: e, P: p}
 	for i := 0; i < p.NumCores(); i++ {
-		s.Cores = append(s.Cores, &Core{sys: s, ID: i})
+		c := &Core{sys: s, ID: i}
+		c.finishCur = c.finish
+		s.Cores = append(s.Cores, c)
 	}
 	return s
 }
@@ -271,10 +287,7 @@ func (c *Core) BusyNs(cat Category) sim.Duration { return c.busyNs[cat] }
 // priority runs before process-priority work but never interrupts a
 // task in progress.
 func (c *Core) Exec(cat Category, d sim.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("cpu: negative duration %d", d))
-	}
-	c.enqueue(&task{cat: cat, dur: d, fn: fn})
+	c.enqueue(c.fixedTask(cat, d, fn))
 }
 
 // ExecDyn queues work whose duration is not known in advance: when the
@@ -283,7 +296,34 @@ func (c *Core) Exec(cat Category, d sim.Duration, fn func()) {
 // wall time plus extra is accounted to cat. This models busy-polling a
 // completion whose arrival time depends on other simulated hardware.
 func (c *Core) ExecDyn(cat Category, run func(finish func(extra sim.Duration))) {
-	c.enqueue(&task{cat: cat, dyn: run})
+	t := c.newTask(cat)
+	t.dyn = run
+	c.enqueue(t)
+}
+
+// newTask takes a task from the core's free list, or builds one.
+func (c *Core) newTask(cat Category) *task {
+	t := c.free
+	if t == nil {
+		t = &task{c: c}
+		t.done = t.finishDyn
+	} else {
+		c.free = t.next
+		t.next = nil
+	}
+	t.cat = cat
+	return t
+}
+
+// fixedTask is newTask for fixed-duration work.
+func (c *Core) fixedTask(cat Category, d sim.Duration, fn func()) *task {
+	if d < 0 {
+		panic(fmt.Sprintf("cpu: negative duration %d", d))
+	}
+	t := c.newTask(cat)
+	t.dur = d
+	t.fn = fn
+	return t
 }
 
 func (c *Core) enqueue(t *task) {
@@ -301,6 +341,7 @@ func (c *Core) dispatch() {
 		if len(c.queues[p]) > 0 {
 			t = c.queues[p][0]
 			copy(c.queues[p], c.queues[p][1:])
+			c.queues[p][len(c.queues[p])-1] = nil
 			c.queues[p] = c.queues[p][:len(c.queues[p])-1]
 			break
 		}
@@ -309,63 +350,79 @@ func (c *Core) dispatch() {
 		return
 	}
 	c.busy = true
+	c.cur = t
 	c.started = c.sys.E.Now()
 	if t.dyn != nil {
-		finished := false
-		t.dyn(func(extra sim.Duration) {
-			if finished {
-				panic("cpu: finish called twice")
-			}
-			finished = true
-			if extra > 0 {
-				c.sys.E.Schedule(extra, func() { c.finish(t) })
-			} else {
-				c.finish(t)
-			}
-		})
+		t.finished = false
+		t.dyn(t.done)
 		return
 	}
-	c.sys.E.Schedule(t.dur, func() { c.finish(t) })
+	c.sys.E.Schedule(t.dur, c.finishCur)
 }
 
-func (c *Core) finish(t *task) {
+// finishDyn is the finish callback of a dynamic task: the core retires
+// the task after extra more busy time. A RunOnDyn caller is woken by
+// an event of its own, filed for the same instant but strictly after
+// the core retires the task.
+func (t *task) finishDyn(extra sim.Duration) {
+	if t.finished {
+		panic("cpu: finish called twice")
+	}
+	t.finished = true
+	c, p := t.c, t.p
+	t.p = nil
+	if extra > 0 {
+		c.sys.E.Schedule(extra, c.finishCur)
+	} else {
+		c.finish()
+	}
+	if p != nil {
+		p.UnparkAfter(extra)
+	}
+}
+
+// finish retires the current task: it accounts the busy time, runs the
+// completion callback, unparks a RunOn caller, recycles the task and
+// starts the next one.
+func (c *Core) finish() {
+	t := c.cur
 	elapsed := c.sys.E.Now() - c.started
 	c.busyNs[t.cat] += elapsed
 	c.totalNs += elapsed
 	c.busy = false
+	c.cur = nil
 	if t.fn != nil {
 		t.fn()
 	}
+	if t.p != nil {
+		t.p.Unpark()
+	}
+	t.fn, t.dyn, t.p = nil, nil, nil
+	t.next = c.free
+	c.free = t
 	if !c.busy { // fn may have queued and started new work synchronously
 		c.dispatch()
 	}
 }
 
 // RunOn executes fixed-duration work on the core from process context:
-// the calling Proc blocks until the work completes (including any queue
+// the calling Proc parks until the work completes (including any queue
 // wait). This is how user processes spend CPU time.
 func (c *Core) RunOn(p *sim.Proc, cat Category, d sim.Duration) {
-	done := sim.NewSignal()
-	fin := false
-	c.Exec(cat, d, func() { fin = true; done.Broadcast() })
-	p.WaitFor(done, func() bool { return fin })
+	t := c.fixedTask(cat, d, nil)
+	t.p = p
+	c.enqueue(t)
+	p.Park()
 }
 
 // RunOnDyn executes dynamic-duration work (see ExecDyn) from process
-// context, blocking the calling Proc until it completes. It models a
+// context, parking the calling Proc until it completes. It models a
 // process busy-polling some hardware condition: the core is occupied
 // (and accounted) for the full duration.
 func (c *Core) RunOnDyn(p *sim.Proc, cat Category, run func(finish func(extra sim.Duration))) {
-	done := sim.NewSignal()
-	fin := false
-	c.ExecDyn(cat, func(finish func(extra sim.Duration)) {
-		run(func(extra sim.Duration) {
-			// finish(extra) keeps the core busy (and accounted) for
-			// extra; our wake is scheduled for the same instant but
-			// strictly after the core retires the task.
-			finish(extra)
-			c.sys.E.Schedule(extra, func() { fin = true; done.Broadcast() })
-		})
-	})
-	p.WaitFor(done, func() bool { return fin })
+	t := c.newTask(cat)
+	t.dyn = run
+	t.p = p
+	c.enqueue(t)
+	p.Park()
 }

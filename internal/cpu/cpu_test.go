@@ -302,3 +302,55 @@ func TestSnapshotDeterministicRender(t *testing.T) {
 		t.Fatalf("render has %d lines, want 4:\n%s", got, out)
 	}
 }
+
+// chargeLoop starts a proc that charges the core forever: RunOn for
+// 10 ns, then a RunOnDyn that finishes at once, then one that keeps
+// the core 5 ns longer (15 ns of virtual time per round).
+func chargeLoop(e *sim.Engine, c *Core) {
+	now := func(finish func(extra sim.Duration)) { finish(0) }
+	later := func(finish func(extra sim.Duration)) { finish(5) }
+	e.Go("charger", func(p *sim.Proc) {
+		for {
+			c.RunOn(p, UserLib, 10)
+			c.RunOnDyn(p, BHCopy, now)
+			c.RunOnDyn(p, BHCopy, later)
+		}
+	})
+}
+
+// TestRunOnZeroAllocSteadyState: once the task free list, the event
+// pool and the wheel buckets are warm, a process charging the core
+// through RunOn and RunOnDyn allocates nothing — no Signal, no
+// closures, no task per charge.
+func TestRunOnZeroAllocSteadyState(t *testing.T) {
+	e, s := newSys()
+	defer e.Close()
+	c := s.Core(0)
+	chargeLoop(e, c)
+	round := func() { e.RunUntil(e.Now() + sim.Microsecond) }
+	// Warm-up: sweep the event wheel's full 262 µs horizon twice.
+	for i := 0; i < 600; i++ {
+		round()
+	}
+	before := c.BusyNs(UserLib)
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("RunOn/RunOnDyn steady state allocated %.1f allocs/op, want 0", allocs)
+	}
+	if c.BusyNs(UserLib) == before {
+		t.Fatal("charger made no progress while measured")
+	}
+}
+
+// BenchmarkRunOn is one round of chargeLoop: a RunOn and two RunOnDyn
+// charges, each a full proc handoff. `make benchalloc` fails unless it
+// reports 0 allocs/op.
+func BenchmarkRunOn(b *testing.B) {
+	e, s := newSys()
+	chargeLoop(e, s.Core(0))
+	e.RunUntil(e.Now() + 600*sim.Microsecond) // warm-up, as in the test
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunUntil(e.Now() + sim.Duration(b.N)*15)
+	b.StopTimer()
+	e.Close()
+}

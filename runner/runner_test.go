@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"omxsim/sim"
 )
 
 // TestWorkerPoolSizing: a pool caps concurrency at Workers, defaults
@@ -408,5 +410,40 @@ func TestRunWithProgress(t *testing.T) {
 	// A nil sink is exactly Run.
 	if rs := p.RunWithProgress(nil, jobs...); len(rs) != len(jobs) {
 		t.Errorf("nil-sink run returned %d results, want %d", len(rs), len(jobs))
+	}
+}
+
+// TestProcPanicFailsJobOnly: a panic inside a simulated process
+// reaches the engine's caller (see sim.ProcPanic), so the runner
+// captures it as that job's error instead of the process crashing,
+// and the other jobs of the sweep still finish.
+func TestProcPanicFailsJobOnly(t *testing.T) {
+	sweep := func(panics bool) Job {
+		return Job{Label: fmt.Sprintf("panics=%v", panics), Run: func() (any, error) {
+			e := sim.New()
+			defer e.Close()
+			e.Go("rank", func(p *sim.Proc) {
+				p.Sleep(10)
+				if panics {
+					panic("model bug")
+				}
+			})
+			e.Run()
+			return e.Now(), nil
+		}}
+	}
+	res := New(Options{Workers: 2}).Run(sweep(false), sweep(true), sweep(false))
+	for _, i := range []int{0, 2} {
+		if res[i].Err != nil || res[i].Value != sim.Time(10) {
+			t.Errorf("job %d: value %v, err %v; want 10ns, nil", i, res[i].Value, res[i].Err)
+		}
+	}
+	var pe *PanicError
+	if !errors.As(res[1].Err, &pe) {
+		t.Fatalf("job 1 err = %v, want a *PanicError", res[1].Err)
+	}
+	pp, ok := pe.Value.(*sim.ProcPanic)
+	if !ok || pp.Value != "model bug" {
+		t.Fatalf("captured panic %#v, want a *sim.ProcPanic of \"model bug\"", pe.Value)
 	}
 }

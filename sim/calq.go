@@ -48,16 +48,27 @@ type event struct {
 	seq  uint64
 	fn   func()
 	proc *Proc
-	// wakeup distinguishes the two closure-free proc event kinds: a
-	// wake event runs proc.wake (the timer half of Sleep/Yield, which
-	// itself files a step event), a step event resumes the goroutine.
-	// Keeping both hops preserves the exact event interleaving of the
-	// original closure-based engine, so trajectories are bit-identical.
-	wakeup    bool
+	// kind distinguishes the closure-free proc events (see procKind).
+	kind      procKind
 	gen       uint32 // bumped on recycle; Timers holding an older gen are stale
 	cancelled bool
 	next      *event // freelist link
 }
+
+// procKind is the kind of a closure-free proc event. A wake event runs
+// proc.wake (the timer half of Sleep/Yield, which itself files a step
+// event), a step event resumes the goroutine, an unpark event runs
+// proc.Unpark (a CPU charge that retires after a delay). Keeping the
+// wake and step hops separate preserves the exact event interleaving
+// of the original closure-based engine, so trajectories are
+// bit-identical.
+type procKind uint8
+
+const (
+	procStep procKind = iota
+	procWake
+	procUnpark
+)
 
 // before reports whether e fires before o in the engine's total order.
 func (e *event) before(o *event) bool {
@@ -106,7 +117,7 @@ func (q *calq) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.proc = nil
-	ev.wakeup = false
+	ev.kind = procStep
 	ev.cancelled = false
 	ev.next = q.free
 	q.free = ev

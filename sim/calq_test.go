@@ -243,7 +243,7 @@ func TestWakeEventZeroAllocSteadyState(t *testing.T) {
 	e := New()
 	churn := func() {
 		for i := 0; i < 64; i++ {
-			e.scheduleWake(Duration(i%97), nil)
+			e.scheduleProc(Duration(i%97), nil, procWake)
 		}
 		for i := 0; i < 64; i++ {
 			ev := e.q.pop()

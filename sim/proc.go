@@ -1,29 +1,62 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // Proc is a simulated process: a goroutine that runs in lock-step with
 // the engine. At most one Proc (or the engine itself) executes at any
 // real-time moment, which keeps the whole simulation deterministic and
 // lock-free.
 //
+// A handoff is one channel send each way: step sends on resume and
+// waits on yield, block sends on yield and waits on resume. Close
+// aborts a parked process the same way, by setting the engine's
+// closing flag and sending on resume; the process then unwinds with
+// procAbort, whether it is parked in block or has never started.
+//
 // A Proc advances simulated time only through the blocking helpers
-// (Sleep, Signal.Wait, ...). Plain Go computation inside a Proc takes
-// zero simulated time.
+// (Sleep, Signal.Wait, Park, ...). Plain Go computation inside a Proc
+// takes zero simulated time.
 type Proc struct {
 	e        *Engine
 	name     string
 	id       uint64 // creation index on the engine (folded into the digest)
 	resume   chan struct{}
 	yield    chan struct{}
-	dead     chan struct{} // closed by Engine.Close to abort the goroutine
-	woken    bool          // a wake event is already scheduled
-	finished bool          // goroutine has exited; step becomes a no-op
-	daemon   bool          // service loop: excluded from deadlock accounting
+	woken    bool       // a wake event is already scheduled
+	parked   bool       // waiting in Park for Unpark
+	finished bool       // goroutine has exited; step becomes a no-op
+	daemon   bool       // service loop: excluded from deadlock accounting
+	panicked *ProcPanic // the body's panic, re-raised by step
 }
 
 // procAbort is the panic value used to unwind an aborted Proc.
 type procAbort struct{}
+
+// ProcPanic is what the engine re-raises when a process body panics.
+// The panic crosses from the process goroutine to the goroutine that
+// drives the engine, so it reaches the caller of Engine.Run (and a
+// runner job's panic capture) instead of killing the program.
+type ProcPanic struct {
+	// Proc is the name of the panicking process.
+	Proc string
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the process goroutine's stack at the panic.
+	Stack []byte
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked: %v", pp.Proc, pp.Value)
+}
+
+// Unwrap returns the panic value when it is an error.
+func (pp *ProcPanic) Unwrap() error {
+	err, _ := pp.Value.(error)
+	return err
+}
 
 // Go starts fn as a new simulated process. fn begins executing at the
 // current simulated time (as a scheduled event). The call returns
@@ -35,33 +68,36 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		id:     e.nprocs,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
-		dead:   make(chan struct{}),
 	}
 	e.nprocs++
 	e.procs[p] = struct{}{}
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procAbort); !ok {
-					panic(r)
-				}
-			}
-			delete(e.procs, p)
-			if p.daemon {
-				e.daemons--
-			}
-			p.finished = true
-			p.yield <- struct{}{}
-		}()
-		select {
-		case <-p.resume:
-		case <-p.dead:
+		defer p.exit()
+		<-p.resume
+		if e.closing {
 			panic(procAbort{})
 		}
 		fn(p)
 	}()
-	e.scheduleStep(0, p)
+	e.scheduleProc(0, p, procStep)
 	return p
+}
+
+// exit retires the process goroutine: it stashes a panic for step to
+// re-raise, drops the process from the engine and hands control back
+// for the last time.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(procAbort); !ok {
+			p.panicked = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+	}
+	delete(p.e.procs, p)
+	if p.daemon {
+		p.e.daemons--
+	}
+	p.finished = true
+	p.yield <- struct{}{}
 }
 
 // GoDaemon starts fn as a daemon process: a service loop (a NIC bottom
@@ -81,7 +117,8 @@ func (p *Proc) Daemon() bool { return p.daemon }
 
 // step transfers control to the process goroutine and waits for it to
 // block or finish. Called only from engine context. A step on a
-// finished process is a no-op (stale wake events are harmless).
+// finished process is a no-op (stale wake events are harmless). If the
+// body panicked, step re-raises the panic as a *ProcPanic.
 func (p *Proc) step() {
 	if p.finished {
 		return
@@ -91,15 +128,20 @@ func (p *Proc) step() {
 	}
 	p.resume <- struct{}{}
 	<-p.yield
+	if pp := p.panicked; pp != nil {
+		p.panicked = nil
+		panic(pp)
+	}
 }
 
-// abort unwinds the process goroutine. Called from Engine.Close, always
-// while the process is parked (waiting on resume or dead).
+// abort unwinds the process goroutine. Called from Engine.Close, after
+// it sets closing, and always while the process is parked in block or
+// not yet started.
 func (p *Proc) abort() {
 	if p.finished {
 		return
 	}
-	close(p.dead)
+	p.resume <- struct{}{}
 	<-p.yield
 }
 
@@ -107,15 +149,40 @@ func (p *Proc) abort() {
 // from process context.
 func (p *Proc) block() {
 	p.yield <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-p.dead:
-		panic(procAbort{})
-	}
+	<-p.resume
 	if p.e.closing {
 		panic(procAbort{})
 	}
 }
+
+// Park suspends the process until Unpark. It is a completion slot the
+// process owns, for a wait with exactly one waker that holds the
+// process (a CPU charge waiting for its task to retire): no Signal,
+// no condition closure. A wake for any other reason re-parks. Called
+// only from process context.
+func (p *Proc) Park() {
+	p.parked = true
+	for p.parked {
+		p.block()
+	}
+}
+
+// Unpark ends a Park: it clears the slot and schedules the process to
+// continue at the current simulated time, filing the same step event a
+// Signal.Broadcast to a lone waiter would. It does nothing when the
+// process is not parked. Safe to call from engine context or from
+// another process.
+func (p *Proc) Unpark() {
+	if !p.parked {
+		return
+	}
+	p.parked = false
+	p.wake()
+}
+
+// UnparkAfter files an event that calls Unpark after d: the
+// closure-free equivalent of Schedule(d, p.Unpark).
+func (p *Proc) UnparkAfter(d Duration) { p.e.scheduleProc(d, p, procUnpark) }
 
 // wake schedules the process to continue at the current simulated time.
 // It is idempotent until the process actually runs. Safe to call from
@@ -130,7 +197,7 @@ func (p *Proc) wake() {
 		return
 	}
 	p.woken = true
-	p.e.scheduleStep(0, p)
+	p.e.scheduleProc(0, p, procStep)
 }
 
 // Engine returns the engine this process runs on.
@@ -147,14 +214,14 @@ func (p *Proc) Sleep(d Duration) {
 	if d <= 0 {
 		return
 	}
-	p.e.scheduleWake(d, p)
+	p.e.scheduleProc(d, p, procWake)
 	p.block()
 }
 
 // Yield gives other events scheduled at the current instant a chance to
 // run before the process continues.
 func (p *Proc) Yield() {
-	p.e.scheduleWake(0, p)
+	p.e.scheduleProc(0, p, procWake)
 	p.block()
 }
 

@@ -131,27 +131,16 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	return Timer{e: e, ev: ev, gen: ev.gen}
 }
 
-// scheduleStep files a process-step event: when it fires, p resumes.
-// No closure is built, so the Sleep/Yield/wake hot path is
-// allocation-free.
-func (e *Engine) scheduleStep(delay Duration, p *Proc) {
+// scheduleProc files a closure-free process event of the given kind
+// after delay. No closure is built, so the Sleep/Yield/wake/Unpark hot
+// path is allocation-free.
+func (e *Engine) scheduleProc(delay Duration, p *Proc, kind procKind) {
 	if delay < 0 {
 		delay = 0
 	}
 	ev := e.push(e.now + delay)
 	ev.proc = p
-}
-
-// scheduleWake files a process-wake event: when it fires, p.wake runs
-// (which in turn files the step event). This is the closure-free
-// equivalent of the original Schedule(d, p.wake).
-func (e *Engine) scheduleWake(delay Duration, p *Proc) {
-	if delay < 0 {
-		delay = 0
-	}
-	ev := e.push(e.now + delay)
-	ev.proc = p
-	ev.wakeup = true
+	ev.kind = kind
 }
 
 // push allocates a pooled event at absolute time t (clamped to now)
@@ -176,17 +165,19 @@ func (e *Engine) Pending() int { return e.live }
 // to the pool before the callback runs, so callbacks that immediately
 // reschedule reuse the hot slot.
 func (e *Engine) fire(ev *event) {
-	fn, p, wakeup := ev.fn, ev.proc, ev.wakeup
+	fn, p, kind := ev.fn, ev.proc, ev.kind
 	e.q.recycle(ev)
 	e.live--
 	switch {
-	case p != nil && wakeup:
+	case p == nil:
+		fn()
+	case kind == procWake:
 		p.wake()
-	case p != nil:
+	case kind == procUnpark:
+		p.Unpark()
+	default:
 		p.woken = false
 		p.step()
-	default:
-		fn()
 	}
 }
 
@@ -252,10 +243,11 @@ func (e *Engine) BlockedProcs() []string {
 // started with GoDaemon that legitimately never exit).
 func (e *Engine) Daemons() int { return e.daemons }
 
-// Close aborts all live processes so their goroutines exit. The engine
-// must not be used afterwards. It is safe to call on a fully drained
-// engine (it is then a no-op) and is intended for tests and for
-// tearing down deadlocked simulations.
+// Close aborts all live processes so their goroutines exit: it sets
+// closing and resumes each parked process, which unwinds instead of
+// continuing. The engine must not be used afterwards. It is safe to
+// call on a fully drained engine (it is then a no-op) and is intended
+// for tests and for tearing down deadlocked simulations.
 func (e *Engine) Close() {
 	e.closing = true
 	for p := range e.procs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -394,5 +395,119 @@ func TestDigestFollowsResumeTimes(t *testing.T) {
 	}
 	if moved := run(6, true); moved == base {
 		t.Fatal("a later resume left the digest unchanged")
+	}
+}
+
+// TestParkSpuriousWakeReparks: Park returns only on Unpark. A wake for
+// any other reason re-parks the process.
+func TestParkSpuriousWakeReparks(t *testing.T) {
+	e := New()
+	resumed := Time(-1)
+	p := e.Go("parker", func(p *Proc) {
+		p.Park()
+		resumed = p.Now()
+	})
+	e.Schedule(10, func() { p.wake() })
+	e.Schedule(20, func() { p.Unpark() })
+	if n := e.Run(); n != 0 {
+		t.Fatalf("Run left %d procs blocked", n)
+	}
+	if resumed != 20 {
+		t.Fatalf("Park returned at %v, want 20 (the Unpark)", resumed)
+	}
+}
+
+// TestUnparkNotParkedIsNoop: Unpark of a process that is not parked
+// (here: sleeping) files nothing and ends no wait.
+func TestUnparkNotParkedIsNoop(t *testing.T) {
+	e := New()
+	var woke []Time
+	p := e.Go("sleeper", func(p *Proc) {
+		p.Sleep(10)
+		woke = append(woke, p.Now())
+		p.Sleep(10)
+		woke = append(woke, p.Now())
+	})
+	e.Schedule(5, func() {
+		pending := e.Pending()
+		p.Unpark()
+		if e.Pending() != pending {
+			t.Error("Unpark of a sleeping proc filed an event")
+		}
+	})
+	e.Run()
+	if len(woke) != 2 || woke[0] != 10 || woke[1] != 20 {
+		t.Fatalf("sleeps ended at %v, want [10 20]", woke)
+	}
+}
+
+// TestUnparkAfter: the delayed unpark resumes the process d later.
+func TestUnparkAfter(t *testing.T) {
+	e := New()
+	resumed := Time(-1)
+	p := e.Go("parker", func(p *Proc) {
+		p.Park()
+		resumed = p.Now()
+	})
+	e.Schedule(3, func() { p.UnparkAfter(12) })
+	e.Run()
+	if resumed != 15 {
+		t.Fatalf("Park returned at %v, want 15", resumed)
+	}
+}
+
+// TestCloseParkedProc: Close unwinds a process parked in Park; its body
+// does not continue.
+func TestCloseParkedProc(t *testing.T) {
+	e := New()
+	continued := false
+	e.Go("parked", func(p *Proc) {
+		p.Park()
+		continued = true
+	})
+	if n := e.Run(); n != 1 {
+		t.Fatalf("Run = %d, want 1 blocked proc", n)
+	}
+	e.Close()
+	if continued {
+		t.Fatal("body ran past Park after Close")
+	}
+	if len(e.BlockedProcs()) != 0 {
+		t.Fatal("procs survived Close")
+	}
+}
+
+// TestProcPanicReachesRun: a panic in a process body is re-raised to
+// the caller of Run as a *ProcPanic carrying the value and the
+// process's stack, at the virtual time it happened; Close then unwinds
+// the processes still parked.
+func TestProcPanicReachesRun(t *testing.T) {
+	e := New()
+	e.Go("ok", func(p *Proc) { p.Sleep(100) })
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	pp, ok := got.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run raised %#v, want a *ProcPanic", got)
+	}
+	if pp.Proc != "bad" || pp.Value != "boom" {
+		t.Fatalf("ProcPanic = %q/%v, want bad/boom", pp.Proc, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "TestProcPanicReachesRun") {
+		t.Fatalf("stack does not show the panicking body:\n%s", pp.Stack)
+	}
+	if e.Now() != 5 {
+		t.Fatalf("panic surfaced at %v, want 5", e.Now())
+	}
+	e.Close()
+	if len(e.BlockedProcs()) != 0 {
+		t.Fatal("procs survived Close")
 	}
 }
