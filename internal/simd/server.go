@@ -31,6 +31,7 @@ package simd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -47,6 +48,18 @@ import (
 // DefaultQuota is the per-tenant concurrent-job limit when Config
 // leaves it zero.
 const DefaultQuota = 4
+
+// Bounds on what one client can hold of the service.
+const (
+	// maxBodyBytes caps a JSON request body; a larger one gets 413.
+	// The largest legitimate body, a topology spec, is a few kB.
+	maxBodyBytes = 1 << 20
+	// readHeaderTimeout closes a connection that has not sent its
+	// request headers in time.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection idle this long.
+	idleTimeout = 2 * time.Minute
+)
 
 // Config configures a Server.
 type Config struct {
@@ -127,7 +140,11 @@ func NewServer(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/tenants/{tenant}/jobs/{id}/result", s.handleJobResult)
 	mux.HandleFunc("GET /v1/tenants/{tenant}/jobs/{id}/trace", s.handleJobTrace)
 	s.handler = s.withRequestLog(mux)
-	s.hs = &http.Server{Handler: s.handler}
+	s.hs = &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
 
@@ -164,6 +181,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // --- helpers ---
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it writes the response itself (413
+// for an oversize body, 400 for a malformed one) and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		s.error(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	default:
+		s.error(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -256,8 +290,7 @@ func (s *Server) handleClusterCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req clusterCreateReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.error(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if !validName(req.Name) {
@@ -339,8 +372,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.error(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &spec) {
 		return
 	}
 	var topo TopologySpec
