@@ -45,7 +45,7 @@ func (s Section) Digest() uint64 { return s.digest(0) }
 func (s Section) digest(workers int) uint64 {
 	defer setPool(setPool(runner.New(runner.Options{Workers: workers})))
 	stop := sim.CollectDigests()
-	defer stop()
+	defer stop() // ends the collection if the render panics
 	s.render(false)
 	return stop()
 }

@@ -52,12 +52,6 @@ func (pp *ProcPanic) Error() string {
 	return fmt.Sprintf("sim: proc %q panicked: %v", pp.Proc, pp.Value)
 }
 
-// Unwrap returns the panic value when it is an error.
-func (pp *ProcPanic) Unwrap() error {
-	err, _ := pp.Value.(error)
-	return err
-}
-
 // Go starts fn as a new simulated process. fn begins executing at the
 // current simulated time (as a scheduled event). The call returns
 // immediately; the process body runs when the engine reaches it.
