@@ -147,11 +147,12 @@ dca:
 simd:
 	$(GO) test -race -count=1 ./internal/simd ./cmd/omxsimd
 
-# The allocation gate: the calendar-queue benchmark and the CPU-charge
-# benchmark (a process charging a core through RunOn and RunOnDyn)
-# must each report exactly 0 allocs/op in steady state, or the
-# zero-allocation claim (and with it the 512-rank CI budget) has
-# regressed.
+# The allocation gate: the calendar-queue benchmark, the proc-handoff
+# benchmark (procs alternating through Signals, and a proc resuming
+# itself from Sleep) and the CPU-charge benchmark (a process charging
+# a core through RunOn and RunOnDyn) must each report exactly 0
+# allocs/op in steady state, or the zero-allocation claim (and with
+# it the 512-rank CI budget) has regressed.
 benchalloc:
 	@check() { \
 		out=$$($(GO) test -run '^$$' -bench "^$$1$$" -benchmem $$2); \
@@ -163,7 +164,8 @@ benchalloc:
 			exit 1; \
 		fi; \
 	}; \
-	check BenchmarkEventCoreCalendar ./sim && check BenchmarkRunOn ./internal/cpu
+	check BenchmarkEventCoreCalendar ./sim && check BenchmarkProcHandoff ./sim && \
+		check BenchmarkRunOn ./internal/cpu
 
 # Run every committed godoc example (they are living documentation
 # with verified Output comments).

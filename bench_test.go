@@ -2,15 +2,12 @@ package omxsim
 
 // Benchmarks of the simulator itself. Figure benchmarks are gone: the
 // golden rendering (figures/testdata/omxsim-all.golden) already pins
-// every figure's headline values, and after its first sample a figure
-// benchmark only timed the process-wide runner cache. What remains:
+// every figure's headline values, including the Section IV-A
+// microbenchmarks, and after its first sample a figure benchmark only
+// timed the process-wide runner cache. What remains runs uncached:
 //
-//   - BenchmarkMicroNumbers regenerates the Section IV-A
-//     microbenchmarks (submission cost, copy rates, break-even sizes);
-//     its copy-engine probes are runner jobs, cached after the first
-//     sample like the figures;
-//   - BenchmarkTimeline regenerates the Figure 5/6 traces, uncached
-//     (cost sanity for the tracing hooks);
+//   - BenchmarkTimeline regenerates the Figure 5/6 traces (cost
+//     sanity for the tracing hooks);
 //   - the BenchmarkIMBSweep* pair runs a 12-point IMB sweep on
 //     uncached private pools, serial versus parallel.
 //
@@ -29,18 +26,6 @@ import (
 	"omxsim/openmx"
 	"omxsim/runner"
 )
-
-// BenchmarkMicroNumbers regenerates the Section IV-A microbenchmarks
-// (submission cost, copy rates, offload break-even sizes).
-func BenchmarkMicroNumbers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := figures.MicroNumbers()
-		b.ReportMetric(m.SubmitNs, "submit-ns")
-		b.ReportMetric(m.MemcpyColdGiBps, "memcpy-GiB/s")
-		b.ReportMetric(m.IOAT4kGiBps, "ioat4k-GiB/s")
-		b.ReportMetric(float64(m.BreakEvenColdB), "breakeven-B")
-	}
-}
 
 // BenchmarkTimeline regenerates the Figure 5/6 traces (cost sanity
 // for the tracing hooks).

@@ -5,16 +5,27 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that runs in lock-step with
-// the engine. At most one Proc (or the engine itself) executes at any
-// real-time moment, which keeps the whole simulation deterministic and
-// lock-free.
+// Proc is a simulated process: a body that runs on a goroutine in
+// lock-step with the engine. At most one goroutine (the caller of Run
+// or a single Proc) executes at any real-time moment, which keeps the
+// whole simulation deterministic and lock-free.
 //
-// A handoff is one channel send each way: step sends on resume and
-// waits on yield, block sends on yield and waits on resume. Close
-// aborts a parked process the same way, by setting the engine's
-// closing flag and sending on resume; the process then unwinds with
-// procAbort, whether it is parked in block or has never started.
+// The goroutine that holds the baton runs the event loop. A proc that
+// blocks keeps the baton and fires events itself: callbacks, wake and
+// unpark events run inline, a step of its own process just returns
+// from block (no goroutine switch), and a step of another proc sends
+// that proc's resume channel and waits on its own (one switch). When
+// no event is left at or before the bound, the baton goes back to Run
+// over the engine's channel.
+//
+// Goroutines are pooled per engine. When a body is over, its goroutine
+// still holds the baton and goes on running the loop; once it hands
+// the baton on, it parks on the engine's free list and Go gives it the
+// next proc. Each Go makes a fresh *Proc, so a stale step event of a
+// finished proc still does nothing. Close aborts a parked process by
+// setting the engine's closing flag and resuming it; the process then
+// unwinds with procAbort, whether it is parked in block or has never
+// started.
 //
 // A Proc advances simulated time only through the blocking helpers
 // (Sleep, Signal.Wait, Park, ...). Plain Go computation inside a Proc
@@ -22,14 +33,13 @@ import (
 type Proc struct {
 	e        *Engine
 	name     string
-	id       uint64 // creation index on the engine (folded into the digest)
-	resume   chan struct{}
-	yield    chan struct{}
-	woken    bool       // a wake event is already scheduled
-	parked   bool       // waiting in Park for Unpark
-	finished bool       // goroutine has exited; step becomes a no-op
-	daemon   bool       // service loop: excluded from deadlock accounting
-	panicked *ProcPanic // the body's panic, re-raised by step
+	id       uint64        // creation index on the engine (folded into the digest)
+	body     func(p *Proc) // nil once the body has run
+	resume   chan *Proc    // the goroutine's channel: each receive runs this proc
+	woken    bool          // a wake event is already scheduled
+	parked   bool          // waiting in Park for Unpark
+	finished bool          // the body is over; step events become no-ops
+	daemon   bool          // service loop: excluded from deadlock accounting
 }
 
 // procAbort is the panic value used to unwind an aborted Proc.
@@ -54,44 +64,89 @@ func (pp *ProcPanic) Error() string {
 
 // Go starts fn as a new simulated process. fn begins executing at the
 // current simulated time (as a scheduled event). The call returns
-// immediately; the process body runs when the engine reaches it.
+// immediately; the process body runs when the engine reaches it, on a
+// pooled goroutine when one is parked.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		name:   name,
-		id:     e.nprocs,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+	p := &Proc{e: e, name: name, id: e.nprocs, body: fn}
+	if n := len(e.idle); n > 0 {
+		p.resume = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		p.resume = make(chan *Proc)
+		go e.work(p.resume)
 	}
 	e.nprocs++
 	e.procs[p] = struct{}{}
-	go func() {
-		defer p.exit()
-		<-p.resume
-		if e.closing {
-			panic(procAbort{})
-		}
-		fn(p)
-	}()
 	e.scheduleProc(0, p, procStep)
 	return p
 }
 
-// exit retires the process goroutine: it stashes a panic for step to
-// re-raise, drops the process from the engine and hands control back
-// for the last time.
-func (p *Proc) exit() {
-	if r := recover(); r != nil {
-		if _, ok := r.(procAbort); !ok {
-			p.panicked = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+// work is the body of a pooled goroutine. Each receive on resume
+// starts the proc Go gave it. When that body is over the goroutine
+// still holds the baton: it runs the loop until another goroutine must
+// run, parks itself on the free list and hands the baton on. A closed
+// resume retires the goroutine.
+func (e *Engine) work(resume chan *Proc) {
+	for p := range resume {
+		next, ok := p.run()
+		if !ok {
+			return
 		}
+		// Park only now: a Go fired by the loop above must not be
+		// given this goroutine while it still runs the loop.
+		e.idle = append(e.idle, resume)
+		e.pass(next)
 	}
+}
+
+// run runs the body and retires the process, then keeps the loop
+// going on this goroutine. It returns the proc the loop reached next
+// (nil: the baton goes back to Run), and false when the goroutine must
+// not be pooled; run has then passed the baton itself.
+func (p *Proc) run() (next *Proc, ok bool) {
+	e := p.e
+	returned := false
+	defer func() {
+		pp := p.retire(recover())
+		switch {
+		case e.closing:
+			// Close waits for the unwind; a panic on the way is dropped.
+			e.pass(nil)
+			next, ok = nil, false
+		case pp != nil:
+			e.caught = pp
+			next, ok = nil, true
+		case returned:
+			next, ok = e.nextGuarded(), true
+		default:
+			// runtime.Goexit (t.FailNow in a test's process) ends the
+			// goroutine: pass the baton on before it goes.
+			e.pass(e.nextGuarded())
+			next, ok = nil, false
+		}
+	}()
+	if !e.closing {
+		p.body(p)
+	}
+	returned = true
+	return nil, true
+}
+
+// retire drops the finished process from the engine and turns a panic
+// of its body into a *ProcPanic (nil when there was none, or when it
+// was the abort).
+func (p *Proc) retire(r any) *ProcPanic {
 	delete(p.e.procs, p)
 	if p.daemon {
 		p.e.daemons--
 	}
 	p.finished = true
-	p.yield <- struct{}{}
+	p.body = nil
+	if _, abort := r.(procAbort); r == nil || abort {
+		return nil
+	}
+	return &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 }
 
 // GoDaemon starts fn as a daemon process: a service loop (a NIC bottom
@@ -109,42 +164,20 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 // Daemon reports whether the process was started with GoDaemon.
 func (p *Proc) Daemon() bool { return p.daemon }
 
-// step transfers control to the process goroutine and waits for it to
-// block or finish. Called only from engine context. A step on a
-// finished process is a no-op (stale wake events are harmless). If the
-// body panicked, step re-raises the panic as a *ProcPanic.
-func (p *Proc) step() {
-	if p.finished {
-		return
-	}
-	if p.e.dig != nil {
-		p.e.digestResume(p)
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-	if pp := p.panicked; pp != nil {
-		p.panicked = nil
-		panic(pp)
-	}
-}
-
-// abort unwinds the process goroutine. Called from Engine.Close, after
-// it sets closing, and always while the process is parked in block or
-// not yet started.
-func (p *Proc) abort() {
-	if p.finished {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
-// block suspends the process until something calls wake. Called only
-// from process context.
+// block suspends the process until its next step event, running the
+// event loop on this goroutine meanwhile. Called only from process
+// context. A process unwinding from Close never runs the loop.
 func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.e.closing {
+	e := p.e
+	if !e.closing {
+		next := e.nextGuarded()
+		if next == p {
+			return
+		}
+		e.pass(next)
+		<-p.resume
+	}
+	if e.closing {
 		panic(procAbort{})
 	}
 }

@@ -10,9 +10,14 @@
 //   - callback style: Schedule(delay, fn) / At(t, fn), used by the
 //     hardware models (NICs, DMA engines, timers);
 //   - process style: Go(name, fn) starts a coroutine-like Proc that can
-//     Sleep, wait on Signals, and occupy simulated CPU cores. Exactly
-//     one goroutine (the engine or a single Proc) runs at any moment, so
-//     no locking is needed anywhere in the simulation.
+//     Sleep, wait on Signals, and occupy simulated CPU cores.
+//
+// One event loop pops and fires the events, and exactly one goroutine
+// runs it at any moment: the one that holds the baton. That is the
+// caller of Run or RunUntil, or a Proc blocked in Sleep, Wait or Park,
+// which fires events itself until its own step comes up. So no locking
+// is needed anywhere in the simulation, and a proc that resumes itself
+// costs no goroutine switch at all (see proc.go).
 //
 // The event queue is a calendar queue (timing wheel plus a far-future
 // heap, see calq.go) with pooled event records: the steady-state
@@ -101,13 +106,20 @@ type Engine struct {
 	daemons int    // live procs flagged as daemons
 	nprocs  uint64 // procs created so far; the next proc's creation index
 	closing bool
-	running bool
 	dig     *digest // event-order digest; nil when off (see digest.go)
+
+	until  Time          // the loop's bound: RunUntil's t, or maxTime for Run
+	baton  chan struct{} // hands the loop back to Run, RunUntil or Close
+	caught any           // a panic caught on a proc goroutine, re-raised by Run
+	idle   []chan *Proc  // parked pooled goroutines, each waiting for a proc
 }
+
+// maxTime is the bound of Run's loop: no event lies beyond it.
+const maxTime = Time(1<<63 - 1)
 
 // New returns a ready-to-use engine at time zero.
 func New() *Engine {
-	e := &Engine{procs: make(map[*Proc]struct{})}
+	e := &Engine{procs: make(map[*Proc]struct{}), baton: make(chan struct{})}
 	collectDigest(e)
 	return e
 }
@@ -161,67 +173,106 @@ func (e *Engine) push(t Time) *event {
 // Pending reports the number of live (non-cancelled) scheduled events.
 func (e *Engine) Pending() int { return e.live }
 
-// fire runs one popped event and recycles it. The record is returned
-// to the pool before the callback runs, so callbacks that immediately
-// reschedule reuse the hot slot.
-func (e *Engine) fire(ev *event) {
-	fn, p, kind := ev.fn, ev.proc, ev.kind
-	e.q.recycle(ev)
-	e.live--
-	switch {
-	case p == nil:
-		fn()
-	case kind == procWake:
-		p.wake()
-	case kind == procUnpark:
-		p.Unpark()
-	default:
-		p.woken = false
-		p.step()
+// next runs the event loop on the calling goroutine, which holds the
+// baton, until a step event of a live proc comes up, and returns that
+// proc. It returns nil when no event is left at or before the bound.
+// Each event record is returned to the pool before it fires, so a
+// callback that reschedules at once reuses the hot slot.
+func (e *Engine) next() *Proc {
+	for {
+		ev := e.q.pop()
+		if ev == nil {
+			return nil
+		}
+		if ev.at > e.until {
+			// Not due yet: put it back. Re-pushing keeps its (at, seq)
+			// key, so ordering is untouched.
+			e.q.push(ev)
+			return nil
+		}
+		e.now = ev.at
+		fn, p, kind := ev.fn, ev.proc, ev.kind
+		e.q.recycle(ev)
+		e.live--
+		switch {
+		case p == nil:
+			fn()
+		case kind == procWake:
+			p.wake()
+		case kind == procUnpark:
+			p.Unpark()
+		default:
+			p.woken = false
+			// A step of a finished proc is stale and does nothing.
+			if !p.finished {
+				if e.dig != nil {
+					e.digestResume(p)
+				}
+				return p
+			}
+		}
 	}
 }
 
-// step pops and runs the next event. It reports false when no runnable
-// event remains.
-func (e *Engine) step() bool {
-	ev := e.q.pop()
-	if ev == nil {
-		return false
+// nextGuarded is next for a proc goroutine. A callback that panics
+// there must not unwind the proc's body, so the panic is caught,
+// stored for Run to re-raise, and the baton goes back to Run.
+func (e *Engine) nextGuarded() (p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.caught = r
+			p = nil
+		}
+	}()
+	return e.next()
+}
+
+// pass hands the baton to p, or back to the goroutine waiting in Run,
+// RunUntil or Close when p is nil. The caller must not touch engine
+// state afterwards.
+func (e *Engine) pass(p *Proc) {
+	if p == nil {
+		e.baton <- struct{}{}
+	} else {
+		p.resume <- p
 	}
-	e.now = ev.at
-	e.fire(ev)
-	return true
+}
+
+// drive runs the loop up to until on the calling goroutine. When a
+// proc must run, drive hands it the baton and waits for the loop to
+// come back, which it does when no event is left at or before until,
+// or with a panic caught on a proc goroutine, which drive re-raises.
+func (e *Engine) drive(until Time) {
+	e.until = until
+	p := e.next()
+	if p == nil {
+		return
+	}
+	e.pass(p)
+	<-e.baton
+	if r := e.caught; r != nil {
+		e.caught = nil
+		panic(r)
+	}
 }
 
 // Run executes events until none remain, then returns the number of
 // processes still blocked, daemons excluded (0 means a clean fully
 // drained run; nonzero usually indicates a protocol deadlock in the
-// simulated program).
+// simulated program). When no process is left at all, the pooled
+// goroutines are released, so a finished engine holds none.
 func (e *Engine) Run() int {
-	e.running = true
-	for e.step() {
+	e.drive(maxTime)
+	if len(e.procs) == 0 {
+		e.release()
 	}
-	e.running = false
 	return len(e.procs) - e.daemons
 }
 
 // RunUntil executes events up to and including time t, leaving later
 // events pending. The clock is left at t.
 func (e *Engine) RunUntil(t Time) {
-	for {
-		next := e.q.pop()
-		if next == nil {
-			break
-		}
-		if next.at > t {
-			// Not due yet: put it back. Re-pushing keeps its (at, seq)
-			// key, so ordering is untouched.
-			e.q.push(next)
-			break
-		}
-		e.now = next.at
-		e.fire(next)
-	}
+	e.drive(t)
 	if e.now < t {
 		e.now = t
 	}
@@ -245,14 +296,26 @@ func (e *Engine) Daemons() int { return e.daemons }
 
 // Close aborts all live processes so their goroutines exit: it sets
 // closing and resumes each parked process, which unwinds instead of
-// continuing. The engine must not be used afterwards. It is safe to
-// call on a fully drained engine (it is then a no-op) and is intended
-// for tests and for tearing down deadlocked simulations.
+// continuing, then releases the pooled goroutines. The engine must not
+// be used afterwards. It is safe to call on a fully drained engine (it
+// is then a no-op) and is intended for tests and for tearing down
+// deadlocked simulations.
 func (e *Engine) Close() {
 	e.closing = true
 	for p := range e.procs {
-		p.abort()
+		e.pass(p)
+		<-e.baton
 	}
 	e.procs = map[*Proc]struct{}{}
 	e.daemons = 0
+	e.release()
+}
+
+// release retires the parked pooled goroutines.
+func (e *Engine) release() {
+	for i, resume := range e.idle {
+		close(resume)
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
 }
