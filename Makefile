@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
 .PHONY: all build test test-short race fmt fmt-check vet lint bench bench-ci \
-	golden golden-check digests stress multinic fattree nicoll adaptive benchalloc simd \
+	golden golden-check digests digests-full digests-full-check stress multinic fattree nicoll adaptive benchalloc simd \
 	dca examples linkcheck perfbench-test ci-fast ci-full
 
 all: build
@@ -71,6 +71,21 @@ DIGEST_SECTIONS = micro fig3 fig7 fig8 fig9 fig10 timeline nasis ablate dca
 digests:
 	for s in $(DIGEST_SECTIONS); do $(GO) run ./cmd/omxsim -digest $$s || exit 1; done \
 		> figures/testdata/digests.golden
+
+# The remaining sections' digests: too slow for the fast gate (nicoll
+# alone takes minutes), so ci-full re-renders them and diffs the whole
+# file (digests-full-check). One process per section, since a digest
+# collection is process-wide.
+DIGEST_FULL_SECTIONS = fig11 fig12 coll loss avail multinic fattree nicoll adaptive
+
+digests-full:
+	for s in $(DIGEST_FULL_SECTIONS); do $(GO) run ./cmd/omxsim -digest $$s || exit 1; done \
+		> figures/testdata/digests-full.golden
+
+digests-full-check:
+	for s in $(DIGEST_FULL_SECTIONS); do $(GO) run ./cmd/omxsim -digest $$s || exit 1; done \
+		> /tmp/digests-full.rendered
+	diff -u figures/testdata/digests-full.golden /tmp/digests-full.rendered
 
 # Long-run reliability battery: seeded message storms under network
 # impairment across all three stack pairings, plus the interop and
@@ -185,4 +200,4 @@ perfbench-test:
 
 ci-fast: build vet lint fmt-check examples linkcheck test-short perfbench-test
 
-ci-full: race stress multinic fattree nicoll adaptive benchalloc simd dca
+ci-full: race stress multinic fattree nicoll adaptive benchalloc simd dca digests-full-check

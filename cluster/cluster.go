@@ -328,7 +328,9 @@ func (h *Host) AllocOn(n, socket int) *Buffer {
 }
 
 // Bytes gives direct access to the payload. The first call allocates
-// the backing storage of a buffer nothing has written yet.
+// the backing storage of a buffer nothing has written yet. Use the
+// slice straight away and never keep it across a send (see
+// hostmem.Buffer.Bytes).
 func (b *Buffer) Bytes() []byte { return b.b.Bytes() }
 
 // Size reports the buffer length.

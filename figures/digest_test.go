@@ -42,6 +42,38 @@ func TestDigestsGolden(t *testing.T) {
 	}
 }
 
+// TestDigestFilesCoverEverySection: the cheap sections' digests
+// (re-checked above) and the expensive ones (re-checked by `make
+// digests-full-check` in ci-full) together name every section once.
+func TestDigestFilesCoverEverySection(t *testing.T) {
+	seen := make(map[string]string)
+	for _, file := range []string{"digests.golden", "digests-full.golden"} {
+		raw, err := os.ReadFile("testdata/" + file)
+		if err != nil {
+			t.Fatalf("reading committed digests: %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			name, hex, ok := strings.Cut(line, " ")
+			if !ok || len(hex) != 16 {
+				t.Fatalf("%s: malformed digest line %q", file, line)
+			}
+			if prev, dup := seen[name]; dup {
+				t.Fatalf("section %q has digest lines in %s and %s", name, prev, file)
+			}
+			seen[name] = file
+		}
+	}
+	for _, s := range Sections() {
+		if _, ok := seen[s.Name]; !ok {
+			t.Errorf("section %q has no committed digest", s.Name)
+		}
+		delete(seen, s.Name)
+	}
+	for name := range seen {
+		t.Errorf("digest line for unknown section %q", name)
+	}
+}
+
 // TestDigestSerialMatchesParallel: a section's digest combines the
 // digests of every world it built, whatever goroutine built it, so a
 // one-worker pool and a parallel one agree.

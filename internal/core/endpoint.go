@@ -622,8 +622,9 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 }
 
 // rndvSend starts a large-message send: pin the buffer (registration
-// cache permitting), register a sender handle, transmit the
-// rendezvous request.
+// cache permitting), lend it to the stack until the receiver's
+// RndvAck (pull replies carry views of it), register a sender handle,
+// transmit the rendezvous request.
 func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 	s := ep.S
 	tc := ep.txChan(r.dst)
@@ -631,6 +632,7 @@ func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + s.PinCost(r.buf, r.n, s.H.P.PinPerPage)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
+	r.buf.Lend()
 	s.nextHandle++
 	ls := &largeSend{handle: s.nextHandle, ep: ep, req: r, dst: r.dst, buf: r.buf, off: r.off, n: r.n, seq: r.seq, sentAt: p.Now()}
 	s.sends[ls.handle] = ls

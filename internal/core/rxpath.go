@@ -228,7 +228,8 @@ func (s *Stack) rxRndv(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvR
 }
 
 // rxPull runs on the data sender: build the requested fragments as
-// zero-copy skbuffs referencing the pinned user pages, and transmit.
+// zero-copy skbuffs referencing the pinned user pages (views of the
+// lent send buffer), and transmit.
 // The data answers on the lane the pull arrived on, so the block the
 // receiver striped onto lane k streams back over lane k — the whole
 // block's round trip stays on one physical path and the receiver's
@@ -266,13 +267,11 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 		if fl <= 0 {
 			continue
 		}
-		payload := make([]byte, fl)
-		ls.buf.ReadAt(payload, ls.off+fo)
 		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ls.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
 			FragID: fragID, Offset: fo, MsgLen: ls.n,
-		}, payload)
+		}, ls.buf.View(ls.off+fo, fl))
 		s.Stats.LargeFragsSent++
 	}
 }
@@ -489,7 +488,10 @@ func (s *Stack) freeRetired(lp *largePull) {
 	lp.pending = keep
 }
 
-// rxRndvAck completes a large send.
+// rxRndvAck completes a large send and returns its buffer. The
+// receiver acks only after every copy out of the views has retired,
+// and a stale duplicate fragment still in flight is dropped unread
+// (pull handles are never reused), so the sender may write in place.
 func (s *Stack) rxRndvAck(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvAck) {
 	defer skb.Free()
 	ls := s.sends[m.SenderHandle]
@@ -499,6 +501,7 @@ func (s *Stack) rxRndvAck(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Rn
 	ls.finished = true
 	ls.rtx.Stop()
 	delete(s.sends, ls.handle)
+	ls.buf.Return()
 	s.chargeEvent(p, core)
 	ls.ep.pushEvent(&event{kind: evSendDone, req: ls.req})
 }

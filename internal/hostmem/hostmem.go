@@ -45,12 +45,21 @@ func (m *Memory) Allocated() int64 { return m.allocated }
 // real bytes. Its storage is allocated on first write; until then the
 // buffer reads as zeros, so a simulation pays only for the payload
 // bytes it actually writes. Every size and warmth computation uses the
-// logical size, whether or not the storage exists. Buffers remember
-// which core last touched them (for warmth and cross-socket
-// decisions), how much of them the current warm episode actually
-// covers, whether a device DMA produced their current contents (and
-// how much of that deposit has been snooped back), any pending DCA
-// push, their NUMA home socket, and their pin refcount.
+// logical size, whether or not the storage exists.
+//
+// A sender lends a buffer to the stack for the life of a zero-copy
+// send (Lend, then Return once the peer has consumed it). While it is
+// lent, View hands out read-only slices of its storage for frames to
+// carry. A write that overlaps a range viewed while lent first moves
+// the buffer onto a private copy of its storage, so every view keeps
+// the bytes it had when it was taken; writes elsewhere, and every
+// write after the last Return, go to the storage in place.
+//
+// Buffers remember which core last touched them (for warmth and
+// cross-socket decisions), how much of them the current warm episode
+// actually covers, whether a device DMA produced their current
+// contents (and how much of that deposit has been snooped back), any
+// pending DCA push, their NUMA home socket, and their pin refcount.
 type Buffer struct {
 	Mem  *Memory
 	Addr int64
@@ -58,6 +67,12 @@ type Buffer struct {
 	data     []byte // nil until the first write
 	size     int
 	readOnly bool // Wrap: the bytes belong to someone else
+
+	// lent counts outstanding Lend calls. [viewLo, viewHi) bounds the
+	// Views of data taken while lent; a write into that range copies
+	// data first. The range is empty when no view of data can be live.
+	lent           int
+	viewLo, viewHi int
 
 	pinRef int
 	home   int // NUMA home socket of the backing pages
@@ -351,7 +366,7 @@ func (b *Buffer) RemoteSocket(core int) bool {
 func (b *Buffer) WriteAt(p []byte, off int) {
 	b.check(off, len(p))
 	if len(p) > 0 {
-		copy(b.writable()[off:], p)
+		copy(b.writable(off, len(p))[off:], p)
 	}
 }
 
@@ -367,13 +382,17 @@ func (b *Buffer) ReadAt(p []byte, off int) {
 }
 
 // Bytes returns the buffer's contents as one slice, allocating the
-// storage first if the buffer is unwritten. The slice of a Wrap
+// storage first if the buffer is unwritten. It counts as a write of
+// the whole buffer: a lent buffer with live views moves onto a copy
+// of its storage first. Write through the slice straight away and
+// never keep it across a send, since a later Bytes, WriteAt, Copy or
+// Fill may replace the storage it points into. The slice of a Wrap
 // buffer is the wrapped one and must not be modified.
 func (b *Buffer) Bytes() []byte {
 	if b.readOnly {
 		return b.data
 	}
-	return b.writable()
+	return b.writable(0, b.size)
 }
 
 // Copy copies n bytes from src at sOff to dst at dOff. An unwritten
@@ -386,10 +405,57 @@ func Copy(dst *Buffer, dOff int, src *Buffer, sOff, n int) {
 	switch {
 	case n == 0:
 	case src.data != nil:
-		copy(dst.writable()[dOff:dOff+n], src.data[sOff:sOff+n])
+		copy(dst.writable(dOff, n)[dOff:dOff+n], src.data[sOff:sOff+n])
 	case dst.data != nil:
-		clear(dst.writable()[dOff : dOff+n])
+		clear(dst.writable(dOff, n)[dOff : dOff+n])
 	}
+}
+
+// zeroBlock backs the views of unwritten buffers: read-only, shared,
+// and large enough for any pull fragment.
+var zeroBlock [64 << 10]byte
+
+// Lend marks the buffer as lent to a zero-copy send, which may then
+// take Views of it. Every Lend needs one Return.
+func (b *Buffer) Lend() { b.lent++ }
+
+// Return ends one Lend. Once the last one is returned no view of the
+// buffer may still be read, so later writes go to the storage in
+// place. It panics if the buffer is not lent.
+func (b *Buffer) Return() {
+	if b.lent == 0 {
+		panic("hostmem: return of a buffer that is not lent")
+	}
+	b.lent--
+	if b.lent == 0 {
+		b.viewLo, b.viewHi = 0, 0
+	}
+}
+
+// View returns the n bytes at off as a read-only slice, capped at its
+// length, without copying them: a sub-slice of the storage, or of a
+// shared zero block while the buffer is unwritten (so a view allocates
+// no storage). The bytes it shows never change, because a write into
+// a viewed range while the buffer is lent first moves the buffer onto
+// a copy. It panics if the buffer is not lent or the range falls
+// outside it.
+func (b *Buffer) View(off, n int) []byte {
+	if b.lent == 0 {
+		panic("hostmem: view of a buffer that is not lent")
+	}
+	b.check(off, n)
+	if b.data == nil {
+		if n > len(zeroBlock) {
+			return make([]byte, n)
+		}
+		return zeroBlock[:n:n]
+	}
+	if b.viewLo >= b.viewHi {
+		b.viewLo, b.viewHi = off, off+n
+	} else {
+		b.viewLo, b.viewHi = min(b.viewLo, off), max(b.viewHi, off+n)
+	}
+	return b.data[off : off+n : off+n]
 }
 
 // check panics unless [off, off+n) lies within the buffer.
@@ -399,13 +465,20 @@ func (b *Buffer) check(off, n int) {
 	}
 }
 
-// writable returns the storage for a write, allocating it on first use.
-func (b *Buffer) writable() []byte {
+// writable returns the storage for a write of n bytes at off,
+// allocating it on first use. If the write overlaps a range a lent
+// buffer has handed out views of, the storage is replaced by a copy
+// first, so those views keep their bytes.
+func (b *Buffer) writable(off, n int) []byte {
 	if b.readOnly {
 		panic("hostmem: write into a read-only buffer")
 	}
-	if b.data == nil {
+	switch {
+	case b.data == nil:
 		b.data = make([]byte, b.size)
+	case off < b.viewHi && b.viewLo < off+n:
+		b.data = bytes.Clone(b.data)
+		b.viewLo, b.viewHi = 0, 0
 	}
 	return b.data
 }
@@ -415,7 +488,7 @@ func (b *Buffer) writable() []byte {
 // pattern repeats every 256 bytes, so one period is written and then
 // doubled.
 func (b *Buffer) Fill(seed byte) {
-	d := b.writable()
+	d := b.writable(0, b.size)
 	n := min(len(d), 256)
 	for i := range n {
 		d[i] = seed + byte(i*131)

@@ -423,3 +423,136 @@ func TestAccessorsRangeChecked(t *testing.T) {
 		}()
 	}
 }
+
+func TestViewOfUnwrittenBufferAllocatesNoStorage(t *testing.T) {
+	_, m := mem()
+	b := m.Alloc(1 << 20)
+	b.Lend()
+	var v []byte
+	if allocs := testing.AllocsPerRun(100, func() { v = b.View(4096, 8192) }); allocs != 0 {
+		t.Fatalf("View of an unwritten buffer made %.0f allocations, want 0", allocs)
+	}
+	if b.data != nil {
+		t.Fatal("View allocated the storage of an unwritten buffer")
+	}
+	if len(v) != 8192 || cap(v) != 8192 || !isZero(v) {
+		t.Fatalf("view of an unwritten buffer: len %d cap %d, zero %v", len(v), cap(v), isZero(v))
+	}
+	// A write while lent allocates fresh storage; the zero view stays zero.
+	b.WriteAt([]byte{7}, 4096)
+	if v[0] != 0 {
+		t.Fatal("a write into the buffer reached a view of its unwritten state")
+	}
+	b.Return()
+}
+
+func TestWriteWhileLentKeepsViews(t *testing.T) {
+	_, m := mem()
+	src := m.Alloc(300)
+	src.Fill(9)
+	for name, write := range map[string]func(b *Buffer){
+		"WriteAt": func(b *Buffer) { b.WriteAt([]byte{0xee, 0xee}, 100) },
+		"Copy":    func(b *Buffer) { Copy(b, 0, src, 0, 300) },
+		"Fill":    func(b *Buffer) { b.Fill(200) },
+		"Bytes":   func(b *Buffer) { b.Bytes()[100] = 0xee },
+	} {
+		b := m.Alloc(300)
+		b.Fill(1)
+		b.Lend()
+		v := b.View(50, 200)
+		if cap(v) != len(v) {
+			t.Fatalf("%s: view capacity %d exceeds its length %d", name, cap(v), len(v))
+		}
+		want := bytes.Clone(v)
+		write(b)
+		if !bytes.Equal(v, want) {
+			t.Errorf("%s while lent changed a view taken before it", name)
+		}
+		if got := b.View(50, 200); bytes.Equal(got, want) {
+			t.Errorf("%s while lent did not reach the buffer itself", name)
+		}
+		// The copy is made once: further writes with no new view stay
+		// in place.
+		before := &b.Bytes()[0]
+		b.WriteAt([]byte{1}, 0)
+		if &b.Bytes()[0] != before {
+			t.Errorf("%s: a write with no view since the last copy moved the storage again", name)
+		}
+		b.Return()
+	}
+}
+
+func TestWriteAfterReturnIsInPlace(t *testing.T) {
+	_, m := mem()
+	b := m.Alloc(8192)
+	b.Fill(1)
+	b.Lend()
+	b.Lend()
+	v := b.View(0, 4096)
+	b.Return()
+	b.WriteAt([]byte{0xee}, 0)
+	if v[0] == 0xee {
+		t.Fatal("a write while still lent once reached an earlier view")
+	}
+	v = b.View(0, 4096)
+	b.Return()
+	p := []byte{0xdd}
+	if allocs := testing.AllocsPerRun(100, func() { b.WriteAt(p, 0) }); allocs != 0 {
+		t.Fatalf("a write after the last Return made %.0f allocations, want 0", allocs)
+	}
+	if v[0] != 0xdd {
+		t.Fatal("a write after the last Return did not land in the storage in place")
+	}
+}
+
+func TestWriteOutsideViewsIsInPlace(t *testing.T) {
+	_, m := mem()
+	b := m.Alloc(3 * 4096)
+	b.Fill(1)
+	b.Lend()
+	v, w := b.View(0, 4096), b.View(8192, 100)
+	want := bytes.Clone(v)
+	p := make([]byte, 4096)
+	// [4096, 8192) lies between the two views: no copy.
+	if allocs := testing.AllocsPerRun(100, func() { b.WriteAt(p, 4096) }); allocs != 0 {
+		t.Fatalf("a write between the viewed ranges made %.0f allocations, want 0", allocs)
+	}
+	if !bytes.Equal(v, want) {
+		t.Fatal("a write between the viewed ranges changed a view")
+	}
+	// The views' bounds cover [0, 8292): a write that touches it copies.
+	b.WriteAt([]byte{0xee}, 8291)
+	if w[99] == 0xee {
+		t.Fatal("a write into a viewed range reached the view")
+	}
+	b.Return()
+}
+
+func TestViewRequiresLend(t *testing.T) {
+	_, m := mem()
+	b := m.Alloc(100)
+	b.Fill(1)
+	for name, misuse := range map[string]func(){
+		"View without Lend":   func() { b.View(0, 10) },
+		"Return without Lend": func() { b.Return() },
+		"View after Return": func() {
+			b.Lend()
+			b.Return()
+			b.View(0, 10)
+		},
+		"View past end": func() {
+			b.Lend()
+			defer b.Return()
+			b.View(95, 10)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			misuse()
+		}()
+	}
+}

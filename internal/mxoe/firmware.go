@@ -198,7 +198,8 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 }
 
 // fwPull streams the requested fragments from the pinned user buffer,
-// paced by the firmware's control overhead: this pacing is what puts
+// each frame a view of the lent buffer taken when it is sent, paced
+// by the firmware's control overhead: this pacing is what puts
 // native MX at ≈1140 MiB/s instead of the 1186 MiB/s line rate. The
 // NeedMask selects which fragments of the block to send — all of them
 // on the first request, the missing subset on retransmissions.
@@ -233,15 +234,14 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 		if fl <= 0 {
 			return
 		}
-		payload := make([]byte, fl)
-		ms.buf.ReadAt(payload, ms.off+fo)
 		// Answer on the lane the pull arrived on: the block stays on
-		// one physical path end to end.
+		// one physical path end to end. The frame views the lent user
+		// buffer; the NIC DMA reads it in place.
 		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ms.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
 			FragID: frag, Offset: fo, MsgLen: ms.n,
-		}, payload)
+		}, ms.buf.View(ms.off+fo, fl))
 		s.Stats.FragsSent++
 		if idx < len(frags) {
 			// Pace at wire time plus the control-overhead fraction.
@@ -356,7 +356,9 @@ func (s *Stack) pullNextBlock(lp *mxPull) {
 	s.sendPull(lp, blk, blk.asm.FullMask())
 }
 
-// fwRndvAck completes a large send and retires its request timer.
+// fwRndvAck completes a large send, retires its request timer and
+// returns its buffer: the receiver acks only once every fragment is
+// deposited, so the sender may write in place again.
 func (s *Stack) fwRndvAck(m *proto.RndvAck) {
 	ms := s.sends[m.SenderHandle]
 	if ms == nil {
@@ -365,5 +367,6 @@ func (s *Stack) fwRndvAck(m *proto.RndvAck) {
 	ms.finished = true
 	ms.rtx.Stop()
 	delete(s.sends, ms.handle)
+	ms.buf.Return()
 	ms.ep.pushEvent(&event{kind: evSendDone, req: ms.req})
 }

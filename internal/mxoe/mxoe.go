@@ -17,7 +17,8 @@
 //     destination buffer — zero host copies — after a firmware-level
 //     rendezvous/pull exchange, paced by the firmware's control
 //     traffic (the ~4 % that puts MX at 1140 MiB/s instead of the
-//     1186 MiB/s line rate);
+//     1186 MiB/s line rate). Each pull reply carries a view of the
+//     lent sender buffer, never a copy of it;
 //   - registration is more expensive per page than Open-MX's (the
 //     NIC's translation table must be updated), making the
 //     registration cache matter more (Figure 11).
@@ -320,6 +321,8 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	if n > 32*1024 {
 		cost := sim.Duration(s.H.P.MXPostCost) + s.PinCost(buf, n, s.H.P.MXPinPerPage)
 		ep.core().RunOn(p, cpu.UserLib, cost)
+		// Lent until the peer's RndvAck: pull replies carry views.
+		buf.Lend()
 		s.nextHandle++
 		ms := &mxSend{handle: s.nextHandle, ep: ep, req: r, dst: dst, seq: seq, buf: buf, off: off, n: n, sentAt: s.H.E.Now()}
 		s.sends[ms.handle] = ms
@@ -355,11 +358,11 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		s.TransmitOn(s.LaneOf(seq, f), dst, m, payload)
 	}
 	s.Stats.EagerSent++
-	// The firmware keeps the frame snapshots until the peer's
+	// The firmware keeps the frame copies until the peer's
 	// cumulative ack covers them, retransmitting on timeout.
 	tc.unacked = append(tc.unacked, u)
 	ep.armEagerRtx(tc)
-	// Eager sends complete at post time: the NIC has snapshot the data
+	// Eager sends complete at post time: the NIC has copied the data
 	// and firmware-level retransmission guarantees delivery.
 	r.done = true
 	return r

@@ -206,8 +206,10 @@ func (n *NIC) Arrive(f *wire.Frame) {
 	n.E.Schedule(dma, func() {
 		n.inflight--
 		n.RxFrames++
-		// A sent frame's payload never changes (duplicates share one
-		// Frame), so the skbuff wraps it instead of copying it.
+		// A sent frame's payload never changes (a pull reply views the
+		// lent sender buffer, which copies itself before a write, and
+		// duplicates share one Frame), so the skbuff wraps it instead
+		// of copying it.
 		buf := n.Mem.Wrap(f.Data)
 		if n.P.HasDCA {
 			// Direct Cache Access: the deposit is pushed into the DCA

@@ -6,11 +6,13 @@
 // store-and-forward switch with per-port counters and congestible
 // output queues.
 //
-// Frames carry a snapshot of their real payload bytes (taken when the
-// sending NIC's DMA engine read them from host memory), so data
-// integrity can be checked end to end, plus a decoded protocol message
-// standing in for the on-wire header (whose size is accounted for in
-// the timing via WireLen).
+// Frames carry their real payload bytes, so data integrity can be
+// checked end to end, plus a decoded protocol message standing in for
+// the on-wire header (whose size is accounted for in the timing via
+// WireLen). A rendezvous pull reply carries a view of the lent sender
+// buffer (hostmem.Buffer.View), as the skbuff of a real pull reply
+// points at the sender's pinned pages; other payloads are copied into
+// the frame when it is sent.
 package wire
 
 import (
@@ -22,9 +24,11 @@ import (
 
 // Frame is one Ethernet frame in flight.
 type Frame struct {
-	// Data is the payload byte snapshot (may be nil for pure control
-	// messages whose few bytes ride in Msg). It never changes once the
-	// frame is sent: duplicate deliveries share one Frame, and the
+	// Data is the payload (may be nil for pure control messages whose
+	// few bytes ride in Msg): a view of the lent sender buffer for a
+	// pull reply, a copy made at send time otherwise. It never changes
+	// once the frame is sent (a write into a lent buffer copies the
+	// buffer first): duplicate deliveries share one Frame, and the
 	// receiving NIC's buffer wraps Data rather than copying it.
 	Data []byte
 	// WireLen is the accounted payload length in bytes, including the

@@ -137,9 +137,19 @@ func (q *calq) push(ev *event) {
 // pushWheel slots an event into its bucket, keeping the bucket sorted
 // by (at, seq). seq grows monotonically, so an event whose time is not
 // earlier than the current tail simply appends — the common case.
+// Before an append that would grow the slice, the live entries move
+// down over the popped ones: a bucket that never drains (remove resets
+// only an empty one) then reuses its slots instead of growing by one
+// per event it fires.
 func (q *calq) pushWheel(ev *event) {
 	idx := int(ev.at>>wheelShift) & wheelMask
 	b := &q.buckets[idx]
+	if b.head > 0 && len(b.evs) == cap(b.evs) {
+		n := copy(b.evs, b.evs[b.head:])
+		clear(b.evs[n:])
+		b.evs = b.evs[:n]
+		b.head = 0
+	}
 	b.evs = append(b.evs, ev)
 	for i := len(b.evs) - 1; i > b.head && b.evs[i].before(b.evs[i-1]); i-- {
 		b.evs[i], b.evs[i-1] = b.evs[i-1], b.evs[i]

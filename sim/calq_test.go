@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -233,6 +234,49 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 		t.Fatalf("steady-state schedule/fire allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestBucketCapacityBounded runs 10^5 same-instant handoffs of a
+// ping-pong while a sleeper's wake 1 ns later keeps their bucket from
+// ever draining. The bucket's slice must reuse the slots of the events
+// it has fired instead of growing by one per event.
+func TestBucketCapacityBounded(t *testing.T) {
+	e := New()
+	defer e.Close()
+	var toPing, toPong Signal
+	turn := 0
+	var order []string
+	e.Go("sleeper", func(p *Proc) {
+		p.Sleep(1)
+		order = append(order, "sleeper")
+	})
+	e.Go("ping", func(p *Proc) {
+		for i := 0; i < 50000; i++ {
+			turn = 1
+			toPong.Broadcast()
+			p.WaitFor(&toPing, func() bool { return turn == 0 })
+		}
+		order = append(order, "ping")
+	})
+	e.Go("pong", func(p *Proc) {
+		for i := 0; i < 50000; i++ {
+			p.WaitFor(&toPong, func() bool { return turn == 1 })
+			turn = 0
+			toPing.Broadcast()
+		}
+		order = append(order, "pong")
+	})
+	if blocked := e.Run(); blocked != 0 {
+		t.Fatalf("Run left %d procs blocked", blocked)
+	}
+	if got := fmt.Sprint(order); got != "[pong ping sleeper]" || e.Now() != 1 {
+		t.Fatalf("finish order %s at %v, want [pong ping sleeper] at 1ns", got, e.Now())
+	}
+	for i := range e.q.buckets {
+		if c := cap(e.q.buckets[i].evs); c > 16 {
+			t.Fatalf("bucket %d grew to capacity %d over 10^5 events, want a small bound", i, c)
+		}
 	}
 }
 
