@@ -164,8 +164,11 @@ simd:
 
 # The allocation gate: the calendar-queue benchmark, the proc-handoff
 # benchmark (procs alternating through Signals, and a proc resuming
-# itself from Sleep) and the CPU-charge benchmark (a process charging
-# a core through RunOn and RunOnDyn) must each report exactly 0
+# itself from Sleep), the CPU-charge benchmark (a process charging a
+# core through RunOn and RunOnDyn), the I/OAT descriptor benchmark (a
+# two-page batch on a warm channel run until it retires, plus one
+# NotifyAt) and the frame-hop benchmark (a frame through a hose, a
+# switch and a second hose to a sink) must each report exactly 0
 # allocs/op in steady state, or the zero-allocation claim (and with
 # it the 512-rank CI budget) has regressed.
 benchalloc:
@@ -180,7 +183,8 @@ benchalloc:
 		fi; \
 	}; \
 	check BenchmarkEventCoreCalendar ./sim && check BenchmarkProcHandoff ./sim && \
-		check BenchmarkRunOn ./internal/cpu
+		check BenchmarkRunOn ./internal/cpu && check BenchmarkIOATDescriptor ./internal/ioat && \
+		check BenchmarkHoseHop ./internal/wire
 
 # Run every committed godoc example (they are living documentation
 # with verified Output comments).

@@ -7,6 +7,13 @@
 // simulating individual cache lines. Whenever the set of active flows
 // changes, progress is banked at the old rates, shares are recomputed,
 // and the earliest completion is (re)scheduled.
+//
+// The arbiter allocates nothing in steady state: Begin runs a flow the
+// caller owns (an I/OAT channel embeds the one flow of the descriptor
+// it is processing), the progressive filling and the completion sweep
+// reuse scratch slices, and the completion event is a method value
+// bound once in New. Flows are filtered in place with their order
+// kept, so every floating-point sum runs in the same order.
 package bus
 
 import (
@@ -42,12 +49,21 @@ type Arbiter struct {
 	lastAt   sim.Time
 	timer    sim.Timer
 	moved    float64 // total bytes delivered (for conservation checks)
+
+	// Scratch reused by recompute and complete; finished is nil while
+	// complete runs its callbacks, so a nested complete cannot clobber
+	// the list being walked.
+	unassigned []*Flow
+	finished   []*Flow
+	completeFn func() // a.complete, bound once
 }
 
 // New returns an arbiter with the given total capacity in bytes/ns.
 // A capacity of 0 means unlimited (flows only see their own caps).
 func New(e *sim.Engine, capacity float64) *Arbiter {
-	return &Arbiter{e: e, capacity: capacity, lastAt: e.Now()}
+	a := &Arbiter{e: e, capacity: capacity, lastAt: e.Now()}
+	a.completeFn = a.complete
+	return a
 }
 
 // TotalMoved reports the total bytes delivered by completed and partial
@@ -62,14 +78,26 @@ func (a *Arbiter) Active() int { return len(a.flows) }
 // engine context, at the simulated instant the last byte transfers. A
 // zero-byte flow completes after one scheduling round trip.
 func (a *Arbiter) Start(bytes float64, limit float64, onDone func()) *Flow {
+	f := new(Flow)
+	a.Begin(f, bytes, limit, onDone)
+	return f
+}
+
+// Begin is Start on a flow the caller owns: f is reset and runs as a
+// new flow. f must not be running (a zero Flow, or one whose onDone
+// has been reached); a caller that runs one transfer at a time reuses
+// one Flow and allocates nothing.
+func (a *Arbiter) Begin(f *Flow, bytes float64, limit float64, onDone func()) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("bus: negative flow size %v", bytes))
 	}
-	f := &Flow{arb: a, remaining: bytes, limit: limit, onDone: onDone}
+	if f.arb != nil && !f.done {
+		panic("bus: Begin on a running flow")
+	}
+	*f = Flow{arb: a, remaining: bytes, limit: limit, onDone: onDone}
 	a.advance()
 	a.flows = append(a.flows, f)
 	a.reschedule()
-	return f
 }
 
 // advance banks progress made since lastAt at the current rates.
@@ -93,8 +121,7 @@ func (a *Arbiter) advance() {
 // per-flow caps): every flow gets min(cap, fair share), and bandwidth
 // unused by capped flows is redistributed among the rest.
 func (a *Arbiter) recompute() {
-	n := len(a.flows)
-	if n == 0 {
+	if len(a.flows) == 0 {
 		return
 	}
 	if a.capacity <= 0 {
@@ -106,11 +133,12 @@ func (a *Arbiter) recompute() {
 		return
 	}
 	remainingCap := a.capacity
-	unassigned := make([]*Flow, 0, n)
+	unassigned := a.unassigned[:0]
 	for _, f := range a.flows {
 		f.rate = -1
 		unassigned = append(unassigned, f)
 	}
+	a.unassigned = unassigned // keep a grown array
 	// Iteratively satisfy flows whose cap is below the fair share.
 	for len(unassigned) > 0 {
 		share := remainingCap / float64(len(unassigned))
@@ -134,6 +162,8 @@ func (a *Arbiter) recompute() {
 			break
 		}
 	}
+	clear(a.unassigned)
+	a.unassigned = a.unassigned[:0]
 }
 
 // reschedule recomputes rates and schedules the next completion event.
@@ -165,15 +195,16 @@ func (a *Arbiter) reschedule() {
 		// impossible by construction; treat as immediate completion).
 		first = 0
 	}
-	a.timer = a.e.Schedule(first, a.complete)
+	a.timer = a.e.Schedule(first, a.completeFn)
 }
 
 // complete banks progress and retires every finished flow.
 func (a *Arbiter) complete() {
 	a.timer = sim.Timer{}
 	a.advance()
-	var live []*Flow
-	var finished []*Flow
+	live := a.flows[:0]
+	finished := a.finished[:0]
+	a.finished = nil
 	for _, f := range a.flows {
 		if f.remaining <= 0.5 { // sub-byte residue from integer rounding
 			a.moved += f.remaining
@@ -184,6 +215,7 @@ func (a *Arbiter) complete() {
 			live = append(live, f)
 		}
 	}
+	clear(a.flows[len(live):])
 	a.flows = live
 	a.reschedule()
 	for _, f := range finished {
@@ -191,4 +223,6 @@ func (a *Arbiter) complete() {
 			f.onDone()
 		}
 	}
+	clear(finished)
+	a.finished = finished[:0]
 }

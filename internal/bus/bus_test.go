@@ -208,3 +208,58 @@ func TestNegativeSizePanics(t *testing.T) {
 	e := sim.New()
 	New(e, 1).Start(-1, 0, nil)
 }
+
+// TestStartFromOnDoneGetsFairShare starts a flow from inside another
+// flow's onDone, while complete is walking its reused scratch lists.
+// The new flow must join the survivor at a fair share: A and B share
+// 1 B/ns until A's 1000 B are done at 2000 ns; C then shares with B
+// and finishes its 1000 B at 4000 ns; B has 1000 B left and runs
+// alone to 5000 ns.
+func TestStartFromOnDoneGetsFairShare(t *testing.T) {
+	e := sim.New()
+	a := New(e, 1.0)
+	var dB, dC sim.Time
+	a.Start(1000, 0, func() {
+		a.Start(1000, 0, func() { dC = e.Now() })
+	})
+	a.Start(3000, 0, func() { dB = e.Now() })
+	e.Run()
+	if dC < 3999 || dC > 4003 || dB < 4999 || dB > 5003 {
+		t.Fatalf("C done at %d, B at %d; want ≈4000 and ≈5000", dC, dB)
+	}
+	if a.Active() != 0 {
+		t.Fatalf("%d flows still active", a.Active())
+	}
+}
+
+// TestBeginReusesCallerFlow runs one caller-owned Flow through three
+// transfers in a row, each begun from the previous one's onDone, and
+// checks that beginning it again while it runs panics.
+func TestBeginReusesCallerFlow(t *testing.T) {
+	e := sim.New()
+	a := New(e, 2.0)
+	var f Flow
+	left := 3
+	var onDone func()
+	onDone = func() {
+		if !f.Done() || f.Remaining() != 0 {
+			t.Fatalf("onDone with done=%v remaining=%v", f.Done(), f.Remaining())
+		}
+		if left--; left > 0 {
+			a.Begin(&f, 1000, 0, onDone)
+		}
+	}
+	a.Begin(&f, 1000, 0, onDone)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Begin on a running flow did not panic")
+			}
+		}()
+		a.Begin(&f, 1, 0, nil)
+	}()
+	e.Run()
+	if left != 0 || e.Now() < 1500 || e.Now() > 1503 {
+		t.Fatalf("%d transfers left, clock at %v; want 0 at ≈1500 ns", left, e.Now())
+	}
+}

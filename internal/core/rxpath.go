@@ -3,7 +3,6 @@ package core
 import (
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
-	"omxsim/internal/ioat"
 	"omxsim/internal/nic"
 	"omxsim/internal/proto"
 	"omxsim/platform"
@@ -186,17 +185,11 @@ func bhTinyRate(s *Stack) platform.Rate {
 // busy-polls until the engine retires the descriptors.
 func (s *Stack) ioatSyncCopy(p *sim.Proc, core *cpu.Core, cat cpu.Category, ep *Endpoint, slot int, skb *nic.Skb, n int) {
 	off := ep.slotOff(slot)
-	chunks := pageChunks(off, n, s.H.P.PageSize)
+	ndesc := s.H.IOAT.PageDescs(off, n)
 	ch := s.H.IOAT.PickChannel()
-	var reqs []ioat.CopyReq
-	so := 0
-	for _, c := range chunks {
-		reqs = append(reqs, ioat.CopyReq{Dst: ep.ring, DstOff: off + so, Src: skb.Buf, SrcOff: so, N: c})
-		so += c
-	}
-	core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(len(reqs)))
-	s.Stats.IOATSubmits += int64(len(reqs))
-	seq := ch.Submit(reqs...)
+	core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(ndesc))
+	s.Stats.IOATSubmits += int64(ndesc)
+	seq := ch.SubmitPages(ep.ring, off, skb.Buf, 0, n, nil)
 	core.RunOnDyn(p, cat, func(finish func(extra sim.Duration)) {
 		ch.NotifyAt(seq, func() { finish(s.H.IOAT.PollCost()) })
 	})
@@ -327,25 +320,21 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		}
 		// Asynchronous submission; the skbuff joins the pending pool
 		// until the cleanup routine observes its copies retired.
-		chunks := pageChunks(dstOff+so, n-so, s.H.P.PageSize)
-		var reqs []ioat.CopyReq
-		for _, c := range chunks {
-			reqs = append(reqs, ioat.CopyReq{Dst: lp.buf, DstOff: dstOff + so, Src: skb.Buf, SrcOff: so, N: c})
-			so += c
-		}
+		ndesc := s.H.IOAT.PageDescs(dstOff+so, n-so)
 		t1 := p.Now()
-		core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(len(reqs)))
+		core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(ndesc))
+		var onDone func()
 		if s.Trace != nil {
 			s.Trace(proto.TraceEvent{Kind: "submit", Frag: m.FragID, Start: t1, End: p.Now()})
 			subEnd := p.Now()
 			frag := m.FragID
-			reqs[len(reqs)-1].OnDone = func() {
+			onDone = func() {
 				s.Trace(proto.TraceEvent{Kind: "dma-copy", Frag: frag, Start: subEnd, End: s.H.E.Now()})
 			}
 		}
-		s.Stats.IOATSubmits += int64(len(reqs))
+		s.Stats.IOATSubmits += int64(ndesc)
 		ch := lp.chs[lane]
-		seq := ch.Submit(reqs...)
+		seq := ch.SubmitPages(lp.buf, dstOff+so, skb.Buf, so, n-so, onDone)
 		lp.lastSeq[lane] = seq
 		lp.pending = append(lp.pending, pendingCopy{skb: skb, ch: ch, seq: seq})
 	default:
@@ -476,7 +465,7 @@ func (s *Stack) cleanup(p *sim.Proc, core *cpu.Core, lp *largePull) {
 // freeRetired releases pending skbuffs whose I/OAT sequence has been
 // retired by the channel they were submitted on.
 func (s *Stack) freeRetired(lp *largePull) {
-	var keep []pendingCopy
+	keep := lp.pending[:0]
 	for _, pc := range lp.pending {
 		if pc.seq <= pc.ch.Completed() {
 			pc.skb.Free()
@@ -485,6 +474,7 @@ func (s *Stack) freeRetired(lp *largePull) {
 			keep = append(keep, pc)
 		}
 	}
+	clear(lp.pending[len(keep):])
 	lp.pending = keep
 }
 

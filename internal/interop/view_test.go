@@ -39,8 +39,9 @@ func openMXPeer(h *host.Host) peer {
 	}
 }
 
-func mxoePeer(h *host.Host) peer {
-	s := mxoe.Attach(h, mxoe.Config{})
+func mxoePeer(h *host.Host) peer { return mxoeStackPeer(mxoe.Attach(h, mxoe.Config{})) }
+
+func mxoeStackPeer(s *mxoe.Stack) peer {
 	ep := s.OpenEndpoint(0, 2)
 	return peer{
 		addr: ep.Addr(),

@@ -19,6 +19,13 @@
 // completed I/OAT copy leaves the destination cold in every CPU cache:
 // the engine writes to memory and does not pollute (or warm) caches,
 // which is exactly the behaviour the paper discusses.
+//
+// A descriptor's life allocates nothing once a channel is warm. Each
+// channel keeps its descriptors by value in a head-cursor queue (the
+// ring a real channel owns), runs the head descriptor as the one
+// bus.Flow it embeds, and schedules its start and retirement through
+// method values bound once in NewEngine; SubmitPages splits a copy at
+// destination page boundaries without building a request slice.
 package ioat
 
 import (
@@ -67,7 +74,9 @@ func NewEngine(e *sim.Engine, p *platform.Platform) *Engine {
 		arb: bus.New(e, float64(p.IOATAggregateRate)),
 	}
 	for i := 0; i < p.IOATChannels; i++ {
-		eng.channels = append(eng.channels, &Channel{eng: eng, id: i})
+		c := &Channel{eng: eng, id: i}
+		c.startFn, c.beginFn, c.retireFn = c.startHead, c.begin, c.retire
+		eng.channels = append(eng.channels, c)
 	}
 	return eng
 }
@@ -100,17 +109,45 @@ func (eng *Engine) SubmitCost(n int) sim.Duration {
 // PollCost is the CPU time of one completion-cookie check.
 func (eng *Engine) PollCost() sim.Duration { return sim.Duration(eng.P.IOATPollCost) }
 
+// PageDescs reports how many descriptors SubmitPages builds for an
+// n-byte copy to destination offset dstOff: one per destination page
+// the range touches, since the engine manipulates DMA (physical page)
+// addresses. This is why chunk size matters so much in Figure 7.
+func (eng *Engine) PageDescs(dstOff, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	ps := eng.P.PageSize
+	return (dstOff+n-1)/ps - dstOff/ps + 1
+}
+
 // Channel is one serial DMA channel.
 type Channel struct {
 	eng *Engine
 	id  int
 
-	queue     []*desc
+	// queue[head:] holds the unretired descriptors, head first. The
+	// backing array is reused: it resets when the queue drains, and
+	// Submit moves the live entries down before an append would grow
+	// it.
+	queue     []desc
+	head      int
 	submitted uint64 // per-channel descriptor sequence, 1-based
 	completed uint64 // last retired sequence (the completion cookie)
 	active    bool   // head descriptor in flight (or starting up)
 
+	// The head descriptor's drain rate, and the flow it runs as on the
+	// engine's arbiter (one descriptor at a time per channel).
+	rate float64
+	flow bus.Flow
+
+	// Bound once in NewEngine, so scheduling them allocates nothing.
+	startFn, beginFn, retireFn func()
+
+	// watchers is filtered in place; firing is the reused list of the
+	// watchers being run (nil while they run).
 	watchers []watcher
+	firing   []watcher
 }
 
 type desc struct {
@@ -140,50 +177,85 @@ func (c *Channel) Pending() int { return int(c.submitted - c.completed) }
 // Submit itself takes no simulated time — charge SubmitCost to the
 // submitting CPU alongside.
 func (c *Channel) Submit(reqs ...CopyReq) uint64 {
-	if len(reqs) == 0 {
-		return c.submitted
-	}
 	for _, r := range reqs {
-		if r.N < 0 {
-			panic(fmt.Sprintf("ioat: negative copy size %d", r.N))
-		}
-		c.submitted++
-		c.queue = append(c.queue, &desc{req: r, seq: c.submitted})
+		c.add(r)
 	}
-	last := c.submitted
+	return c.submitted
+}
+
+// SubmitPages enqueues an n-byte copy from src+srcOff to dst+dstOff as
+// page descriptors, split at destination page boundaries
+// (Engine.PageDescs of them), and returns the last one's sequence.
+// onDone, if non-nil, is the last descriptor's OnDone. Charge
+// SubmitCost(PageDescs(dstOff, n)) alongside.
+func (c *Channel) SubmitPages(dst *hostmem.Buffer, dstOff int, src *hostmem.Buffer, srcOff, n int, onDone func()) uint64 {
+	ps := c.eng.P.PageSize
+	for n > 0 {
+		k := min(n, ps-dstOff%ps)
+		r := CopyReq{Dst: dst, DstOff: dstOff, Src: src, SrcOff: srcOff, N: k}
+		if k == n {
+			r.OnDone = onDone
+		}
+		c.add(r)
+		dstOff += k
+		srcOff += k
+		n -= k
+	}
+	return c.submitted
+}
+
+// add enqueues one descriptor, starting an idle channel.
+func (c *Channel) add(r CopyReq) {
+	if r.N < 0 {
+		panic(fmt.Sprintf("ioat: negative copy size %d", r.N))
+	}
+	if c.head > 0 && len(c.queue) == cap(c.queue) {
+		k := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[k:])
+		c.queue = c.queue[:k]
+		c.head = 0
+	}
+	c.submitted++
+	c.queue = append(c.queue, desc{req: r, seq: c.submitted})
 	if !c.active {
 		c.active = true
 		// Idle channel: the engine needs StartLatency after the
 		// doorbell before the first descriptor is processed.
-		c.eng.E.Schedule(sim.Duration(c.eng.P.IOATStartLatency), c.startHead)
+		c.eng.E.Schedule(sim.Duration(c.eng.P.IOATStartLatency), c.startFn)
 	}
-	return last
 }
 
 // startHead begins processing the descriptor at the head of the queue.
 func (c *Channel) startHead() {
-	if len(c.queue) == 0 {
+	if c.head == len(c.queue) {
+		c.queue = c.queue[:0]
+		c.head = 0
 		c.active = false
 		return
 	}
-	d := c.queue[0]
+	d := &c.queue[c.head]
 	p := c.eng.P
 	// NUMA: a destination homed on the remote socket costs extra per
 	// descriptor (the engine's writes traverse the FSB) and drains at a
 	// reduced rate. Local-socket destinations are unaffected.
 	home := d.req.Dst.HomeSocket()
 	setup := sim.Duration(p.IOATDescSetup + p.RemoteDMADescCost(home))
-	rate := float64(p.IOATEngineRate) / p.RemoteDMAFactor(home)
-	c.eng.E.Schedule(setup, func() {
-		c.eng.arb.Start(float64(d.req.N), rate, func() {
-			c.retire(d)
-		})
-	})
+	c.rate = float64(p.IOATEngineRate) / p.RemoteDMAFactor(home)
+	c.eng.E.Schedule(setup, c.beginFn)
+}
+
+// begin puts the head descriptor's bytes on the engine's shared
+// bandwidth once its setup is over.
+func (c *Channel) begin() {
+	c.eng.arb.Begin(&c.flow, float64(c.queue[c.head].req.N), c.rate, c.retireFn)
 }
 
 // retire completes the head descriptor: move the bytes, update
 // bookkeeping, notify watchers, continue with the next descriptor.
-func (c *Channel) retire(d *desc) {
+func (c *Channel) retire() {
+	d := c.queue[c.head]
+	c.queue[c.head] = desc{}
+	c.head++
 	r := d.req
 	if r.N > 0 {
 		hostmem.Copy(r.Dst, r.DstOff, r.Src, r.SrcOff, r.N)
@@ -192,7 +264,6 @@ func (c *Channel) retire(d *desc) {
 		// lines are invalidated).
 		r.Dst.WrittenByDMA()
 	}
-	c.queue = c.queue[1:]
 	c.completed = d.seq
 	c.eng.BytesCopied += int64(r.N)
 	c.eng.DescsRetired++
@@ -221,8 +292,9 @@ func (c *Channel) fireWatchers() {
 	if len(c.watchers) == 0 {
 		return
 	}
-	var keep []watcher
-	var fire []watcher
+	keep := c.watchers[:0]
+	fire := c.firing[:0]
+	c.firing = nil
 	for _, w := range c.watchers {
 		if c.completed >= w.seq {
 			fire = append(fire, w)
@@ -230,8 +302,11 @@ func (c *Channel) fireWatchers() {
 			keep = append(keep, w)
 		}
 	}
+	clear(c.watchers[len(keep):])
 	c.watchers = keep
 	for _, w := range fire {
 		w.fn()
 	}
+	clear(fire)
+	c.firing = fire[:0]
 }

@@ -1,6 +1,7 @@
 package ioat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -264,4 +265,141 @@ func TestNegativeSizePanics(t *testing.T) {
 	_, _, mem, eng := setup()
 	b := mem.Alloc(10)
 	eng.Channel(0).Submit(CopyReq{Dst: b, Src: b, N: -1})
+}
+
+// TestSubmitPagesSplitsAtDestinationPages checks SubmitPages against
+// PageDescs: one descriptor per destination page touched, the bytes
+// all moved, and onDone run once, with the last descriptor.
+func TestSubmitPagesSplitsAtDestinationPages(t *testing.T) {
+	for _, c := range []struct{ dstOff, srcOff, n, descs int }{
+		{0, 0, 8192, 2},
+		{0, 0, 4096, 1},
+		{100, 0, 8192, 3},
+		{4000, 7, 200, 2},
+		{0, 0, 1, 1},
+		{4095, 0, 2, 2},
+		{0, 0, 0, 0},
+	} {
+		e, _, mem, eng := setup()
+		src, dst := mem.Alloc(c.srcOff+c.n), mem.Alloc(c.dstOff+c.n)
+		src.Fill(3)
+		if got := eng.PageDescs(c.dstOff, c.n); got != c.descs {
+			t.Fatalf("PageDescs(%d, %d) = %d, want %d", c.dstOff, c.n, got, c.descs)
+		}
+		ch := eng.Channel(0)
+		var doneSeq []uint64
+		seq := ch.SubmitPages(dst, c.dstOff, src, c.srcOff, c.n, func() { doneSeq = append(doneSeq, ch.Completed()) })
+		if int(seq) != c.descs || ch.Pending() != c.descs {
+			t.Fatalf("%+v: last seq %d, %d pending, want %d descriptors", c, seq, ch.Pending(), c.descs)
+		}
+		e.Run()
+		if eng.BytesCopied != int64(c.n) {
+			t.Fatalf("%+v: copied %d bytes", c, eng.BytesCopied)
+		}
+		if c.n > 0 && (len(doneSeq) != 1 || doneSeq[0] != seq) {
+			t.Fatalf("%+v: onDone ran at cookies %v, want once at %d", c, doneSeq, seq)
+		}
+		got, want := make([]byte, c.n), make([]byte, c.n)
+		dst.ReadAt(got, c.dstOff)
+		src.ReadAt(want, c.srcOff)
+		if string(got) != string(want) {
+			t.Fatalf("%+v: destination differs from source", c)
+		}
+	}
+}
+
+// TestSubmitFromOnDoneRetiresInOrder submits from inside a
+// descriptor's OnDone while later descriptors are still queued: the
+// queue is reused across callbacks, so the new descriptor must take
+// the next sequence and retire after every earlier one.
+func TestSubmitFromOnDoneRetiresInOrder(t *testing.T) {
+	e, _, mem, eng := setup()
+	src, dst := mem.Alloc(4096), mem.Alloc(4096)
+	ch := eng.Channel(0)
+	var order []uint64
+	note := func() { order = append(order, ch.Completed()) }
+	var extra uint64
+	ch.Submit(CopyReq{Dst: dst, Src: src, N: 1024, OnDone: func() {
+		note()
+		extra = ch.Submit(CopyReq{Dst: dst, DstOff: 3072, Src: src, N: 1024, OnDone: note})
+	}})
+	ch.Submit(
+		CopyReq{Dst: dst, DstOff: 1024, Src: src, N: 1024, OnDone: note},
+		CopyReq{Dst: dst, DstOff: 2048, Src: src, N: 1024, OnDone: note},
+	)
+	e.Run()
+	if extra != 4 {
+		t.Fatalf("descriptor submitted from OnDone got sequence %d, want 4", extra)
+	}
+	if got := fmt.Sprint(order); got != "[1 2 3 4]" {
+		t.Fatalf("retired in order %s, want [1 2 3 4]", got)
+	}
+	if ch.Pending() != 0 {
+		t.Fatalf("%d descriptors left pending", ch.Pending())
+	}
+}
+
+// TestNotifyAtFromWatcher registers watchers from inside a watcher: one
+// for a sequence already retired runs at once, one for a later
+// sequence runs when that one retires, and the watcher list reused
+// across the firing keeps every other watcher.
+func TestNotifyAtFromWatcher(t *testing.T) {
+	e, _, mem, eng := setup()
+	src, dst := mem.Alloc(4096), mem.Alloc(4096)
+	ch := eng.Channel(0)
+	var reqs []CopyReq
+	for i := range 4 {
+		reqs = append(reqs, CopyReq{Dst: dst, DstOff: i * 1024, Src: src, N: 1024})
+	}
+	ch.Submit(reqs...)
+	var got []string
+	at := func(name string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%d", name, ch.Completed())) }
+	}
+	ch.NotifyAt(1, func() {
+		at("w1")()
+		ch.NotifyAt(1, at("nested-now"))
+		ch.NotifyAt(3, at("nested-3"))
+	})
+	ch.NotifyAt(2, at("w2"))
+	ch.NotifyAt(4, at("w4"))
+	e.Run()
+	want := "[w1@1 nested-now@1 w2@2 nested-3@3 w4@4]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("watchers ran as %v, want %s", got, want)
+	}
+}
+
+// BenchmarkIOATDescriptor is the descriptor life of the bottom-half
+// offload on a warm channel: a two-page batch submitted, run through
+// the arbiter until it retires, and one NotifyAt on the batch. The
+// allocation gate (make benchalloc) requires 0 allocs/op.
+func BenchmarkIOATDescriptor(b *testing.B) {
+	e, p, mem, eng := setup()
+	src, dst := mem.Alloc(2*p.PageSize), mem.Alloc(2*p.PageSize)
+	src.Fill(1)
+	ch := eng.Channel(0)
+	notified := 0
+	notify := func() { notified++ }
+	batch := []CopyReq{
+		{Dst: dst, Src: src, N: p.PageSize},
+		{Dst: dst, DstOff: p.PageSize, Src: src, SrcOff: p.PageSize, N: p.PageSize},
+	}
+	op := func() {
+		seq := ch.Submit(batch...)
+		ch.NotifyAt(seq, notify)
+		e.Run()
+	}
+	for range 100 {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		op()
+	}
+	b.StopTimer()
+	if notified != b.N+100 {
+		b.Fatalf("notified %d times, want %d", notified, b.N+100)
+	}
 }

@@ -98,10 +98,15 @@ type NIC struct {
 	bhSig       *sim.Signal
 	bhBusy      bool
 
-	// Transmit state (same head-cursor FIFO idiom).
-	txQueue  []*wire.Frame
-	txHead   int
-	txActive bool
+	// Transmit state (same head-cursor FIFO idiom). txCur is the frame
+	// in its host-to-NIC DMA (one at a time); txDoneFn and depositFn
+	// are bound once in New, so no frame builds a closure.
+	txQueue   []*wire.Frame
+	txHead    int
+	txActive  bool
+	txCur     *wire.Frame
+	txDoneFn  func()
+	depositFn func(any)
 
 	// Stats.
 	RxFrames  int64
@@ -115,6 +120,8 @@ type NIC struct {
 // New returns a NIC attached to the given host resources.
 func New(e *sim.Engine, p *platform.Platform, sys *cpu.System, mem *hostmem.Memory, name string) *NIC {
 	n := &NIC{E: e, P: p, Sys: sys, Mem: mem, Name: name, DCATarget: -1, bhSig: sim.NewSignal()}
+	n.txDoneFn = n.txDone
+	n.depositFn = n.deposit
 	e.GoDaemon("bh:"+name, n.bhLoop)
 	return n
 }
@@ -169,16 +176,23 @@ func (n *NIC) txNext() {
 	f := n.txQueue[n.txHead]
 	n.txQueue[n.txHead] = nil
 	n.txHead++
+	n.txCur = f
 	dma := sim.Duration(n.P.NICFixedLatency) + sim.Duration(float64(f.WireLen)/float64(n.P.NICDMARate))
-	n.E.Schedule(dma, func() {
-		n.TxFrames++
-		if n.hose == nil {
-			panic(fmt.Sprintf("nic %s: transmit with no hose attached", n.Name))
-		}
-		n.E.DigestFrame(f.SrcAddr, f.DstAddr, f.WireLen)
-		n.hose.Send(f)
-		n.txNext()
-	})
+	n.E.Schedule(dma, n.txDoneFn)
+}
+
+// txDone hands txCur, now read from host memory, to the wire and
+// starts the next frame's DMA.
+func (n *NIC) txDone() {
+	f := n.txCur
+	n.txCur = nil
+	n.TxFrames++
+	if n.hose == nil {
+		panic(fmt.Sprintf("nic %s: transmit with no hose attached", n.Name))
+	}
+	n.E.DigestFrame(f.SrcAddr, f.DstAddr, f.WireLen)
+	n.hose.Send(f)
+	n.txNext()
 }
 
 // Arrive implements wire.Port: a frame's last bit has arrived.
@@ -203,26 +217,31 @@ func (n *NIC) Arrive(f *wire.Frame) {
 	// firmware personality, which deposits into user-placed buffers,
 	// does; see mxoe).
 	dma := sim.Duration(n.P.NICFixedLatency) + sim.Duration(float64(f.WireLen)/float64(n.P.NICDMARate))
-	n.E.Schedule(dma, func() {
-		n.inflight--
-		n.RxFrames++
-		// A sent frame's payload never changes (a pull reply views the
-		// lent sender buffer, which copies itself before a write, and
-		// duplicates share one Frame), so the skbuff wraps it instead
-		// of copying it.
-		buf := n.Mem.Wrap(f.Data)
-		if n.P.HasDCA {
-			// Direct Cache Access: the deposit is pushed into the DCA
-			// target core's LLC instead of landing cold in memory.
-			buf.WrittenByDCA(n.DCATargetCore(), len(f.Data))
-		} else {
-			buf.WrittenByDMA()
-		}
-		n.SkbsAlloc++
-		n.skbsLive++
-		n.pending = append(n.pending, &Skb{Buf: buf, Frame: f, nic: n})
-		n.bhSig.Broadcast()
-	})
+	n.E.ScheduleArg(dma, n.depositFn, f)
+}
+
+// deposit completes the DMA of an arrived frame (several may be in
+// flight) into a ring skbuff and wakes the bottom half.
+func (n *NIC) deposit(arg any) {
+	f := arg.(*wire.Frame)
+	n.inflight--
+	n.RxFrames++
+	// A sent frame's payload never changes (a pull reply views the
+	// lent sender buffer, which copies itself before a write, and
+	// duplicates share one Frame), so the skbuff wraps it instead of
+	// copying it.
+	buf := n.Mem.Wrap(f.Data)
+	if n.P.HasDCA {
+		// Direct Cache Access: the deposit is pushed into the DCA
+		// target core's LLC instead of landing cold in memory.
+		buf.WrittenByDCA(n.DCATargetCore(), len(f.Data))
+	} else {
+		buf.WrittenByDMA()
+	}
+	n.SkbsAlloc++
+	n.skbsLive++
+	n.pending = append(n.pending, &Skb{Buf: buf, Frame: f, nic: n})
+	n.bhSig.Broadcast()
 }
 
 // DCATargetCore resolves the core whose cache DCA deposits are pushed

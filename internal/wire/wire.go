@@ -68,6 +68,14 @@ type Hose struct {
 	queue []*Frame
 	head  int
 	busy  bool
+	// cur is the frame on the wire (one at a time). The callbacks that
+	// end its serialization, deliver a frame to the peer and send one
+	// a switch has forwarded are bound once in NewHose, so no hop
+	// builds a closure.
+	cur         *Frame
+	serializeFn func()
+	arriveFn    func(any)
+	sendFn      func(any)
 
 	// Drop, if non-nil, is consulted for every frame after
 	// serialization; returning true discards the frame (loss
@@ -100,7 +108,11 @@ type Hose struct {
 
 // NewHose returns a transmit hose towards peer.
 func NewHose(e *sim.Engine, p *platform.Platform, peer Port) *Hose {
-	return &Hose{E: e, P: p, peer: peer}
+	h := &Hose{E: e, P: p, peer: peer}
+	h.serializeFn = h.serialized
+	h.arriveFn = func(f any) { h.peer.Arrive(f.(*Frame)) }
+	h.sendFn = func(f any) { h.Send(f.(*Frame)) }
+	return h
 }
 
 // Peer returns the receiving port of this hose.
@@ -165,19 +177,26 @@ func (h *Hose) startNext() {
 	f := h.queue[h.head]
 	h.queue[h.head] = nil
 	h.head++
-	h.E.Schedule(h.SerializeTime(f.WireLen), func() {
-		switch {
-		case h.Drop != nil && h.Drop(f):
-			h.FramesDropped++
-		case h.imp != nil:
-			h.impairedDeliver(f)
-		default:
-			h.FramesSent++
-			h.BytesSent += int64(f.WireLen)
-			h.E.Schedule(sim.Duration(h.P.WirePropagation)+h.ExtraLatency, func() { h.peer.Arrive(f) })
-		}
-		h.startNext()
-	})
+	h.cur = f
+	h.E.Schedule(h.SerializeTime(f.WireLen), h.serializeFn)
+}
+
+// serialized runs when the last bit of cur is on the wire: the frame
+// is dropped, impaired or sent on to the peer, and the next starts.
+func (h *Hose) serialized() {
+	f := h.cur
+	h.cur = nil
+	switch {
+	case h.Drop != nil && h.Drop(f):
+		h.FramesDropped++
+	case h.imp != nil:
+		h.impairedDeliver(f)
+	default:
+		h.FramesSent++
+		h.BytesSent += int64(f.WireLen)
+		h.E.ScheduleArg(sim.Duration(h.P.WirePropagation)+h.ExtraLatency, h.arriveFn, f)
+	}
+	h.startNext()
 }
 
 // impairedDeliver applies the impairment profile to one serialized
@@ -191,19 +210,23 @@ func (h *Hose) impairedDeliver(f *Frame) {
 	}
 	h.FramesSent++
 	h.BytesSent += int64(f.WireLen)
-	deliver := func() {
-		d := sim.Duration(h.P.WirePropagation) + h.ExtraLatency + im.extraDelay(im.prof.JitterMax)
-		if im.chance(im.prof.ReorderRate) {
-			h.FramesReordered++
-			d += im.prof.ReorderDelay
-		}
-		h.E.Schedule(d, func() { h.peer.Arrive(f) })
-	}
-	deliver()
+	h.deliverImpaired(f)
 	if im.chance(im.prof.DupRate) {
 		h.FramesDuped++
-		deliver()
+		h.deliverImpaired(f)
 	}
+}
+
+// deliverImpaired schedules one copy of f at the peer after the
+// propagation delay plus its drawn jitter and reorder delay.
+func (h *Hose) deliverImpaired(f *Frame) {
+	im := h.imp
+	d := sim.Duration(h.P.WirePropagation) + h.ExtraLatency + im.extraDelay(im.prof.JitterMax)
+	if im.chance(im.prof.ReorderRate) {
+		h.FramesReordered++
+		d += im.prof.ReorderDelay
+	}
+	h.E.ScheduleArg(d, h.arriveFn, f)
 }
 
 // Connect builds a full-duplex point-to-point link between two ports
@@ -309,7 +332,7 @@ func (s *Switch) route(f *Frame) {
 		return
 	}
 	s.FramesForwarded++
-	s.E.Schedule(s.ForwardLatency, func() { out.Send(f) })
+	s.E.ScheduleArg(s.ForwardLatency, out.sendFn, f)
 }
 
 func (s *Switch) lookup(f *Frame) *Hose {

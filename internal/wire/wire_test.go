@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
 	"omxsim/platform"
@@ -146,5 +147,86 @@ func TestSwitchAddsStoreAndForwardLatency(t *testing.T) {
 	direct := NewHose(e, p, b).SerializeTime(1000) + sim.Duration(p.WirePropagation)
 	if b.arrived[0] <= direct {
 		t.Fatalf("switched path (%v) not slower than direct (%v)", b.arrived[0], direct)
+	}
+}
+
+// echoPort sends one extra frame back on its own incoming hose from
+// inside Arrive, when the frame it is told about arrives.
+type echoPort struct {
+	sink
+	h      *Hose
+	on     any
+	echoed bool
+}
+
+func (p *echoPort) Arrive(f *Frame) {
+	p.sink.Arrive(f)
+	if f.Msg == p.on && !p.echoed {
+		p.echoed = true
+		p.h.Send(&Frame{WireLen: 100, Msg: "echo"})
+	}
+}
+
+// TestSendFromArriveKeepsFIFO sends a frame on a hose from inside the
+// peer's Arrive for the first of three frames queued on that hose. The
+// hose reuses its queue and its in-flight slot across callbacks, so
+// the new frame must go out after the two still queued.
+func TestSendFromArriveKeepsFIFO(t *testing.T) {
+	e := sim.New()
+	p := platform.Clovertown()
+	dst := &echoPort{sink: sink{name: "dst", e: e}, on: 0}
+	h := NewHose(e, p, dst)
+	dst.h = h
+	for i := range 3 {
+		h.Send(&Frame{WireLen: 4000, Msg: i})
+	}
+	e.Run()
+	var got []any
+	for _, f := range dst.frames {
+		got = append(got, f.Msg)
+	}
+	if fmt.Sprint(got) != "[0 1 2 echo]" {
+		t.Fatalf("arrival order %v, want [0 1 2 echo]", got)
+	}
+	for i := 1; i < len(dst.arrived); i++ {
+		if dst.arrived[i] <= dst.arrived[i-1] {
+			t.Fatalf("arrival times %v not increasing", dst.arrived)
+		}
+	}
+}
+
+// countPort counts arrivals without keeping them.
+type countPort struct {
+	name string
+	n    int
+}
+
+func (c *countPort) Address() string { return c.name }
+func (c *countPort) Arrive(*Frame)   { c.n++ }
+
+// BenchmarkHoseHop sends one frame through a hose into a switch, which
+// forwards it over its output hose to a sink port: the per-frame hops
+// of every switched transfer. The allocation gate (make benchalloc)
+// requires 0 allocs/op.
+func BenchmarkHoseHop(b *testing.B) {
+	e := sim.New()
+	p := platform.Clovertown()
+	sw := NewSwitch(e, p)
+	dst := &countPort{name: "dst"}
+	in := sw.Attach(dst)
+	f := &Frame{WireLen: 8224, DstAddr: dst.name, SrcAddr: "src"}
+	for range 1000 {
+		in.Send(f)
+		e.Run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		in.Send(f)
+		e.Run()
+	}
+	b.StopTimer()
+	if dst.n != b.N+1000 {
+		b.Fatalf("sink got %d frames, want %d", dst.n, b.N+1000)
 	}
 }

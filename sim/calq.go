@@ -39,15 +39,18 @@ const (
 	eventChunk   = 256                              // events allocated per slab
 )
 
-// event is a scheduled callback or process step. fn and proc are
-// mutually exclusive: proc events step the process directly, so the
-// proc hot path (Sleep/Yield/wake) schedules without building a
-// closure.
+// event is a scheduled callback or process step. fn, argFn and proc
+// are mutually exclusive: proc events step the process directly, so
+// the proc hot path (Sleep/Yield/wake) schedules without building a
+// closure, and argFn events (ScheduleArg) call a once-bound callback
+// with arg.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc
+	at    Time
+	seq   uint64
+	fn    func()
+	argFn func(any)
+	arg   any
+	proc  *Proc
 	// kind distinguishes the closure-free proc events (see procKind).
 	kind      procKind
 	gen       uint32 // bumped on recycle; Timers holding an older gen are stale
@@ -116,6 +119,8 @@ func (q *calq) alloc() *event {
 func (q *calq) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.argFn = nil
+	ev.arg = nil
 	ev.proc = nil
 	ev.kind = procStep
 	ev.cancelled = false
@@ -130,8 +135,53 @@ func (q *calq) push(ev *event) {
 		q.pushWheel(ev)
 		return
 	}
+	q.pushFar(ev)
+}
+
+func (q *calq) pushFar(ev *event) {
 	q.far = append(q.far, ev)
 	q.siftUp(len(q.far) - 1)
+}
+
+// settle puts the base on the bucket of the clock, now, once the loop
+// has stopped. peek leaves the base on the bucket of the earliest
+// event it saw, which may lie ahead of the clock: an event RunUntil
+// found not yet due, or stopped timers Run skipped before the queue
+// ran dry. An event scheduled after that at a time between the clock
+// and such a base would land in a bucket cyclically behind baseIdx and
+// fire a whole horizon late, out of order. Every event left lies at or
+// after the old base, so moving the base forward only migrates far
+// events, and moving it back only sends the wheel events that end up
+// beyond the new horizon, all in the buckets between the new base and
+// the old, to the far heap. With an empty wheel, settle is O(1).
+func (q *calq) settle(now Time) {
+	nb := now &^ (bucketWidth - 1)
+	if nb == q.base {
+		return
+	}
+	old := q.base
+	q.base = nb
+	q.baseIdx = int(nb>>wheelShift) & wheelMask
+	if nb > old {
+		q.migrate()
+		return
+	}
+	steps := min(int((old-nb)>>wheelShift), wheelBuckets)
+	for i := 0; i < steps && q.wheelN > 0; i++ {
+		idx := (q.baseIdx + i) & wheelMask
+		if q.occ[idx>>6]&(1<<(idx&63)) == 0 {
+			continue
+		}
+		b := &q.buckets[idx]
+		for _, ev := range b.evs[b.head:] {
+			q.pushFar(ev)
+		}
+		q.wheelN -= len(b.evs) - b.head
+		clear(b.evs)
+		b.evs = b.evs[:0]
+		b.head = 0
+		q.occ[idx>>6] &^= 1 << (idx & 63)
+	}
 }
 
 // pushWheel slots an event into its bucket, keeping the bucket sorted

@@ -280,6 +280,106 @@ func TestBucketCapacityBounded(t *testing.T) {
 	}
 }
 
+// TestRunAfterSkippedTimers schedules into an engine whose last Run
+// ended by skipping a stopped timer well ahead of the clock, the state
+// a drained round trip leaves behind (its retransmit timers all
+// stopped). An event due before the stopped timer's time and one due
+// after it must still fire in time order, with the clock never going
+// back.
+func TestRunAfterSkippedTimers(t *testing.T) {
+	e := New()
+	e.Schedule(Microsecond, func() {})
+	e.Schedule(100*Microsecond, func() {}).Stop()
+	e.Run()
+	if e.Now() != Microsecond {
+		t.Fatalf("Run stopped at %v, want 1µs (the stopped timer moves no clock)", e.Now())
+	}
+	var fired []Time
+	rec := func() { fired = append(fired, e.Now()) }
+	e.Schedule(200*Microsecond, rec)
+	e.Schedule(50*Microsecond, rec)
+	e.Run()
+	if want := []Time{51 * Microsecond, 201 * Microsecond}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestRunUntilBeforeNextEvent stops RunUntil short of a pending event,
+// then schedules one due before it. The earlier one must fire first.
+func TestRunUntilBeforeNextEvent(t *testing.T) {
+	e := New()
+	var order []string
+	e.Schedule(100*Microsecond, func() { order = append(order, "late") })
+	e.RunUntil(10 * Microsecond)
+	e.Schedule(20*Microsecond, func() { order = append(order, "early") })
+	e.Run()
+	if got := fmt.Sprint(order); got != "[early late]" || e.Now() != 100*Microsecond {
+		t.Fatalf("fired %s, clock at %v; want [early late] at 100µs", got, e.Now())
+	}
+}
+
+// TestSettleKeepsFarTimers checks both directions of the base's
+// settling. A RunUntil that stops far short of its next event moves the
+// base back by more than a horizon, so the wheel events it had pulled
+// in go back to the far heap; one that stops past every wheel event
+// moves it forward. Every event must still fire once, in time order.
+func TestSettleKeepsFarTimers(t *testing.T) {
+	e := New()
+	var fired []Time
+	rec := func() { fired = append(fired, e.Now()) }
+	for _, at := range []Time{3*wheelHorizon + 100, 3*wheelHorizon + 105, 5 * wheelHorizon} {
+		e.At(at, rec)
+	}
+	e.RunUntil(wheelHorizon / 2)
+	e.At(wheelHorizon+200, rec)
+	e.RunUntil(4 * wheelHorizon)
+	e.At(4*wheelHorizon+1, rec)
+	e.Run()
+	want := []Time{wheelHorizon + 200, 3*wheelHorizon + 100, 3*wheelHorizon + 105, 4*wheelHorizon + 1, 5 * wheelHorizon}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestScheduleArgOrder interleaves ScheduleArg with Schedule at one
+// instant: both take a sequence number from the same counter, so they
+// fire in the order they were scheduled.
+func TestScheduleArgOrder(t *testing.T) {
+	e := New()
+	var got []int
+	add := func(a any) { got = append(got, a.(int)) }
+	e.ScheduleArg(10, add, 0)
+	e.Schedule(10, func() { got = append(got, 1) })
+	e.ScheduleArg(10, add, 2)
+	e.ScheduleArg(5, add, -1)
+	e.ScheduleArg(10, add, 3).Stop()
+	e.Run()
+	if fmt.Sprint(got) != "[-1 0 1 2]" {
+		t.Fatalf("fired %v, want [-1 0 1 2]", got)
+	}
+}
+
+// TestScheduleArgZeroAlloc: a once-bound callback with a pointer
+// argument costs no allocation per event.
+func TestScheduleArgZeroAlloc(t *testing.T) {
+	e := New()
+	n := 0
+	arg := &n
+	bump := func(a any) { *a.(*int)++ }
+	churn := func() {
+		for i := 0; i < 64; i++ {
+			e.ScheduleArg(Duration(i%7), bump, arg)
+		}
+		e.Run()
+	}
+	for i := 0; i < 5000; i++ {
+		churn()
+	}
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Fatalf("ScheduleArg churn allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestWakeEventZeroAllocSteadyState covers the closure-free proc
 // event path (the Sleep/Yield/wake hot loop of every simulated
 // bottom half) at the queue level.

@@ -22,7 +22,11 @@
 // The event queue is a calendar queue (timing wheel plus a far-future
 // heap, see calq.go) with pooled event records: the steady-state
 // schedule→fire→recycle cycle allocates nothing, which is what lets
-// 512-rank fat-tree worlds run inside CI. Service loops that
+// 512-rank fat-tree worlds run inside CI. ScheduleArg carries a
+// once-bound callback and its argument in the event record, so the
+// per-frame hops of the hardware models build no closure either. When
+// Run or RunUntil returns, the wheel's base sits on the clock's
+// bucket, so events scheduled between two runs file in time order. Service loops that
 // legitimately never exit (NIC bottom halves) are started with GoDaemon
 // and excluded from deadlock accounting by flag rather than by name.
 package sim
@@ -143,6 +147,22 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	return Timer{e: e, ev: ev, gen: ev.gen}
 }
 
+// ScheduleArg arranges for fn(arg) to run after delay, exactly as
+// Schedule(delay, func() { fn(arg) }) would, without building that
+// closure: the event record carries fn and arg. Hardware models bind
+// fn once (a per-device method value) and pass the frame or request
+// as arg, so a per-frame hop allocates nothing (a pointer in an
+// interface is stored without boxing).
+func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) Timer {
+	if delay < 0 {
+		delay = 0
+	}
+	ev := e.push(e.now + delay)
+	ev.argFn = fn
+	ev.arg = arg
+	return Timer{e: e, ev: ev, gen: ev.gen}
+}
+
 // scheduleProc files a closure-free process event of the given kind
 // after delay. No closure is built, so the Sleep/Yield/wake/Unpark hot
 // path is allocation-free.
@@ -190,11 +210,16 @@ func (e *Engine) next() *Proc {
 			e.q.push(ev)
 			return nil
 		}
+		if ev.at < e.now {
+			panic(fmt.Sprintf("sim: event at %v fires with the clock at %v", ev.at, e.now))
+		}
 		e.now = ev.at
-		fn, p, kind := ev.fn, ev.proc, ev.kind
+		fn, argFn, arg, p, kind := ev.fn, ev.argFn, ev.arg, ev.proc, ev.kind
 		e.q.recycle(ev)
 		e.live--
 		switch {
+		case argFn != nil:
+			argFn(arg)
 		case p == nil:
 			fn()
 		case kind == procWake:
@@ -263,6 +288,7 @@ func (e *Engine) drive(until Time) {
 // goroutines are released, so a finished engine holds none.
 func (e *Engine) Run() int {
 	e.drive(maxTime)
+	e.q.settle(e.now)
 	if len(e.procs) == 0 {
 		e.release()
 	}
@@ -276,6 +302,7 @@ func (e *Engine) RunUntil(t Time) {
 	if e.now < t {
 		e.now = t
 	}
+	e.q.settle(e.now)
 }
 
 // BlockedProcs returns the names of processes that have started but not
