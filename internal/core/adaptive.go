@@ -27,22 +27,13 @@ const (
 	steerDstBusyFrac = 0.25
 )
 
-// pullWindow returns a transfer's current window in blocks: the AIMD
-// value for adaptive transfers, the configured PullBlocks otherwise.
-func (s *Stack) pullWindow(lp *largePull) int {
-	if lp.aw != nil {
-		return lp.aw.Window()
-	}
-	return s.Cfg.PullBlocks
-}
-
 // traceCwnd publishes a transfer's window to the trace stream when it
 // changed since the last sample.
 func (s *Stack) traceCwnd(lp *largePull) {
-	if s.Trace == nil || lp.aw == nil {
+	if s.Trace == nil || lp.AW == nil {
 		return
 	}
-	if w := lp.aw.Window(); w != lp.lastWin {
+	if w := lp.AW.Window(); w != lp.lastWin {
 		lp.lastWin = w
 		s.TraceCounter("cwnd", float64(w))
 	}

@@ -29,7 +29,6 @@ import (
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/host"
-	"omxsim/internal/hostmem"
 	"omxsim/internal/ioat"
 	"omxsim/internal/nic"
 	"omxsim/internal/proto"
@@ -319,57 +318,25 @@ func Attach(h *host.Host, cfg Config) *Stack {
 // addr returns the address of a local endpoint.
 func (s *Stack) addr(ep int) proto.Addr { return proto.Addr{Host: s.H.Name, EP: ep} }
 
-// largeSend is the sender side of a rendezvous transfer.
+// largeSend is the sender side of a rendezvous transfer: the shared
+// state machine plus the sending endpoint and request.
 type largeSend struct {
-	handle int
-	ep     *Endpoint
-	req    *Request
-	dst    proto.Addr
-	buf    *hostmem.Buffer
-	off, n int
-	seq    uint32
-	// sentAt is when the rendezvous request first went out (the
-	// request -> first-pull round trip is an RTT sample; Karn's rule
-	// skips it once the request was retransmitted).
-	sentAt sim.Time
-	// rtx re-sends the rendezvous request if no pull ever arrives;
-	// attempts drives its exponential backoff.
-	rtx      sim.Timer
-	attempts int
-	pulled   bool
-	// sampled flags that the request->first-pull RTT was already
-	// taken. pulled cannot double as this: the rndv watchdog resets
-	// it to probe for progress, and a later pull (e.g. a block
-	// re-request) would then be sampled against the original sentAt.
-	sampled  bool
-	finished bool
+	proto.RndvSend
+	ep  *Endpoint
+	req *Request
 }
 
-// largePull is the receiver side of a rendezvous transfer: the paper's
-// Section III state — outstanding pull blocks, the I/OAT channel
-// assigned to the message, and the pool of skbuffs pending copy that
+// largePull is the receiver side of a rendezvous transfer: the shared
+// pull state plus the paper's Section III state — the I/OAT channel
+// assigned to the message and the pool of skbuffs pending copy that
 // the cleanup routine bounds.
 type largePull struct {
-	handle       int
-	ep           *Endpoint
-	req          *Request
-	src          proto.Addr
-	senderHandle int
-	key          proto.RndvKey
-	buf          *hostmem.Buffer
-	off, n       int
+	proto.RndvPull
+	ep  *Endpoint
+	req *Request
 
-	frags     int
-	nextBlock int
-	numBlocks int
-	blocks    map[int]*pullBlock
-	received  int
-	startedAt sim.Time // pull start, for the whole-rendezvous trace span
-
-	// aw is the transfer's AIMD pull-window controller (adaptive
-	// stacks without an explicit PullBlocks; nil otherwise). lastWin
-	// tracks the last cwnd counter sample emitted to the trace.
-	aw      *proto.AIMDWindow
+	received int
+	// lastWin tracks the last cwnd counter sample emitted to the trace.
 	lastWin int
 
 	useIOAT bool
@@ -378,11 +345,9 @@ type largePull struct {
 	// engine channels concurrently (single-NIC messages keep the
 	// paper's one-channel-per-message policy). lastSeq[i] is the last
 	// descriptor sequence submitted on lane i's channel.
-	chs      []*ioat.Channel
-	lastSeq  []uint64
-	pending  []pendingCopy // skbuffs waiting for their copies to retire
-	pinnedBy bool          // we pinned (must unpin unless regcache)
-	done     bool
+	chs     []*ioat.Channel
+	lastSeq []uint64
+	pending []pendingCopy // skbuffs waiting for their copies to retire
 }
 
 type pendingCopy struct {
@@ -393,22 +358,6 @@ type pendingCopy struct {
 
 // skbRef lets tests substitute fakes; concretely a *nic.Skb.
 type skbRef interface{ Free() }
-
-type pullBlock struct {
-	idx       int
-	firstFrag int
-	// asm is the block's hole-aware fragment bitmap: with the block's
-	// fragments racing back over several NICs, arrival order within a
-	// block is arbitrary.
-	asm      proto.Reassembly
-	timer    sim.Timer
-	attempts int // consecutive timer expiries without progress
-	// sentAt is the first request's transmit time (the block's round
-	// trip is an RTT and AIMD sample); rtxed marks a retransmitted
-	// block, whose round trip is never sampled (Karn's rule).
-	sentAt sim.Time
-	rtxed  bool
-}
 
 // pageChunks splits a destination range [start, start+n) into
 // page-aligned chunk lengths — the unit of I/OAT descriptors, since

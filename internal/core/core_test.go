@@ -543,21 +543,6 @@ func TestPropertyPageChunks(t *testing.T) {
 	}
 }
 
-func TestMatchesSemantics(t *testing.T) {
-	if !matches(0xFF, 0xFF, 0xFF) {
-		t.Fatal("exact match failed")
-	}
-	if matches(0xFF, 0xFF, 0xFE) {
-		t.Fatal("mismatch accepted")
-	}
-	if !matches(0, 0, 0xDEADBEEF) {
-		t.Fatal("wildcard (mask 0) must match anything")
-	}
-	if !matches(0x1200, 0xFF00, 0x12AB) {
-		t.Fatal("masked match failed")
-	}
-}
-
 // Property: any size round-trips intact through the full network stack
 // with any combination of I/OAT configs.
 func TestPropertyAnySizeIntegrity(t *testing.T) {

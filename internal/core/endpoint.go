@@ -31,8 +31,9 @@ type Endpoint struct {
 	posted []*Request
 	ux     []*uxMsg
 
-	// Per-peer channels.
-	txChans map[proto.Addr]*txChan
+	// Per-peer channels. A transmit channel keeps each unacked send's
+	// request.
+	txChans map[proto.Addr]*proto.TxChan[*Request]
 	rxChans map[proto.Addr]*rxChan
 }
 
@@ -110,30 +111,6 @@ type uxMsg struct {
 	lm     *localMsg
 }
 
-// txChan is the reliability state towards one remote endpoint: unacked
-// eager sends, the retransmission timer and its backoff attempt count.
-type txChan struct {
-	dst         proto.Addr
-	nextSeq     uint32
-	ackedSeq    uint32
-	unacked     []*eagerSend
-	rtx         sim.Timer
-	rtxAttempts int
-}
-
-type eagerSend struct {
-	seq    uint32
-	req    *Request
-	match  uint64
-	buf    *hostmem.Buffer
-	off, n int
-	// sentAt is the first transmission time (the send -> cumulative-ack
-	// round trip is an RTT sample); rtxed marks a retransmitted send,
-	// never sampled (Karn's rule).
-	sentAt sim.Time
-	rtxed  bool
-}
-
 // rxChan is the receive-side state from one remote endpoint:
 // reassembly, cumulative-ack tracking and the deferred-ack timer.
 type rxChan struct {
@@ -146,7 +123,7 @@ type rxChan struct {
 	// retransmitted duplicates of individual fragments are dropped in
 	// the bottom half, before they can consume a ring slot or queue
 	// an event the library might never process (entries retire when
-	// the message completes and isDup takes over).
+	// the message completes and win.IsDup takes over).
 	fragSeen    map[uint32]uint64
 	lastAckSent uint32
 	ackTimer    sim.Timer
@@ -176,7 +153,7 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		Core:    coreID,
 		ring:    s.H.Alloc(s.Cfg.RingSlots * proto.MediumFragSize),
 		evSig:   sim.NewSignal(),
-		txChans: make(map[proto.Addr]*txChan),
+		txChans: make(map[proto.Addr]*proto.TxChan[*Request]),
 		rxChans: make(map[proto.Addr]*rxChan),
 	}
 	for i := s.Cfg.RingSlots - 1; i >= 0; i-- {
@@ -206,10 +183,10 @@ func (ep *Endpoint) freeSlot(i int) { ep.freeSlots = append(ep.freeSlots, i) }
 
 func (ep *Endpoint) slotOff(i int) int { return i * proto.MediumFragSize }
 
-func (ep *Endpoint) txChan(dst proto.Addr) *txChan {
+func (ep *Endpoint) txChan(dst proto.Addr) *proto.TxChan[*Request] {
 	c := ep.txChans[dst]
 	if c == nil {
-		c = &txChan{dst: dst}
+		c = proto.NewTxChan(&ep.S.Transport, dst, ep.resendEager)
 		ep.txChans[dst] = c
 	}
 	return c
@@ -249,11 +226,6 @@ func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
 	return c.win.Edge()
 }
 
-// matches implements MX matching (see proto.Matches).
-func matches(recvMatch, recvMask, msgMatch uint64) bool {
-	return proto.Matches(recvMatch, recvMask, msgMatch)
-}
-
 // ---------------------------------------------------------------------
 // Posting operations (library, called from the owning process).
 // ---------------------------------------------------------------------
@@ -285,7 +257,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 
 	// Unexpected queue first (arrival order).
 	for i, u := range ep.ux {
-		if !matches(match, mask, u.match) {
+		if !proto.Matches(match, mask, u.match) {
 			continue
 		}
 		ep.ux = append(ep.ux[:i], ep.ux[i+1:]...)
@@ -313,7 +285,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	var claim *assembly
 	for _, c := range ep.rxChans {
 		for _, a := range c.asm {
-			if a.dst == nil && matches(match, mask, a.match) && (claim == nil || claimBefore(a, claim)) {
+			if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || proto.ClaimBefore(a.src, a.seq, claim.src, claim.seq)) {
 				claim = a
 			}
 		}
@@ -329,12 +301,6 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 
 	ep.posted = append(ep.posted, r)
 	return r
-}
-
-// claimBefore orders claim candidates deterministically (see
-// proto.ClaimBefore).
-func claimBefore(a, b *assembly) bool {
-	return proto.ClaimBefore(a.src, a.seq, b.src, b.seq)
 }
 
 // claimArrived copies the already-arrived fragments of a claimed
@@ -418,7 +384,7 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 // Figure 2), reassemble, complete.
 func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	c := ep.rxChan(ev.src)
-	if c.isDup(ev.seq) {
+	if c.win.IsDup(ev.seq) {
 		// Duplicate of a fully received message that slipped past the
 		// driver check (completed between BH and library processing):
 		// drop payload, make sure an ack goes out.
@@ -432,7 +398,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		a = &assembly{src: ev.src, seq: ev.seq, match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
 		// Match against posted receives at first sight of the message.
 		for i, r := range ep.posted {
-			if matches(r.match, r.mask, ev.match) {
+			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 				a.dst = r
 				break
@@ -507,14 +473,14 @@ func (ep *Endpoint) completeRecv(r *Request, src proto.Addr, match uint64, n int
 // reliability), then match or queue it.
 func (ep *Endpoint) handleRndv(p *sim.Proc, ev *event) {
 	c := ep.rxChan(ev.src)
-	if c.isDup(ev.seq) {
+	if c.win.IsDup(ev.seq) {
 		return // duplicate
 	}
 	c.markComplete(ev.seq)
 	ep.scheduleAck(c)
 	u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
 	for i, r := range ep.posted {
-		if matches(r.match, r.mask, ev.match) {
+		if proto.Matches(r.match, r.mask, ev.match) {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			ep.startPull(p, r, u)
 			return
@@ -526,7 +492,7 @@ func (ep *Endpoint) handleRndv(p *sim.Proc, ev *event) {
 // handleLocalMsg matches an intra-node message or queues it.
 func (ep *Endpoint) handleLocalMsg(p *sim.Proc, ev *event) {
 	for i, r := range ep.posted {
-		if matches(r.match, r.mask, ev.lm.match) {
+		if proto.Matches(r.match, r.mask, ev.lm.match) {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			ep.localPull(p, r, ev.lm)
 			return
@@ -545,79 +511,58 @@ func (ep *Endpoint) handleLocalMsg(p *sim.Proc, ev *event) {
 func (ep *Endpoint) eagerSendOp(p *sim.Proc, r *Request) {
 	s := ep.S
 	tc := ep.txChan(r.dst)
-	r.seq = tc.nextTxSeq()
+	r.seq = tc.Next()
 	frags := proto.MediumFragsOf(r.n)
 	cost := sim.Duration(s.H.P.SyscallCost + int64(frags)*s.H.P.OMXTxBuildCost)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
-	tc.unacked = append(tc.unacked, &eagerSend{seq: r.seq, req: r, match: r.MatchInfo, buf: r.buf, off: r.off, n: r.n, sentAt: p.Now()})
-	s.transmitEager(ep, tc, r.seq, r.MatchInfo, r.buf, r.off, r.n)
-	s.Stats.EagerSent++
-	ep.armEagerRtx(tc)
+	s.transmitEager(ep, tc.Dst, r)
+	tc.Sent(r.seq, r)
 }
 
 // transmitEager builds and transmits the fragment frames of one eager
-// message (also used by retransmission).
-func (s *Stack) transmitEager(ep *Endpoint, tc *txChan, seq uint32, match uint64, buf *hostmem.Buffer, off, n int) {
-	frags := proto.MediumFragsOf(n)
-	ack := ep.takeAck(tc.dst)
+// send (also used by retransmission).
+func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, r *Request) {
+	frags := proto.MediumFragsOf(r.n)
+	ack := ep.takeAck(dst)
 	for f := 0; f < frags; f++ {
 		fo := f * proto.MediumFragSize
-		fl := min(proto.MediumFragSize, n-fo)
-		if n <= proto.SmallMax {
-			fl = n
+		fl := min(proto.MediumFragSize, r.n-fo)
+		if r.n <= proto.SmallMax {
+			fl = r.n
 		}
 		var payload []byte
 		if fl > 0 {
 			payload = make([]byte, fl)
-			buf.ReadAt(payload, off+fo)
+			r.buf.ReadAt(payload, r.off+fo)
 		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).
-		s.TransmitOn(s.LaneOf(seq, f), tc.dst, &proto.Eager{
-			Src: ep.Addr(), Dst: tc.dst,
-			Match: match, Seq: seq, MsgLen: n,
+		s.TransmitOn(s.LaneOf(r.seq, f), dst, &proto.Eager{
+			Src: ep.Addr(), Dst: dst,
+			Match: r.MatchInfo, Seq: r.seq, MsgLen: r.n,
 			FragID: f, FragCount: frags, Offset: fo,
 			AckSeq: ack,
 		}, payload)
 	}
 }
 
-// armEagerRtx (re)arms the eager retransmission timer for a channel,
-// backing off exponentially while the peer shows no progress (any
-// cumulative-ack advance resets the attempt count).
-func (ep *Endpoint) armEagerRtx(tc *txChan) {
-	if tc.rtx.Pending() || len(tc.unacked) == 0 {
-		return
-	}
+// resendEager is a channel's retransmission: rebuild and resend every
+// unacked message. One timer, one softirq context: the rebuild runs
+// on the primary NIC's interrupt core even though the fragments then
+// re-stripe across lanes (transmitEager recomputes each fragment's
+// lane).
+func (ep *Endpoint) resendEager(tc *proto.TxChan[*Request]) {
 	s := ep.S
-	tc.rtx = s.H.E.Schedule(s.RtxTimeout(tc.dst, tc.rtxAttempts), func() {
-		tc.rtx = sim.Timer{}
-		if len(tc.unacked) == 0 {
-			return
+	var build int64
+	for _, u := range tc.Unacked {
+		build += int64(proto.MediumFragsOf(u.Data.n)) * s.H.P.OMXTxBuildCost
+	}
+	irq := s.H.Sys.Core(s.H.NIC.IRQCore)
+	unacked := append([]*proto.Unacked[*Request](nil), tc.Unacked...)
+	irq.Exec(cpu.BHProc, sim.Duration(build), func() {
+		for _, u := range unacked {
+			s.transmitEager(ep, tc.Dst, u.Data)
 		}
-		tc.rtxAttempts++
-		s.Stats.EagerRetransmits++
-		s.TraceRetransmit(tc.unacked[0].seq, -1, 0)
-		// Rebuild and resend every unacked message; receivers dedup.
-		// One timer, one softirq context: the rebuild runs on the
-		// primary NIC's interrupt core even though the fragments then
-		// re-stripe across lanes (transmitEager recomputes each
-		// fragment's lane).
-		var build int64
-		for _, es := range tc.unacked {
-			build += int64(proto.MediumFragsOf(es.n)) * s.H.P.OMXTxBuildCost
-		}
-		irq := s.H.Sys.Core(s.H.NIC.IRQCore)
-		unacked := append([]*eagerSend(nil), tc.unacked...)
-		for _, es := range unacked {
-			es.rtxed = true // Karn: never sample a retransmitted send
-		}
-		irq.Exec(cpu.BHProc, sim.Duration(build), func() {
-			for _, es := range unacked {
-				s.transmitEager(ep, tc, es.seq, es.match, es.buf, es.off, es.n)
-			}
-		})
-		ep.armEagerRtx(tc)
 	})
 }
 
@@ -628,48 +573,29 @@ func (ep *Endpoint) armEagerRtx(tc *txChan) {
 func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 	s := ep.S
 	tc := ep.txChan(r.dst)
-	r.seq = tc.nextTxSeq()
+	r.seq = tc.Next()
 	cost := sim.Duration(s.H.P.SyscallCost+s.H.P.OMXTxBuildCost) + s.PinCost(r.buf, r.n, s.H.P.PinPerPage)
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	r.buf.Lend()
 	s.nextHandle++
-	ls := &largeSend{handle: s.nextHandle, ep: ep, req: r, dst: r.dst, buf: r.buf, off: r.off, n: r.n, seq: r.seq, sentAt: p.Now()}
-	s.sends[ls.handle] = ls
-	s.transmitRndv(ls)
-	s.Stats.RndvSent++
-	s.armRndvRtx(ls)
+	ls := &largeSend{ep: ep, req: r, RndvSend: proto.RndvSend{
+		Handle: s.nextHandle, Dst: r.dst, Seq: r.seq, Buf: r.buf, Off: r.off, N: r.n,
+	}}
+	s.sends[ls.Handle] = ls
+	s.StartRndv(&ls.RndvSend, ls.transmitRequest)
 }
 
-func (s *Stack) transmitRndv(ls *largeSend) {
-	s.TransmitOn(s.LaneOf(ls.seq, 0), ls.dst, &proto.RndvRequest{
-		Src: ls.ep.Addr(), Dst: ls.dst,
-		Match: ls.req.MatchInfo, Seq: ls.seq, MsgLen: ls.n,
-		SenderHandle: ls.handle,
-		AckSeq:       ls.ep.takeAck(ls.dst),
+// transmitRequest sends the rendezvous request, piggybacking the
+// channel's cumulative ack.
+func (ls *largeSend) transmitRequest() {
+	s := ls.ep.S
+	s.TransmitOn(s.LaneOf(ls.Seq, 0), ls.Dst, &proto.RndvRequest{
+		Src: ls.ep.Addr(), Dst: ls.Dst,
+		Match: ls.req.MatchInfo, Seq: ls.Seq, MsgLen: ls.N,
+		SenderHandle: ls.Handle,
+		AckSeq:       ls.ep.takeAck(ls.Dst),
 	}, nil)
-}
-
-// armRndvRtx watches a rendezvous send for progress; without any it
-// re-sends the request, backing off exponentially until the receiver
-// answers (progress resets the backoff).
-func (s *Stack) armRndvRtx(ls *largeSend) {
-	ls.rtx = s.H.E.Schedule(s.RtxTimeout(ls.dst, ls.attempts), func() {
-		if ls.finished {
-			return
-		}
-		if !ls.pulled {
-			// The request (or everything since) was lost: resend it.
-			ls.attempts++
-			s.Stats.RndvRetransmits++
-			s.TraceRetransmit(ls.seq, -1, s.LaneOf(ls.seq, 0))
-			s.transmitRndv(ls)
-		} else {
-			ls.attempts = 0
-		}
-		ls.pulled = false // expect further progress before next firing
-		s.armRndvRtx(ls)
-	})
 }
 
 // startPull is the receiver-side system call that launches the pull
@@ -682,15 +608,12 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	ep.core().RunOn(p, cpu.DriverCmd, cost)
 
 	s.nextHandle++
-	lp := &largePull{
-		handle: s.nextHandle, ep: ep, req: r,
-		src: u.src, senderHandle: u.handle,
-		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
-		buf: r.buf, off: r.off, n: n,
-		frags:  proto.FragsOf(n),
-		blocks: make(map[int]*pullBlock),
-	}
-	lp.numBlocks = (lp.frags + s.Cfg.PullBlockFrags - 1) / s.Cfg.PullBlockFrags
+	lp := &largePull{ep: ep, req: r, RndvPull: proto.RndvPull{
+		Handle: s.nextHandle, Local: ep.Addr(), Src: u.src, SenderHandle: u.handle,
+		Key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
+		Buf: r.buf, Off: r.off, N: n,
+	}}
+	s.StartPull(&lp.RndvPull, s.Cfg.PullBlockFrags, s.Cfg.PullBlocks, s.adaptiveWin, lp.retryBlock)
 	lp.useIOAT = s.Cfg.IOAT && !s.Cfg.SkipBHCopy && n >= s.Cfg.IOATMinMsg && proto.LargeFragSize >= s.Cfg.IOATMinFrag
 	if lp.useIOAT {
 		// One DMA channel per NIC lane: a striped message overlaps its
@@ -701,18 +624,12 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 		}
 		lp.lastSeq = make([]uint64, s.Lanes)
 	}
-	if s.adaptiveWin {
-		lp.aw = s.PullWindowFor(lp.src)
-		lp.lastWin = lp.aw.Window()
-	}
-	lp.startedAt = s.H.E.Now()
+	lp.lastWin = lp.Window()
 	r.MatchInfo = u.match
 	r.SenderAddr = u.src
-	s.pulls[lp.handle] = lp
-	s.RndvInsert(lp.key, u.handle)
+	s.pulls[lp.Handle] = lp
 
-	for b := 0; b < s.pullWindow(lp) && lp.nextBlock < lp.numBlocks; b++ {
-		s.sendPullBlock(lp, lp.nextBlock, 0)
-		lp.nextBlock++
+	for b := 0; b < lp.Window() && lp.More(); b++ {
+		s.pullNext(lp)
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"omxsim/internal/proto"
 )
 
-// FuzzReliabilityWindow drives the reliability window and cumulative
-// ack state machines (reliability.go) with an arbitrary operation
+// FuzzReliabilityWindow drives the receive window and the transmit
+// channel both stacks share (proto.Window, proto.TxChan) with an
+// arbitrary operation
 // program, starting just below the 32-bit sequence wraparound so
 // every run crosses it. Operations: issue a new sequence, deliver an
 // issued sequence (possibly again — a retransmission), apply the
@@ -39,12 +40,9 @@ func FuzzReliabilityWindow(f *testing.F) {
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const base = uint32(0xFFFFFF80) // 128 sequences before wrap
-		rx := &rxChan{
-			win:      proto.NewWindowAt(base),
-			asm:      make(map[uint32]*assembly),
-			fragSeen: make(map[uint32]uint64),
-		}
-		tx := &txChan{nextSeq: base, ackedSeq: base}
+		win := proto.NewWindowAt(base)
+		tx := proto.NewTxChanAt[*Request](nil, proto.Addr{}, nil, base)
+		acked := base // the model's cumulative ack edge
 
 		delivered := make(map[uint32]bool)
 		ackedReq := make(map[*Request]bool)
@@ -55,70 +53,76 @@ func FuzzReliabilityWindow(f *testing.F) {
 			op, arg := data[i]%4, data[i+1]
 			switch op {
 			case 0: // sender issues a new message
-				seq := tx.nextTxSeq()
+				seq := tx.Next()
 				if seq == 0 {
 					t.Fatal("sequence 0 issued")
 				}
-				tx.unacked = append(tx.unacked, &eagerSend{seq: seq, req: &Request{}})
+				tx.Unacked = append(tx.Unacked, &proto.Unacked[*Request]{Seq: seq, Data: &Request{}})
 				issued = append(issued, seq)
 			case 1: // deliver an issued sequence (dup if re-delivered)
 				if len(issued) == 0 {
 					continue
 				}
 				seq := issued[int(arg)%len(issued)]
-				wasDup := rx.isDup(seq)
+				wasDup := win.IsDup(seq)
 				if wasDup != delivered[seq] {
-					t.Fatalf("isDup(%d) = %v, model says delivered=%v", seq, wasDup, delivered[seq])
+					t.Fatalf("IsDup(%d) = %v, model says delivered=%v", seq, wasDup, delivered[seq])
 				}
 				if !wasDup {
-					rx.markComplete(seq)
+					win.MarkComplete(seq)
 					delivered[seq] = true
-					if !rx.isDup(seq) {
+					if !win.IsDup(seq) {
 						t.Fatalf("seq %d not dup immediately after completion", seq)
 					}
 				}
 			case 2: // receiver acks its current cumulative edge
-				edge := rx.win.Edge()
+				edge := win.Edge()
 				ackValues = append(ackValues, edge)
-				done := tx.applyCumulative(edge)
-				for _, es := range done {
-					if ackedReq[es.req] {
+				fresh := proto.SeqAfter(edge, acked)
+				done := tx.ApplyCumulative(edge)
+				for _, u := range done {
+					if ackedReq[u.Data] {
 						t.Fatal("request completed twice")
 					}
-					ackedReq[es.req] = true
+					ackedReq[u.Data] = true
+					if proto.SeqAfter(u.Seq, edge) {
+						t.Fatalf("ack %d completed later seq %d", edge, u.Seq)
+					}
 				}
-				if len(done) > 0 && tx.ackedSeq != edge {
-					t.Fatalf("ackedSeq %d after applying edge %d", tx.ackedSeq, edge)
+				if fresh {
+					acked = edge
+				} else if done != nil {
+					t.Fatalf("non-advancing ack %d (edge %d) completed %d sends", edge, acked, len(done))
 				}
 			case 3: // replay an old ack (stale/duplicate)
 				if len(ackValues) == 0 {
 					continue
 				}
 				old := ackValues[int(arg)%len(ackValues)]
-				if !proto.SeqAfter(old, tx.ackedSeq) {
-					if done := tx.applyCumulative(old); done != nil {
-						t.Fatalf("stale ack %d (edge %d) completed %d sends", old, tx.ackedSeq, len(done))
+				if !proto.SeqAfter(old, acked) {
+					if done := tx.ApplyCumulative(old); done != nil {
+						t.Fatalf("stale ack %d (edge %d) completed %d sends", old, acked, len(done))
 					}
 				}
 			}
 			// Standing invariants.
-			for _, es := range tx.unacked {
-				if !proto.SeqAfter(es.seq, tx.ackedSeq) {
-					t.Fatalf("unacked seq %d not after acked edge %d", es.seq, tx.ackedSeq)
+			for _, u := range tx.Unacked {
+				if !proto.SeqAfter(u.Seq, acked) {
+					t.Fatalf("unacked seq %d not after acked edge %d", u.Seq, acked)
 				}
 			}
-			if !rx.isDup(rx.win.Edge()) && rx.win.Edge() != base {
-				t.Fatalf("cumulative edge %d not covered by its own window", rx.win.Edge())
+			if !win.IsDup(win.Edge()) && win.Edge() != base {
+				t.Fatalf("cumulative edge %d not covered by its own window", win.Edge())
 			}
 		}
 		// The cumulative edge must cover only delivered sequences:
 		// walk back from the edge to the base.
-		for s := rx.win.Edge(); s != base; s-- {
+		for s := win.Edge(); s != base; s-- {
 			if s == 0 {
 				continue // skipped sentinel
 			}
 			if !delivered[s] {
-				t.Fatalf("edge %d covers undelivered seq %d", rx.win.Edge(), s)
+				t.Fatalf("edge %d covers undelivered seq %d", win.Edge(), s)
 			}
 		}
 	})

@@ -1,30 +1,13 @@
 package core
 
-import (
-	"omxsim/internal/proto"
-)
-
-// Reliability-window primitives shared by the receive dedup path and
-// the cumulative-ack machinery. Sequence numbers are 32-bit and wrap:
-// all comparisons use serial-number arithmetic (RFC 1982 style), so a
-// channel that has carried 2^32 messages keeps deduplicating and
-// acking correctly across the wraparound. These methods are pure
-// state-machine transitions — no simulated time, no I/O — and are the
-// surface the reliability fuzz target drives.
-
-// nextTxSeq issues the channel's next message sequence (skipping the
-// "no ack" sentinel 0 on wraparound; see proto.NextSeq).
-func (tc *txChan) nextTxSeq() uint32 { return proto.NextSeq(&tc.nextSeq) }
-
-// isDup reports whether seq was already fully received on the
-// channel: covered by the cumulative window or individually recorded
-// ahead of it. Retransmissions of such sequences carry no new data
-// and must only refresh the ack.
-func (c *rxChan) isDup(seq uint32) bool { return c.win.IsDup(seq) }
+// The driver's receive-side dedup state on top of the shared
+// cumulative window (proto.Window): a per-message fragment bitmap
+// that keeps retransmitted fragments of a message still assembling
+// out of the ring. The transmit side is the shared proto.TxChan.
 
 // markComplete records seq as fully received and advances the
 // cumulative edge over any contiguous run it completes. The
-// per-fragment bitmap retires with it: isDup covers the whole
+// per-fragment bitmap retires with it: win.IsDup covers the whole
 // message from here on.
 func (c *rxChan) markComplete(seq uint32) {
 	c.win.MarkComplete(seq)
@@ -44,22 +27,4 @@ func (c *rxChan) fragSeenBefore(seq uint32, fragID int) bool {
 // ring slot must stay unseen so its retransmission is let through.
 func (c *rxChan) markFrag(seq uint32, fragID int) {
 	c.fragSeen[seq] |= uint64(1) << uint(fragID)
-}
-
-// applyCumulative advances the channel's cumulative ack to ackSeq and
-// returns the sends it completes, oldest first (the caller reads the
-// completed Requests, RTT samples and trace spans off them). Stale
-// and duplicate acks (not after the current edge in serial
-// arithmetic) return nil and change nothing; an ack that does advance
-// the edge also resets the retransmission backoff — the peer is
-// alive.
-func (tc *txChan) applyCumulative(ackSeq uint32) []*eagerSend {
-	if ackSeq == 0 || !proto.SeqAfter(ackSeq, tc.ackedSeq) {
-		return nil
-	}
-	tc.ackedSeq = ackSeq
-	tc.rtxAttempts = 0
-	acked, keep := proto.TrimAcked(tc.unacked, func(es *eagerSend) uint32 { return es.seq }, ackSeq)
-	tc.unacked = keep
-	return acked
 }

@@ -72,28 +72,10 @@ func (s *Stack) applyAck(p *sim.Proc, core *cpu.Core, epID int, from proto.Addr,
 	if tc == nil {
 		return
 	}
-	acked := tc.applyCumulative(ackSeq)
-	if len(tc.unacked) == 0 {
-		tc.rtx.Stop()
-		tc.rtx = sim.Timer{}
-	}
-	if len(acked) > 0 {
-		// The newest never-retransmitted send the ack covers is a clean
-		// round-trip sample (Karn's rule skips retransmitted ones).
-		now := s.H.E.Now()
-		sample := sim.Duration(-1)
-		done := make([]*Request, 0, len(acked))
-		for _, es := range acked {
-			done = append(done, es.req)
-			if !es.rtxed {
-				sample = now - es.sentAt
-			}
-			if s.Trace != nil {
-				s.Trace(proto.TraceEvent{Kind: "eager", Frag: -1, Seq: es.seq, Lane: s.LaneOf(es.seq, 0), Start: es.sentAt, End: now})
-			}
-		}
-		if sample >= 0 {
-			s.ObserveRTT(from, sample)
+	if acked := tc.Ack(ackSeq); len(acked) > 0 {
+		done := make([]*Request, len(acked))
+		for i, u := range acked {
+			done[i] = u.Data
 		}
 		s.chargeEvent(p, core)
 		ep.pushEvent(&event{kind: evEagerAcked, reqs: done})
@@ -117,7 +99,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 	// never saw it. This must not depend on the application calling
 	// into the library: acks are a transport responsibility.
 	ch := ep.rxChan(m.Src)
-	if ch.isDup(m.Seq) {
+	if ch.win.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		ep.forceAck(ch)
 		return
@@ -204,15 +186,9 @@ func (s *Stack) rxRndv(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.RndvR
 	if ep == nil {
 		return
 	}
-	key := proto.RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
-	if sender, done, ok := s.RndvSeen(key); ok {
-		if done {
-			// We finished but our ack was lost: re-ack.
-			s.Transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: sender}, nil)
-		}
-		return // duplicate; pull timers drive recovery otherwise
+	if !s.AdmitRndv(m) {
+		return
 	}
-	s.RndvInsert(key, m.SenderHandle)
 	s.chargeEvent(p, core)
 	ep.pushEvent(&event{
 		kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
@@ -233,13 +209,7 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 	if ls == nil {
 		return // stale pull for a finished send
 	}
-	if !ls.sampled && ls.attempts == 0 {
-		// First pull answers the (never-retransmitted) rendezvous
-		// request: a clean request->pull round trip to the receiver.
-		s.ObserveRTT(m.Src, s.H.E.Now()-ls.sentAt)
-	}
-	ls.sampled = true
-	ls.pulled = true
+	s.PullArrived(&ls.RndvSend, m.Src)
 	count := 0
 	for i := 0; i < m.FragCount; i++ {
 		if m.NeedMask&(1<<uint(i)) != 0 {
@@ -256,15 +226,15 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 		}
 		fragID := m.FirstFrag + i
 		fo := fragID * proto.LargeFragSize
-		fl := min(proto.LargeFragSize, ls.n-fo)
+		fl := min(proto.LargeFragSize, ls.N-fo)
 		if fl <= 0 {
 			continue
 		}
 		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ls.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
-			FragID: fragID, Offset: fo, MsgLen: ls.n,
-		}, ls.buf.View(ls.off+fo, fl))
+			FragID: fragID, Offset: fo, MsgLen: ls.N,
+		}, ls.Buf.View(ls.Off+fo, fl))
 		s.Stats.LargeFragsSent++
 	}
 }
@@ -278,31 +248,24 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 // and on a striped message it waits for every lane's channel.
 func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.LargeFrag) {
 	lp := s.pulls[m.RecvHandle]
-	if lp == nil || lp.done {
+	if lp == nil || lp.Done {
 		skb.Free()
 		return
 	}
-	blk := lp.blocks[m.Block]
+	blk := s.AcceptFrag(&lp.RndvPull, m)
 	if blk == nil {
-		s.Stats.DupFrags++
 		skb.Free()
 		return
 	}
-	if !blk.asm.Mark(m.FragID - blk.firstFrag) {
-		s.Stats.DupFrags++
-		skb.Free()
-		return
-	}
-	blk.attempts = 0 // fresh data: the sender is making progress
 	lp.received++
 
 	n := skb.Len()
-	dstOff := lp.off + m.Offset
-	last := lp.received == lp.frags
+	dstOff := lp.Off + m.Offset
+	last := lp.received == lp.Frags
 
 	switch {
 	case s.Cfg.SkipBHCopy:
-		hostmem.Copy(lp.buf, dstOff, skb.Buf, 0, n)
+		hostmem.Copy(lp.Buf, dstOff, skb.Buf, 0, n)
 		skb.Free()
 	case lp.useIOAT:
 		// Optional hybrid: memcpy the head of the message to warm the
@@ -310,7 +273,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		so := 0
 		if warm := s.Cfg.HybridWarmupBytes; warm > 0 && m.Offset < warm {
 			head := min(n, warm-m.Offset)
-			d := s.H.Copy.Memcpy(lp.buf, dstOff, skb.Buf, 0, head, core.ID)
+			d := s.H.Copy.Memcpy(lp.Buf, dstOff, skb.Buf, 0, head, core.ID)
 			core.RunOn(p, cpu.BHCopy, d)
 			so = head
 		}
@@ -334,12 +297,12 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		}
 		s.Stats.IOATSubmits += int64(ndesc)
 		ch := lp.chs[lane]
-		seq := ch.SubmitPages(lp.buf, dstOff+so, skb.Buf, so, n-so, onDone)
+		seq := ch.SubmitPages(lp.Buf, dstOff+so, skb.Buf, so, n-so, onDone)
 		lp.lastSeq[lane] = seq
 		lp.pending = append(lp.pending, pendingCopy{skb: skb, ch: ch, seq: seq})
 	default:
 		t1 := p.Now()
-		d := s.H.Copy.Memcpy(lp.buf, dstOff, skb.Buf, 0, n, core.ID)
+		d := s.H.Copy.Memcpy(lp.Buf, dstOff, skb.Buf, 0, n, core.ID)
 		core.RunOn(p, cpu.BHCopy, d)
 		if s.Trace != nil {
 			s.Trace(proto.TraceEvent{Kind: "memcpy", Frag: m.FragID, Start: t1, End: p.Now()})
@@ -347,26 +310,9 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		skb.Free()
 	}
 
-	if blk.asm.Done() {
-		blk.timer.Stop()
-		delete(lp.blocks, m.Block)
-		if s.Trace != nil {
-			s.Trace(proto.TraceEvent{
-				Kind: "pull", Frag: -1, Seq: lp.key.Seq, Block: blk.idx,
-				Lane: s.LaneOf(lp.key.Seq, blk.idx), Window: s.pullWindow(lp),
-				Start: blk.sentAt, End: p.Now(),
-			})
-		}
-		if !blk.rtxed {
-			// A clean block round trip: feed the peer's RTO estimator
-			// and the transfer's window controller (which may also back
-			// off here, on round-trip inflation).
-			rtt := p.Now() - blk.sentAt
-			s.ObserveRTT(lp.src, rtt)
-			if lp.aw != nil {
-				lp.aw.OnSample(rtt)
-				s.traceCwnd(lp)
-			}
+	if blk.Asm.Done() {
+		if s.CompleteBlock(&lp.RndvPull, blk) {
+			s.traceCwnd(lp)
 		}
 		// Refill the window: exactly one block on the static path (the
 		// paper's one-for-one pipeline), the snapshot deficit after an
@@ -374,21 +320,20 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		// a concurrent lane's completion during the yield must not
 		// change how many blocks this completion issues.
 		want := 1
-		if lp.aw != nil {
-			want = s.pullWindow(lp) - len(lp.blocks)
+		if lp.AW != nil {
+			want = lp.Window() - len(lp.Blocks)
 		}
-		for i := 0; i < want && lp.nextBlock < lp.numBlocks; i++ {
+		for i := 0; i < want && lp.More(); i++ {
 			// "A resource cleanup routine is invoked when a new
 			// request is sent" (Section III-B).
 			core.RunOn(p, cpu.BHProc, sim.Duration(s.H.P.OMXTxBuildCost))
-			if lp.nextBlock >= lp.numBlocks {
+			if !lp.More() {
 				break // a concurrent lane issued the tail during the yield
 			}
-			s.sendPullBlock(lp, lp.nextBlock, 0)
-			lp.nextBlock++
+			s.pullNext(lp)
 			s.cleanup(p, core, lp)
 		}
-		s.TraceCounter("pull-queue", float64(len(lp.blocks)))
+		s.TraceCounter("pull-queue", float64(len(lp.Blocks)))
 	}
 
 	if last {
@@ -431,23 +376,16 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 			}
 			s.freeRetired(lp)
 		}
-		lp.done = true
-		delete(s.pulls, lp.handle)
-		s.RndvMarkDone(lp.key)
-		lp.req.Len = lp.n
-		if s.Trace != nil {
-			s.Trace(proto.TraceEvent{
-				Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
-				Window: s.pullWindow(lp), Start: lp.startedAt, End: p.Now(),
-			})
-		}
+		delete(s.pulls, lp.Handle)
+		lp.req.Len = lp.N
+		s.FinishPull(&lp.RndvPull)
 		tn := p.Now()
 		s.chargeEvent(p, core)
 		if s.Trace != nil {
 			s.Trace(proto.TraceEvent{Kind: "notify", Frag: m.FragID, Start: tn, End: p.Now()})
 		}
 		lp.ep.pushEvent(&event{kind: evLargeDone, req: lp.req})
-		s.Transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
+		s.AckRndv(&lp.RndvPull)
 	}
 }
 
@@ -488,79 +426,43 @@ func (s *Stack) rxRndvAck(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Rn
 	if ls == nil {
 		return
 	}
-	ls.finished = true
-	ls.rtx.Stop()
-	delete(s.sends, ls.handle)
-	ls.buf.Return()
+	delete(s.sends, ls.Handle)
+	s.FinishRndv(&ls.RndvSend)
 	s.chargeEvent(p, core)
 	ls.ep.pushEvent(&event{kind: evSendDone, req: ls.req})
 }
 
-// sendPullBlock transmits one pull request. mask == 0 means "all
-// fragments of the block"; nonzero masks are retransmissions. It arms
-// (or re-arms) the block's retransmission timer. The request goes out
-// on the block's stripe lane — the data comes back on the same lane
+// pullNext requests the transfer's next block. The request goes out
+// on the block's stripe lane and the data comes back on the same lane
 // (rxPull answers on the arrival lane), so round-robin block lanes
 // keep every NIC of an aggregated link busy once the window is wide
 // enough to have a block in flight per lane.
-func (s *Stack) sendPullBlock(lp *largePull, blockIdx int, mask uint64) {
-	firstFrag := blockIdx * s.Cfg.PullBlockFrags
-	count := min(s.Cfg.PullBlockFrags, lp.frags-firstFrag)
-	blk := lp.blocks[blockIdx]
-	if blk == nil {
-		blk = &pullBlock{idx: blockIdx, firstFrag: firstFrag, asm: proto.NewReassembly(count), sentAt: s.H.E.Now()}
-		lp.blocks[blockIdx] = blk
-	}
-	if mask == 0 {
-		mask = blk.asm.FullMask()
-	}
-	s.TransmitOn(s.LaneOf(lp.key.Seq, blockIdx), lp.src, &proto.Pull{
-		Src: lp.ep.Addr(), Dst: lp.src,
-		SenderHandle: lp.senderHandle, RecvHandle: lp.handle,
-		Block: blockIdx, FirstFrag: firstFrag, FragCount: count,
-		NeedMask: mask,
-	}, nil)
+func (s *Stack) pullNext(lp *largePull) {
+	s.PullNext(&lp.RndvPull)
 	s.Stats.PullsSent++
-	s.armBlockTimer(lp, blk)
 }
 
-// armBlockTimer (re)arms a pull block's retransmission timer: on
-// expiry, re-request the missing fragments and run the cleanup routine
-// (Section III-B: "this routine is also invoked when the
-// retransmission timeout expires"). Consecutive expiries without any
-// fragment arriving back off exponentially.
-func (s *Stack) armBlockTimer(lp *largePull, blk *pullBlock) {
-	blk.timer.Stop()
-	blk.timer = s.H.E.Schedule(s.RtxTimeout(lp.src, blk.attempts), func() {
-		if lp.done || blk.asm.Done() {
+// retryBlock re-requests a timed-out block's missing fragments and
+// runs the cleanup routine (Section III-B: "this routine is also
+// invoked when the retransmission timeout expires"). The re-request
+// builds on the stripe lane's interrupt core — the core whose bottom
+// half owns this block's traffic — so retransmission cost under
+// per-lane impairment is charged where the lane's receive work
+// already runs.
+func (lp *largePull) retryBlock(blk *proto.PullBlock) {
+	s := lp.ep.S
+	s.traceCwnd(lp)
+	need := blk.Asm.Missing()
+	irq := s.H.Sys.Core(s.H.NICs[s.LaneOf(lp.Key.Seq, blk.Idx)].IRQCore)
+	irq.Exec(cpu.BHProc, sim.Duration(s.H.P.OMXTxBuildCost), func() {
+		if lp.Done || blk.Asm.Done() {
 			return
 		}
-		blk.attempts++
-		blk.rtxed = true
-		s.Stats.PullRetransmits++
-		s.TraceRetransmit(lp.key.Seq, blk.idx, s.LaneOf(lp.key.Seq, blk.idx))
-		if lp.aw != nil {
-			// The timeout is the loss signal: halve the window once per
-			// loss epoch (the next clean sample reopens the epoch).
-			lp.aw.OnLoss()
-			s.traceCwnd(lp)
+		s.SendPull(&lp.RndvPull, blk, need)
+		s.Stats.PullsSent++
+		if lp.useIOAT && len(lp.pending) > 0 {
+			s.freeRetired(lp)
 		}
-		need := blk.asm.Missing()
-		// The re-request builds on the stripe lane's interrupt core —
-		// the core whose bottom half owns this block's traffic — so
-		// retransmission cost under per-lane impairment is charged
-		// where the lane's receive work already runs.
-		irq := s.H.Sys.Core(s.H.NICs[s.LaneOf(lp.key.Seq, blk.idx)].IRQCore)
-		irq.Exec(cpu.BHProc, sim.Duration(s.H.P.OMXTxBuildCost), func() {
-			if lp.done || blk.asm.Done() {
-				return
-			}
-			s.sendPullBlock(lp, blk.idx, need)
-			// Cleanup on retransmission timeout, per the paper.
-			if lp.useIOAT && len(lp.pending) > 0 {
-				s.freeRetired(lp)
-			}
-		})
 	})
 }
 

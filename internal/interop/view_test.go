@@ -20,6 +20,7 @@ type peer struct {
 	send      func(p *sim.Proc, dst proto.Addr, buf *hostmem.Buffer, n int)
 	recv      func(p *sim.Proc, buf *hostmem.Buffer, n int) int
 	fragsSent func() int64
+	ctr       *proto.Counters // the stack's shared protocol counters
 }
 
 func openMXPeer(h *host.Host) peer {
@@ -36,6 +37,7 @@ func openMXPeer(h *host.Host) peer {
 			return r.Len
 		},
 		fragsSent: func() int64 { return s.Stats.LargeFragsSent },
+		ctr:       &s.Stats.Counters,
 	}
 }
 
@@ -54,6 +56,7 @@ func mxoeStackPeer(s *mxoe.Stack) peer {
 			return r.Len
 		},
 		fragsSent: func() int64 { return s.Stats.FragsSent },
+		ctr:       &s.Stats.Counters,
 	}
 }
 

@@ -81,31 +81,8 @@ func (s *Stack) fwAck(m *proto.Ack) {
 	if ep == nil {
 		return
 	}
-	tc := ep.tx[m.Dst]
-	if tc == nil {
-		return
-	}
-	acked := tc.applyCumulative(m.AckSeq)
-	if len(acked) > 0 {
-		// The newest never-retransmitted send the ack covers is a clean
-		// round-trip sample (Karn's rule skips retransmitted ones).
-		now := s.H.E.Now()
-		sample := sim.Duration(-1)
-		for _, u := range acked {
-			if !u.rtxed {
-				sample = now - u.sentAt
-			}
-			if s.Trace != nil {
-				s.Trace(proto.TraceEvent{Kind: "eager", Frag: -1, Seq: u.seq, Lane: s.LaneOf(u.seq, 0), Start: u.sentAt, End: now})
-			}
-		}
-		if sample >= 0 {
-			s.ObserveRTT(m.Dst, sample)
-		}
-	}
-	if len(tc.unacked) == 0 {
-		tc.rtx.Stop()
-		tc.rtx = sim.Timer{}
+	if tc := ep.tx[m.Dst]; tc != nil {
+		tc.Ack(m.AckSeq)
 	}
 }
 
@@ -124,7 +101,7 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
 	}
 	ch := ep.mxRx(m.Src)
-	if ch.isDup(m.Seq) {
+	if ch.win.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		// The sender clearly lost our ack: refresh it immediately.
 		s.Transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.win.Edge()}, nil)
@@ -150,7 +127,7 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	a.arrived++
 	if a.arrived == a.cnt {
 		delete(ch.asm, m.Seq)
-		ch.markComplete(m.Seq)
+		ch.win.MarkComplete(m.Seq)
 	}
 	slot := ep.freeSlots[len(ep.freeSlots)-1]
 	ep.freeSlots = ep.freeSlots[:len(ep.freeSlots)-1]
@@ -180,17 +157,12 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 	if m.AckSeq != 0 {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
 	}
-	key := proto.RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
-	if sender, done, ok := s.RndvSeen(key); ok {
-		if done {
-			s.Transmit(m.Src, &proto.RndvAck{Src: ep.Addr(), Dst: m.Src, SenderHandle: sender}, nil)
-		}
-		return // in progress: pull-block timers drive recovery
+	if !s.AdmitRndv(m) {
+		return
 	}
-	s.RndvInsert(key, m.SenderHandle)
 	// A rendezvous consumes a sequence number on the eager channel so
 	// cumulative acks can advance across it.
-	ep.mxRx(m.Src).markComplete(m.Seq)
+	ep.mxRx(m.Src).win.MarkComplete(m.Seq)
 	s.H.E.Schedule(sim.Duration(s.H.P.MXFirmwareMatchCost), func() {
 		ep.pushEvent(&event{kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
 			msgLen: m.MsgLen, handle: m.SenderHandle})
@@ -208,13 +180,7 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 	if ms == nil {
 		return
 	}
-	if !ms.sampled && ms.attempts == 0 {
-		// First pull answers the (never-retransmitted) rendezvous
-		// request: a clean request->pull round trip to the receiver.
-		s.ObserveRTT(m.Src, s.H.E.Now()-ms.sentAt)
-	}
-	ms.sampled = true
-	ms.pulled = true
+	s.PullArrived(&ms.RndvSend, m.Src)
 	var frags []int
 	for i := 0; i < m.FragCount; i++ {
 		if m.NeedMask&(uint64(1)<<uint(i)) != 0 {
@@ -224,13 +190,16 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 	idx := 0
 	var sendNext func()
 	sendNext = func() {
-		if idx >= len(frags) {
+		// The receiver may complete (and the send return its buffer)
+		// while a re-requested block is still being paced out: the
+		// rest of that reply is stale and must not read the buffer.
+		if idx >= len(frags) || s.sends[m.SenderHandle] != ms {
 			return
 		}
 		frag := frags[idx]
 		idx++
 		fo := frag * proto.LargeFragSize
-		fl := min(proto.LargeFragSize, ms.n-fo)
+		fl := min(proto.LargeFragSize, ms.N-fo)
 		if fl <= 0 {
 			return
 		}
@@ -240,8 +209,8 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
 			Src: ms.ep.Addr(), Dst: m.Src,
 			RecvHandle: m.RecvHandle, Block: m.Block,
-			FragID: frag, Offset: fo, MsgLen: ms.n,
-		}, ms.buf.View(ms.off+fo, fl))
+			FragID: frag, Offset: fo, MsgLen: ms.N,
+		}, ms.Buf.View(ms.Off+fo, fl))
 		s.Stats.FragsSent++
 		if idx < len(frags) {
 			// Pace at wire time plus the control-overhead fraction.
@@ -260,100 +229,45 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 // blocks retire their retransmission timers.
 func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 	lp := s.pulls[m.RecvHandle]
-	if lp == nil || lp.done {
+	if lp == nil || lp.Done {
 		return
 	}
-	blk := lp.blocks[m.Block]
+	blk := s.AcceptFrag(&lp.RndvPull, m)
 	if blk == nil {
-		s.Stats.DupFrags++
-		return // block already completed: stale retransmission
-	}
-	if !blk.asm.Mark(m.FragID - blk.firstFrag) {
-		s.Stats.DupFrags++
 		return
 	}
-	blk.attempts = 0
-	if blk.asm.Done() {
-		blk.timer.Stop()
-		delete(lp.blocks, m.Block)
-		if s.Trace != nil {
-			win := 2 * s.Lanes
-			if lp.aw != nil {
-				win = lp.aw.Window()
-			}
-			s.Trace(proto.TraceEvent{
-				Kind: "pull", Frag: -1, Seq: lp.key.Seq, Block: blk.idx,
-				Lane: s.LaneOf(lp.key.Seq, blk.idx), Window: win,
-				Start: blk.sentAt, End: s.H.E.Now(),
-			})
-		}
-		if !blk.rtxed {
-			// A clean block round trip: feed the peer's RTO estimator
-			// and the transfer's window controller.
-			rtt := s.H.E.Now() - blk.sentAt
-			s.ObserveRTT(lp.src, rtt)
-			if lp.aw != nil {
-				lp.aw.OnSample(rtt)
-			}
-		}
-		if lp.aw != nil {
+	if blk.Asm.Done() {
+		s.CompleteBlock(&lp.RndvPull, blk)
+		if lp.AW != nil {
 			// Adaptive refill: top the window back up at completion
 			// time (firmware context, no host cost). The static path
 			// keeps its arrival-paced one-for-one refill below.
-			for len(lp.blocks) < lp.aw.Window() && lp.nextBlock*mxBlockFrags < lp.frags {
-				s.pullNextBlock(lp)
+			for len(lp.Blocks) < lp.Window() && lp.More() {
+				s.PullNext(&lp.RndvPull)
 			}
 		}
-		s.TraceCounter("pull-queue", float64(len(lp.blocks)))
+		s.TraceCounter("pull-queue", float64(len(lp.Blocks)))
 	}
 	n := len(f.Data)
-	s.H.E.Schedule(s.dmaDelayTo(lp.buf, n), func() {
-		dstOff := lp.off + m.Offset
-		lp.buf.WriteAt(f.Data, dstOff)
-		s.deposit(lp.ep, lp.buf, n)
+	s.H.E.Schedule(s.dmaDelayTo(lp.Buf, n), func() {
+		dstOff := lp.Off + m.Offset
+		lp.Buf.WriteAt(f.Data, dstOff)
+		s.deposit(lp.ep, lp.Buf, n)
 		lp.arrived++
 		// When another block's worth of fragments has landed, ask for
 		// the next outstanding block (two are pipelined). Adaptive
 		// transfers refill at block completion instead (above).
-		if lp.aw == nil && lp.arrived%mxBlockFrags == 0 && lp.nextBlock*mxBlockFrags < lp.frags {
-			s.pullNextBlock(lp)
+		if lp.AW == nil && lp.arrived%mxBlockFrags == 0 && lp.More() {
+			s.PullNext(&lp.RndvPull)
 		}
-		if lp.arrived == lp.frags {
-			lp.done = true
-			for _, b := range lp.blocks {
-				b.timer.Stop()
-			}
-			delete(s.pulls, lp.handle)
-			s.RndvMarkDone(lp.key)
-			lp.req.Len = lp.n
-			if s.Trace != nil {
-				win := 2 * s.Lanes
-				if lp.aw != nil {
-					win = lp.aw.Window()
-				}
-				s.Trace(proto.TraceEvent{
-					Kind: "rndv", Frag: -1, Seq: lp.key.Seq,
-					Window: win, Start: lp.startedAt, End: s.H.E.Now(),
-				})
-			}
+		if lp.arrived == lp.Frags {
+			delete(s.pulls, lp.Handle)
+			lp.req.Len = lp.N
+			s.FinishPull(&lp.RndvPull)
 			lp.ep.pushEvent(&event{kind: evRecvDone, req: lp.req})
-			s.Transmit(lp.src, &proto.RndvAck{Src: lp.ep.Addr(), Dst: lp.src, SenderHandle: lp.senderHandle}, nil)
+			s.AckRndv(&lp.RndvPull)
 		}
 	})
-}
-
-// pullNextBlock issues the next block's pull request from firmware
-// and arms its retransmission timer.
-func (s *Stack) pullNextBlock(lp *mxPull) {
-	firstFrag := lp.nextBlock * mxBlockFrags
-	if firstFrag >= lp.frags {
-		return
-	}
-	count := min(mxBlockFrags, lp.frags-firstFrag)
-	blk := &mxBlock{idx: lp.nextBlock, firstFrag: firstFrag, asm: proto.NewReassembly(count), sentAt: s.H.E.Now()}
-	lp.blocks[lp.nextBlock] = blk
-	lp.nextBlock++
-	s.sendPull(lp, blk, blk.asm.FullMask())
 }
 
 // fwRndvAck completes a large send, retires its request timer and
@@ -364,9 +278,7 @@ func (s *Stack) fwRndvAck(m *proto.RndvAck) {
 	if ms == nil {
 		return
 	}
-	ms.finished = true
-	ms.rtx.Stop()
-	delete(s.sends, ms.handle)
-	ms.buf.Return()
+	delete(s.sends, ms.Handle)
+	s.FinishRndv(&ms.RndvSend)
 	ms.ep.pushEvent(&event{kind: evSendDone, req: ms.req})
 }

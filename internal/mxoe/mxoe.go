@@ -153,7 +153,7 @@ type Endpoint struct {
 	asm    map[asmKey]*assembly
 
 	// Firmware reliability state, per peer.
-	tx map[proto.Addr]*mxTxChan
+	tx map[proto.Addr]*proto.TxChan[eagerFrames]
 	rx map[proto.Addr]*mxRxChan
 }
 
@@ -235,46 +235,21 @@ type assembly struct {
 	tmp     *hostmem.Buffer
 }
 
+// mxSend is the sender side of a rendezvous: the shared state
+// machine, run by the firmware, plus the posting endpoint and request.
 type mxSend struct {
-	handle int
-	ep     *Endpoint
-	req    *Request
-	dst    proto.Addr
-	seq    uint32
-	buf    *hostmem.Buffer
-	off, n int
-	// Firmware request-retransmission state.
-	rtx      sim.Timer
-	attempts int
-	pulled   bool
-	// sampled flags that the request->first-pull RTT was already
-	// taken (pulled cannot double as this: the rndv watchdog resets
-	// it to probe for progress).
-	sampled  bool
-	finished bool
-	// sentAt is the request's post time: the request -> first-pull
-	// round trip is an RTT sample when nothing was retransmitted.
-	sentAt sim.Time
+	proto.RndvSend
+	ep  *Endpoint
+	req *Request
 }
 
+// mxPull is the receiver side of a rendezvous: the shared pull state
+// plus the count of fragments the NIC has deposited.
 type mxPull struct {
-	handle       int
-	ep           *Endpoint
-	req          *Request
-	src          proto.Addr
-	senderHandle int
-	key          proto.RndvKey
-	buf          *hostmem.Buffer
-	off, n       int
-	frags        int
-	arrived      int
-	nextBlock    int
-	blocks       map[int]*mxBlock
-	done         bool
-	startedAt    sim.Time // pull start, for the whole-rendezvous trace span
-	// aw is the transfer's AIMD window controller when the firmware
-	// runs adaptive; nil keeps the fixed two-blocks-per-lane pipeline.
-	aw *proto.AIMDWindow
+	proto.RndvPull
+	ep      *Endpoint
+	req     *Request
+	arrived int
 }
 
 // OpenEndpoint creates endpoint id bound to a core.
@@ -287,7 +262,7 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		ring:  s.H.Alloc(s.Cfg.RingSlots * proto.MediumFragSize),
 		evSig: sim.NewSignal(),
 		asm:   make(map[asmKey]*assembly),
-		tx:    make(map[proto.Addr]*mxTxChan),
+		tx:    make(map[proto.Addr]*proto.TxChan[eagerFrames]),
 		rx:    make(map[proto.Addr]*mxRxChan),
 	}
 	for i := s.Cfg.RingSlots - 1; i >= 0; i-- {
@@ -317,25 +292,23 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		return ep.shmSend(p, r)
 	}
 	tc := ep.mxTx(dst)
-	seq := tc.next()
+	seq := tc.Next()
 	if n > 32*1024 {
 		cost := sim.Duration(s.H.P.MXPostCost) + s.PinCost(buf, n, s.H.P.MXPinPerPage)
 		ep.core().RunOn(p, cpu.UserLib, cost)
 		// Lent until the peer's RndvAck: pull replies carry views.
 		buf.Lend()
 		s.nextHandle++
-		ms := &mxSend{handle: s.nextHandle, ep: ep, req: r, dst: dst, seq: seq, buf: buf, off: off, n: n, sentAt: s.H.E.Now()}
-		s.sends[ms.handle] = ms
-		s.TransmitOn(s.LaneOf(seq, 0), dst, &proto.RndvRequest{
-			Src: ep.Addr(), Dst: dst, Match: match, Seq: seq, MsgLen: n, SenderHandle: ms.handle,
-		}, nil)
-		s.Stats.RndvSent++
-		s.armRndvRtx(ms)
+		ms := &mxSend{ep: ep, req: r, RndvSend: proto.RndvSend{
+			Handle: s.nextHandle, Dst: dst, Seq: seq, Buf: buf, Off: off, N: n,
+		}}
+		s.sends[ms.Handle] = ms
+		s.StartRndv(&ms.RndvSend, ms.transmitRequest)
 		return r
 	}
 	ep.core().RunOn(p, cpu.UserLib, sim.Duration(s.H.P.MXPostCost))
 	frags := proto.MediumFragsOf(n)
-	u := &mxUnacked{seq: seq, sentAt: s.H.E.Now()}
+	var u eagerFrames
 	for f := 0; f < frags; f++ {
 		fo := f * proto.MediumFragSize
 		fl := min(proto.MediumFragSize, n-fo)
@@ -357,11 +330,9 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		// assembly bitmaps tolerate any cross-lane arrival order.
 		s.TransmitOn(s.LaneOf(seq, f), dst, m, payload)
 	}
-	s.Stats.EagerSent++
 	// The firmware keeps the frame copies until the peer's
 	// cumulative ack covers them, retransmitting on timeout.
-	tc.unacked = append(tc.unacked, u)
-	ep.armEagerRtx(tc)
+	tc.Sent(seq, u)
 	// Eager sends complete at post time: the NIC has copied the data
 	// and firmware-level retransmission guarantees delivery.
 	r.done = true
@@ -399,7 +370,7 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	var claim *assembly
 	var claimKey asmKey
 	for k, a := range ep.asm {
-		if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || claimKeyBefore(k, claimKey)) {
+		if a.dst == nil && proto.Matches(match, mask, a.match) && (claim == nil || proto.ClaimBefore(k.src, k.seq, claimKey.src, claimKey.seq)) {
 			claim, claimKey = a, k
 		}
 	}
@@ -413,12 +384,6 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	}
 	ep.posted = append(ep.posted, r)
 	return r
-}
-
-// claimKeyBefore orders claim candidates deterministically (see
-// proto.ClaimBefore).
-func claimKeyBefore(a, b asmKey) bool {
-	return proto.ClaimBefore(a.src, a.seq, b.src, b.seq)
 }
 
 // claimArrived copies the already-arrived fragments of a claimed
@@ -575,27 +540,21 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	cost := sim.Duration(s.H.P.MXPostCost) + s.PinCost(r.buf, n, s.H.P.MXPinPerPage)
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	s.nextHandle++
-	lp := &mxPull{
-		handle: s.nextHandle, ep: ep, req: r, src: u.src, senderHandle: u.handle,
-		key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
-		buf: r.buf, off: r.off, n: n, frags: proto.FragsOf(n),
-		blocks: make(map[int]*mxBlock),
-	}
+	lp := &mxPull{ep: ep, req: r, RndvPull: proto.RndvPull{
+		Handle: s.nextHandle, Local: ep.Addr(), Src: u.src, SenderHandle: u.handle,
+		Key: proto.RndvKey{Src: u.src, Dst: ep.ID, Seq: u.seq},
+		Buf: r.buf, Off: r.off, N: n,
+	}}
 	r.MatchInfo, r.SenderAddr = u.match, u.src
-	lp.startedAt = s.H.E.Now()
-	s.pulls[lp.handle] = lp
 	// Two pipelined pull blocks outstanding per NIC lane, entirely
 	// firmware-driven: the single-NIC window is the classic two
 	// blocks; an aggregated link widens proportionally so every lane
 	// keeps a block's worth of fragments in flight. An adaptive
 	// transfer instead starts at the AIMD controller's minimum and
 	// grows as clean block round trips accumulate.
-	want := 2 * s.Lanes
-	if s.Cfg.Adaptive {
-		lp.aw = s.PullWindowFor(lp.src)
-		want = lp.aw.Window()
-	}
-	for i := 0; i < want; i++ {
-		s.pullNextBlock(lp)
+	s.StartPull(&lp.RndvPull, mxBlockFrags, 2*s.Lanes, s.Cfg.Adaptive, lp.retryBlock)
+	s.pulls[lp.Handle] = lp
+	for i := 0; i < lp.Window() && lp.More(); i++ {
+		s.PullNext(&lp.RndvPull)
 	}
 }

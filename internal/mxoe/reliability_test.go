@@ -136,45 +136,75 @@ func TestQueueOverrunRecovers(t *testing.T) {
 	}
 }
 
+// TestStaleReplyStopsWhenSendCompletes: the pull for the last block
+// of a 1 MiB message is delivered twice, the copy 300 µs late — after
+// the first reply is paced out, before the receiver's ack — so the
+// firmware paces a second reply to it. The receiver completes from
+// the first reply and acks while the second is still streaming; the
+// send then returns its buffer, and the rest of the stale reply must
+// not be built from it. (Copies 220–420 µs late all hit the window.)
+func TestStaleReplyStopsWhenSendCompletes(t *testing.T) {
+	const n = 1 << 20
+	last := proto.FragsOf(n)/mxBlockFrags - 1
+	pr := newPair(t, Config{})
+	back := pr.sb.H.NIC.Hose()
+	duplicated := false
+	back.Drop = func(f *wire.Frame) bool {
+		if m, ok := f.Msg.(*proto.Pull); ok && m.Block == last && !duplicated {
+			duplicated = true
+			dup := *f
+			pr.e.Schedule(300*sim.Microsecond, func() { back.Send(&dup) })
+		}
+		return false
+	}
+	exchange(t, pr, 1, n)
+	if !duplicated {
+		t.Fatal("the last block's pull never crossed the link")
+	}
+	if sent, want := pr.sa.Stats.FragsSent, int64(proto.FragsOf(n)); sent <= want {
+		t.Fatalf("sender sent %d fragments, want more than %d (a second reply)", sent, want)
+	}
+}
+
 func TestMxTxChanCumulativeAckWraparound(t *testing.T) {
-	tc := &mxTxChan{nextSeq: ^uint32(0) - 1} // two before wrap
+	tc := proto.NewTxChanAt[eagerFrames](nil, proto.Addr{}, nil, ^uint32(0)-2) // two before wrap
 	var seqs []uint32
 	for i := 0; i < 4; i++ {
-		seq := tc.next()
+		seq := tc.Next()
 		if seq == 0 {
 			t.Fatal("sequence 0 issued (reserved for 'no ack')")
 		}
 		seqs = append(seqs, seq)
-		tc.unacked = append(tc.unacked, &mxUnacked{seq: seq})
+		tc.Unacked = append(tc.Unacked, &proto.Unacked[eagerFrames]{Seq: seq})
 	}
 	// seqs = fffffffe, ffffffff, 1, 2. Ack the third: serial order
 	// must treat the pre-wrap seqs as covered too.
-	if acked := tc.applyCumulative(seqs[2]); len(acked) != 3 {
+	if acked := tc.ApplyCumulative(seqs[2]); len(acked) != 3 {
 		t.Fatalf("cumulative ack across wraparound released %d sends, want 3", len(acked))
 	}
-	if len(tc.unacked) != 1 || tc.unacked[0].seq != seqs[3] {
-		t.Fatalf("unacked after wrap ack: %+v", tc.unacked)
+	if len(tc.Unacked) != 1 || tc.Unacked[0].Seq != seqs[3] {
+		t.Fatalf("unacked after wrap ack: %+v", tc.Unacked)
 	}
 	// Stale ack from before the wrap must be ignored.
-	if tc.applyCumulative(seqs[0]) != nil {
+	if tc.ApplyCumulative(seqs[0]) != nil {
 		t.Fatal("stale pre-wrap ack advanced the channel")
 	}
 }
 
 func TestMxRxChanWindowWraparound(t *testing.T) {
 	c := &mxRxChan{win: proto.NewWindowAt(^uint32(0) - 1), asm: make(map[uint32]*fwAsm)}
-	c.markComplete(^uint32(0)) // wraps past 0 → edge must land on last pre-wrap seq
+	c.win.MarkComplete(^uint32(0)) // wraps past 0 → edge must land on last pre-wrap seq
 	if c.win.Edge() != ^uint32(0) {
 		t.Fatalf("edge %d, want %d", c.win.Edge(), ^uint32(0))
 	}
-	if c.isDup(1) {
+	if c.win.IsDup(1) {
 		t.Fatal("first post-wrap seq wrongly flagged dup")
 	}
-	c.markComplete(1)
+	c.win.MarkComplete(1)
 	if c.win.Edge() != 1 {
 		t.Fatalf("edge %d after wrap, want 1 (skipping sentinel 0)", c.win.Edge())
 	}
-	if !c.isDup(^uint32(0)) || !c.isDup(1) {
+	if !c.win.IsDup(^uint32(0)) || !c.win.IsDup(1) {
 		t.Fatal("completed seqs not flagged dup after wrap")
 	}
 }

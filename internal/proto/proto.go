@@ -1,10 +1,39 @@
-// Package proto defines the MXoE protocol shared by the Open-MX stack
-// (internal/core) and the native MX stack (internal/mxoe): the wire
-// message formats, the reliability-window arithmetic, and the
-// per-peer transport core (Transport) both stacks embed. Both speak
-// the same protocol — wire compatibility between Open-MX on commodity
-// NICs and Myricom's native MXoE firmware is one of Open-MX's core
-// features, and the interop example depends on these being common.
+// Package proto is the MXoE protocol shared by the Open-MX stack
+// (internal/core) and the native MX stack (internal/mxoe). Wire
+// compatibility between Open-MX on commodity NICs and Myricom's
+// native MXoE firmware is one of Open-MX's core features, so every
+// rule a peer could observe on the wire is written once, here:
+//
+//   - the wire message formats and size classes (this file);
+//   - sequence arithmetic, the receive window, backoff and the
+//     rendezvous dedup window (window.go);
+//   - the per-peer transport core both stacks embed (Transport,
+//     transport.go): lane choice, control-frame transmit,
+//     retransmission timeouts, RTT estimation, pull windows,
+//     registration costs, rendezvous dedup and the shared counters;
+//   - the eager transmit channel (TxChan, txchan.go): sequence
+//     issue, the unacked list, cumulative-ack processing with Karn's
+//     rule, and the backed-off retransmission timer;
+//   - the rendezvous state machines (rndv.go): the sender's request
+//     watchdog and first-pull RTT sample, and the receiver's pull
+//     blocks — fragment accept, block timers, block completion and
+//     transfer completion;
+//   - fragment reassembly (reassembly.go), the adaptive tier's
+//     estimators (adaptive.go) and collective frames (coll.go).
+//
+// Each stack keeps only what its execution context changes, and hands
+// it to the shared code as one function bound per channel, send or
+// pull — never as a flag the shared code branches on:
+//
+//   - Open-MX charges host CPU: eager and pull-block retransmissions
+//     are rebuilt on an interrupt core, receive copies run in the
+//     bottom half (memcpy or I/OAT), and the pull window refills one
+//     block per completion after a CPU charge;
+//   - MXoE runs in NIC firmware at no host cost: deposits pay DMA
+//     delays, pull replies are paced by the firmware's control
+//     overhead, and the static window refills on deposit;
+//   - the endpoint library (matching, Wait/Test/Progress) and MXoE's
+//     collective offload stay per stack.
 //
 // Header sizes are abstracted: every frame pays
 // platform.OMXHeaderBytes of wire time, and the decoded fields ride in

@@ -71,3 +71,53 @@ func TestAddrComparable(t *testing.T) {
 		t.Fatal("addr not usable as map key")
 	}
 }
+
+// TestMatches pins MX matching: the receive's masked match value must
+// equal the message's under the receive's mask.
+func TestMatches(t *testing.T) {
+	cases := []struct {
+		name                   string
+		recvMatch, mask, match uint64
+		want                   bool
+	}{
+		{"exact", 0xFF, 0xFF, 0xFF, true},
+		{"mismatch", 0xFF, 0xFF, 0xFE, false},
+		{"wildcard mask 0", 0, 0, 0xDEADBEEF, true},
+		{"masked", 0x1200, 0xFF00, 0x12AB, true},
+	}
+	for _, c := range cases {
+		if got := Matches(c.recvMatch, c.mask, c.match); got != c.want {
+			t.Errorf("%s: Matches(%#x, %#x, %#x) = %v, want %v", c.name, c.recvMatch, c.mask, c.match, got, c.want)
+		}
+	}
+}
+
+// TestClaimBefore pins the order wildcard receives claim in-progress
+// assemblies in: source host, then endpoint, then sequence in serial
+// order (so a sequence just past the wraparound comes after one just
+// before it).
+func TestClaimBefore(t *testing.T) {
+	a0, a1, b0 := Addr{Host: "a", EP: 0}, Addr{Host: "a", EP: 1}, Addr{Host: "b", EP: 0}
+	cases := []struct {
+		name string
+		aSrc Addr
+		aSeq uint32
+		bSrc Addr
+		bSeq uint32
+		want bool
+	}{
+		{"host first", a1, 9, b0, 1, true},
+		{"host first, reversed", b0, 1, a1, 9, false},
+		{"then endpoint", a0, 9, a1, 1, true},
+		{"then sequence", a0, 1, a0, 2, true},
+		{"later sequence", a0, 2, a0, 1, false},
+		{"same claim", a0, 5, a0, 5, false},
+		{"across wraparound", a0, ^uint32(0), a0, 1, true},
+		{"across wraparound, reversed", a0, 1, a0, ^uint32(0), false},
+	}
+	for _, c := range cases {
+		if got := ClaimBefore(c.aSrc, c.aSeq, c.bSrc, c.bSeq); got != c.want {
+			t.Errorf("%s: ClaimBefore(%v/%d, %v/%d) = %v, want %v", c.name, c.aSrc, c.aSeq, c.bSrc, c.bSeq, got, c.want)
+		}
+	}
+}

@@ -10,11 +10,7 @@ import (
 // The per-peer transport core both stacks embed. Open-MX's driver
 // (internal/core) runs it in the host's bottom half and native MX
 // (internal/mxoe) runs it in NIC firmware: one protocol in two
-// execution contexts. Lane choice, retransmission timing, RTT
-// estimation, pull-window control, rendezvous dedup, registration and
-// the shared counters are therefore written once, here; each stack
-// keeps only what its context changes — where work is charged and
-// what it costs.
+// execution contexts (see the package comment for what is shared).
 
 // Stripe policies for multi-NIC hosts. Round-robin (the default)
 // spreads the units of one message — eager fragments, pull blocks —
@@ -345,10 +341,10 @@ func (t *Transport) RegStats() hostmem.RegStats {
 	return t.reg.Stats()
 }
 
-// RndvSeen looks up a handled rendezvous: ok reports whether key was
+// rndvSeen looks up a handled rendezvous: ok reports whether key was
 // seen, done whether its transfer finished, and sender the data
 // sender's handle to re-ack a finished transfer with.
-func (t *Transport) RndvSeen(key RndvKey) (sender int, done, ok bool) {
+func (t *Transport) rndvSeen(key RndvKey) (sender int, done, ok bool) {
 	st := t.seen[key]
 	if st == nil {
 		return 0, false, false
@@ -356,12 +352,29 @@ func (t *Transport) RndvSeen(key RndvKey) (sender int, done, ok bool) {
 	return st.sender, st.done, true
 }
 
-// RndvInsert remembers a rendezvous request from the sender handle;
+// rndvInsert remembers a rendezvous request from the sender handle;
 // an already remembered key keeps its state.
-func (t *Transport) RndvInsert(key RndvKey, sender int) {
+func (t *Transport) rndvInsert(key RndvKey, sender int) {
 	if t.seen[key] == nil {
 		t.seen[key] = &rndvState{sender: sender}
 	}
+}
+
+// AdmitRndv deduplicates an arriving rendezvous request and reports
+// whether it is fresh, remembering it if so. A request already seen
+// is a retransmission: if its transfer finished, the final ack was
+// lost and is sent again; otherwise the pull-block timers drive
+// recovery and the request is dropped.
+func (t *Transport) AdmitRndv(m *RndvRequest) bool {
+	key := RndvKey{Src: m.Src, Dst: m.Dst.EP, Seq: m.Seq}
+	if sender, done, ok := t.rndvSeen(key); ok {
+		if done {
+			t.Transmit(m.Src, &RndvAck{Src: Addr{Host: t.H.Name, EP: m.Dst.EP}, Dst: m.Src, SenderHandle: sender}, nil)
+		}
+		return false
+	}
+	t.rndvInsert(key, m.SenderHandle)
+	return true
 }
 
 // RndvMarkDone flags a rendezvous as complete so duplicate requests

@@ -122,30 +122,30 @@ func TestTransportRndvDedupLossRecovery(t *testing.T) {
 	tr, _ := newTestTransport(t, 1, TransportConfig{})
 	key := func(seq uint32) RndvKey { return RndvKey{Src: Addr{Host: "s", EP: 1}, Dst: 0, Seq: seq} }
 
-	if _, _, ok := tr.RndvSeen(key(1)); ok {
+	if _, _, ok := tr.rndvSeen(key(1)); ok {
 		t.Fatal("fresh table reports a rendezvous as seen")
 	}
-	tr.RndvInsert(key(1), 7)
-	if sender, done, ok := tr.RndvSeen(key(1)); !ok || done || sender != 7 {
-		t.Fatalf("in progress: RndvSeen = (%d, %v, %v), want (7, false, true)", sender, done, ok)
+	tr.rndvInsert(key(1), 7)
+	if sender, done, ok := tr.rndvSeen(key(1)); !ok || done || sender != 7 {
+		t.Fatalf("in progress: rndvSeen = (%d, %v, %v), want (7, false, true)", sender, done, ok)
 	}
-	tr.RndvInsert(key(1), 99) // a retransmitted request keeps the original state
+	tr.rndvInsert(key(1), 99) // a retransmitted request keeps the original state
 	tr.RndvMarkDone(key(1))
-	if sender, done, ok := tr.RndvSeen(key(1)); !ok || !done || sender != 7 {
-		t.Fatalf("done: RndvSeen = (%d, %v, %v), want (7, true, true)", sender, done, ok)
+	if sender, done, ok := tr.rndvSeen(key(1)); !ok || !done || sender != 7 {
+		t.Fatalf("done: rndvSeen = (%d, %v, %v), want (7, true, true)", sender, done, ok)
 	}
 	tr.RndvMarkDone(key(1000)) // unknown key: no entry appears
-	if _, _, ok := tr.RndvSeen(key(1000)); ok {
+	if _, _, ok := tr.rndvSeen(key(1000)); ok {
 		t.Fatal("marking an unknown rendezvous done created it")
 	}
 
 	// An in-progress transfer is never evicted; completed ones are,
 	// oldest first, past the window.
 	inflight := RndvKey{Src: Addr{Host: "other"}, Seq: 1}
-	tr.RndvInsert(inflight, 3)
+	tr.rndvInsert(inflight, 3)
 	const extra = 10
 	for seq := uint32(2); seq < 2+RndvDedupWindow+extra; seq++ {
-		tr.RndvInsert(key(seq), int(seq))
+		tr.rndvInsert(key(seq), int(seq))
 		tr.RndvMarkDone(key(seq))
 	}
 	if got := len(tr.done); got != RndvDedupWindow {
@@ -156,18 +156,18 @@ func TestTransportRndvDedupLossRecovery(t *testing.T) {
 	}
 	// seq 1 completed first, so seqs 1..extra+1 fell out of the window.
 	for _, seq := range []uint32{1, 2, extra + 1} {
-		if _, _, ok := tr.RndvSeen(key(seq)); ok {
+		if _, _, ok := tr.rndvSeen(key(seq)); ok {
 			t.Errorf("seq %d should have been evicted", seq)
 		}
 	}
-	if _, _, ok := tr.RndvSeen(key(extra + 2)); !ok {
+	if _, _, ok := tr.rndvSeen(key(extra + 2)); !ok {
 		t.Errorf("seq %d evicted early", extra+2)
 	}
 	last := uint32(1 + RndvDedupWindow + extra)
-	if sender, done, ok := tr.RndvSeen(key(last)); !ok || !done || sender != int(last) {
-		t.Errorf("newest completion lost: RndvSeen = (%d, %v, %v)", sender, done, ok)
+	if sender, done, ok := tr.rndvSeen(key(last)); !ok || !done || sender != int(last) {
+		t.Errorf("newest completion lost: rndvSeen = (%d, %v, %v)", sender, done, ok)
 	}
-	if _, done, ok := tr.RndvSeen(inflight); !ok || done {
+	if _, done, ok := tr.rndvSeen(inflight); !ok || done {
 		t.Error("in-progress rendezvous evicted by completions")
 	}
 }

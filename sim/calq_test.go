@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -406,36 +405,6 @@ func TestWakeEventZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Binary-heap baseline: the engine's previous event core, kept here
-// (test-only) as the benchmark yardstick for the calendar queue.
-
-type heapEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []*heapEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*heapEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
 // churn is the benchmark load: live concurrent timers, each firing
 // and rescheduling itself with a deterministic pseudo-random delta —
 // the shape of a 512-rank world's retransmit/ack/wire timer churn.
@@ -481,33 +450,4 @@ func BenchmarkEventCoreCalendar(b *testing.B) {
 	}
 	b.StopTimer()
 	e.Close()
-}
-
-func BenchmarkEventCoreHeap(b *testing.B) {
-	deltas := churnDeltas(4096)
-	var h eventHeap
-	var now Time
-	var seq uint64
-	fire := 0
-	di := 0
-	var self func()
-	push := func(d Duration, fn func()) {
-		seq++
-		heap.Push(&h, &heapEvent{at: now + Time(d), seq: seq, fn: fn})
-	}
-	self = func() {
-		fire++
-		di++
-		push(deltas[di&4095], self)
-	}
-	for i := 0; i < benchLive; i++ {
-		push(deltas[i&4095], self)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		ev := heap.Pop(&h).(*heapEvent)
-		now = ev.at
-		ev.fn()
-	}
 }
