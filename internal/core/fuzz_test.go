@@ -21,6 +21,9 @@ import (
 //   - the cumulative edge only covers delivered sequences;
 //   - acks complete each send exactly once, in serial order, and
 //     stale or duplicate acks complete nothing;
+//   - the channel's acked edge is the newest cumulative ack it was
+//     given, so a stale or duplicate ack never moves it (it is what
+//     keeps such an ack from resetting the retransmission backoff);
 //   - every unacked send stays strictly after the acked edge.
 //
 // The committed seed corpus (testdata/fuzz/FuzzReliabilityWindow)
@@ -106,6 +109,9 @@ func FuzzReliabilityWindow(f *testing.F) {
 				}
 			}
 			// Standing invariants.
+			if tx.Edge() != acked {
+				t.Fatalf("channel acked edge %d, model says %d", tx.Edge(), acked)
+			}
 			for _, u := range tx.Unacked {
 				if !proto.SeqAfter(u.Seq, acked) {
 					t.Fatalf("unacked seq %d not after acked edge %d", u.Seq, acked)

@@ -49,6 +49,10 @@ func NewTxChanAt[P any](t *Transport, dst Addr, resend func(*TxChan[P]), seq uin
 	return tc
 }
 
+// Edge is the channel's acked edge: the newest sequence the peer's
+// cumulative acks have covered.
+func (tc *TxChan[P]) Edge() uint32 { return tc.ackedSeq }
+
 // Next issues the channel's next message sequence, skipping the "no
 // ack" sentinel 0 on wraparound (see NextSeq).
 func (tc *TxChan[P]) Next() uint32 { return NextSeq(&tc.nextSeq) }
