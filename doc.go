@@ -34,7 +34,7 @@
 //     one event). hostmem keeps the per-buffer memory-hierarchy
 //     ledgers — span coverage per L2 domain and L1, the DMA-cold and
 //     DCA-resident states, the NUMA home socket, and the per-stack
-//     LRU registration cache — which memmodel.RateFor prices into
+//     registration cache — which memmodel.RateFor prices into
 //     copy rates (DCA blend, wrong-socket and snoop penalties,
 //     cross-socket, L1/L2/half-warm); nic and ioat charge
 //     NUMA-distance deposit costs and mark every deposit
@@ -72,13 +72,12 @@
 //   - openmx, mxoe — the public endpoint APIs over either stack,
 //     both surfacing the host's CPU ledgers as a deterministic
 //     CPUStats snapshot (Stack.CPUStats / ResetCPUStats). openmx
-//     additionally exposes the adaptive threshold autotuner: either
-//     AutoTuned(platform) for a fully probed configuration, or
-//     Config.AutoTune to run ProbeThresholds when the stack attaches
-//     — it picks the eager→rendezvous switch, the local
-//     memcpy→I/OAT switch and the offload floor from the platform's
-//     cost-curve crossovers (within 2× of every constant the paper
-//     chose by hand on Clovertown).
+//     additionally exposes the adaptive threshold autotuner:
+//     AutoTuned(platform) returns a configuration whose thresholds
+//     ProbeThresholds picked — the eager→rendezvous switch, the
+//     local memcpy→I/OAT switch and the offload floor, from the
+//     platform's cost-curve crossovers (within 2× of every constant
+//     the paper chose by hand on Clovertown).
 //   - mpi — an MPI layer over the transport-neutral endpoint
 //     interface: point-to-point plus the full collective set
 //     (Barrier, Bcast, Reduce, Allreduce, ReduceScatter,

@@ -87,16 +87,6 @@ func SectionByName(name string) (Section, bool) {
 	return Section{}, false
 }
 
-// SectionNames lists the section names in output order.
-func SectionNames() []string {
-	all := Sections()
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
-	return names
-}
-
 // tableSection adapts a single-table figure generator.
 func tableSection(f func() *metrics.Table) func(bool) string {
 	return func(plot bool) string { return renderTable(f(), plot) }

@@ -51,29 +51,8 @@ type Config struct {
 	// RegCache enables the registration cache: pin once per buffer,
 	// defer unpinning (Figure 11's "regcache" curves). The cache is
 	// per-stack (all endpoints share it, like the per-driver cache of
-	// the real implementation) and unbounded unless RegCacheEntries
-	// caps it.
+	// the real implementation) and unbounded, as in Open-MX.
 	RegCache bool
-	// RegCacheEntries bounds the registration cache to this many
-	// resident regions, evicting (and deregistering) least-recently
-	// used ones past the bound. 0 = unbounded, the classic Open-MX
-	// behaviour.
-	RegCacheEntries int
-	// DCATargetCore, on a platform with HasDCA, steers the NIC's
-	// Direct Cache Access deposits at this core's LLC. 0 (the default)
-	// follows the interrupt core, the chipset's own steering rule; set
-	// it to the consumer's core to model application-aware steering,
-	// or to a core on the wrong socket to reproduce the misdirected-DCA
-	// cliff. Ignored without HasDCA.
-	DCATargetCore int
-	// AutoTune replaces the hand-set thresholds with the adaptive
-	// autotuner: when the stack attaches (just before its first
-	// endpoint opens), ProbeThresholds probes the platform's memcpy
-	// and I/OAT cost curves and fills LargeThreshold, IOATMinMsg,
-	// IOATMinFrag and ShmIOATThreshold with the measured crossover
-	// points. Thresholds set explicitly in the Config win over the
-	// probe.
-	AutoTune bool
 	// SkipBHCopy is the Figure 3 prediction knob: data still moves
 	// (so integrity holds) but the bottom-half copy costs nothing.
 	SkipBHCopy bool
@@ -109,21 +88,11 @@ type Config struct {
 	// outstanding ("two pipelined blocks of 8 fragments").
 	PullBlockFrags int
 	PullBlocks     int
-	// RingSlots is the per-endpoint receive ring capacity in
-	// 4 kiB slots.
-	RingSlots int
 	// RetransmitTimeout for pull blocks, rendezvous requests and
-	// unacked eager messages.
+	// unacked eager messages. Every consecutive unanswered
+	// retransmission doubles it, up to 16 times the base; attempt
+	// counters reset on any acknowledged progress.
 	RetransmitTimeout sim.Duration
-	// RetransmitBackoff multiplies the timeout after every
-	// consecutive unanswered retransmission (exponential backoff;
-	// 1 disables). RetransmitMax caps the backed-off timeout.
-	// Attempt counters reset on any acknowledged progress.
-	RetransmitBackoff float64
-	RetransmitMax     sim.Duration
-	// DeferredAckDelay before an explicit ack frame is emitted when no
-	// reverse traffic piggybacks it.
-	DeferredAckDelay sim.Duration
 
 	// ---- Section V/VI "future work" extensions ----
 
@@ -160,13 +129,13 @@ func Defaults() Config {
 		ShmIOATThreshold:  32 * 1024,
 		PullBlockFrags:    8,
 		PullBlocks:        2,
-		RingSlots:         512,
 		RetransmitTimeout: proto.RtxTimeout,
-		RetransmitBackoff: proto.RtxBackoff,
-		RetransmitMax:     proto.RtxMaxScale * proto.RtxTimeout,
-		DeferredAckDelay:  100 * sim.Microsecond,
 	}
 }
+
+// deferredAckDelay is how long a receive channel waits before emitting
+// an explicit ack frame when no reverse traffic piggybacks it.
+const deferredAckDelay = 100 * sim.Microsecond
 
 // maxEagerBytes is the largest message the eager path can carry: the
 // per-message fragment dedup and assembly bitmaps are 64 bits wide.
@@ -194,12 +163,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.PullBlocks == 0 {
 		c.PullBlocks = d.PullBlocks
-	}
-	if c.RingSlots == 0 {
-		c.RingSlots = d.RingSlots
-	}
-	if c.DeferredAckDelay == 0 {
-		c.DeferredAckDelay = d.DeferredAckDelay
 	}
 	switch c.StripePolicy {
 	case "", proto.StripeRoundRobin, proto.StripeHash, proto.StripeSingle:
@@ -255,8 +218,7 @@ type Stack struct {
 }
 
 // Attach builds an Open-MX stack on h and registers its receive
-// callback with every NIC (generic Ethernet mode). With Config.AutoTune
-// the startup threshold probe runs here, against h's platform.
+// callback with every NIC (generic Ethernet mode).
 //
 // On a multi-NIC host the pull window widens proportionally: an
 // unset PullBlocks becomes the paper's two pipelined blocks times the
@@ -271,22 +233,6 @@ func Attach(h *host.Host, cfg Config) *Stack {
 	if cfg.PullBlocks == 0 && h.Lanes() > 1 {
 		cfg.PullBlocks = Defaults().PullBlocks * h.Lanes()
 	}
-	if cfg.AutoTune && (cfg.LargeThreshold == 0 || cfg.IOATMinMsg == 0 ||
-		cfg.IOATMinFrag == 0 || cfg.ShmIOATThreshold == 0) {
-		th := ProbeThresholds(h.P)
-		if cfg.LargeThreshold == 0 {
-			cfg.LargeThreshold = th.LargeThreshold
-		}
-		if cfg.IOATMinMsg == 0 {
-			cfg.IOATMinMsg = th.IOATMinMsg
-		}
-		if cfg.IOATMinFrag == 0 {
-			cfg.IOATMinFrag = th.IOATMinFrag
-		}
-		if cfg.ShmIOATThreshold == 0 {
-			cfg.ShmIOATThreshold = th.ShmIOATThreshold
-		}
-	}
 	cfg.fillDefaults()
 	s := &Stack{
 		Cfg:         cfg,
@@ -296,9 +242,8 @@ func Attach(h *host.Host, cfg Config) *Stack {
 		adaptiveWin: adaptiveWin,
 	}
 	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{
-		StripePolicy: cfg.StripePolicy, RegCache: cfg.RegCache, RegCacheEntries: cfg.RegCacheEntries,
-		RetransmitTimeout: cfg.RetransmitTimeout, RetransmitBackoff: cfg.RetransmitBackoff,
-		RetransmitMax: cfg.RetransmitMax, Adaptive: cfg.Adaptive,
+		StripePolicy: cfg.StripePolicy, RegCache: cfg.RegCache,
+		RetransmitTimeout: cfg.RetransmitTimeout, Adaptive: cfg.Adaptive,
 	})
 	if cfg.Adaptive && s.Lanes > 1 {
 		s.steerEvery = steerEpoch
@@ -308,9 +253,6 @@ func Attach(h *host.Host, cfg Config) *Stack {
 		n.SetRxHandler(func(p *sim.Proc, core *cpu.Core, skb *nic.Skb) {
 			s.rxCallback(lane, p, core, skb)
 		})
-		if cfg.DCATargetCore > 0 {
-			n.DCATarget = cfg.DCATargetCore
-		}
 	}
 	return s
 }

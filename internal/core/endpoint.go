@@ -151,12 +151,12 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		S:       s,
 		ID:      id,
 		Core:    coreID,
-		ring:    s.H.Alloc(s.Cfg.RingSlots * proto.MediumFragSize),
+		ring:    s.H.Alloc(proto.RingSlots * proto.MediumFragSize),
 		evSig:   sim.NewSignal(),
 		txChans: make(map[proto.Addr]*proto.TxChan[*Request]),
 		rxChans: make(map[proto.Addr]*rxChan),
 	}
-	for i := s.Cfg.RingSlots - 1; i >= 0; i-- {
+	for i := proto.RingSlots - 1; i >= 0; i-- {
 		ep.freeSlots = append(ep.freeSlots, i)
 	}
 	s.endpoints[id] = ep

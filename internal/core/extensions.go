@@ -12,7 +12,8 @@ import (
 // each behind a Config knob so the ablation benchmarks can quantify
 // them:
 //
-//   - threshold auto-tuning from startup microbenchmarks (AutoTune);
+//   - threshold auto-tuning from startup microbenchmarks
+//     (ProbeThresholds, AutoTuned);
 //   - copying the head of a large message with memcpy to warm the
 //     target application's cache before switching to I/OAT
 //     (Config.HybridWarmupBytes);
@@ -45,7 +46,7 @@ type Thresholds struct {
 // ProbeThresholds runs the Section VI startup microbenchmarks against
 // the platform's cost models and picks every crossover point:
 //
-//   - IOATMinFrag / IOATMinMsg exactly as AutoTune always has;
+//   - IOATMinFrag / IOATMinMsg from the offload probe (autoTune);
 //   - LargeThreshold where the rendezvous protocol's fixed costs
 //     (request/ack handshake round trip plus destination pinning) are
 //     amortized by the copy it saves — eager delivery crosses payload
@@ -59,7 +60,7 @@ type Thresholds struct {
 // and the engine's descriptors address.
 func ProbeThresholds(p *platform.Platform) Thresholds {
 	t := Thresholds{}
-	t.IOATMinFrag, t.IOATMinMsg = AutoTune(p)
+	t.IOATMinFrag, t.IOATMinMsg = autoTune(p)
 
 	pageNs := func(per int64, n int) float64 {
 		return float64(per) * float64((n+p.PageSize-1)/p.PageSize)
@@ -117,13 +118,13 @@ func probePages(p *platform.Platform, limit int, better func(n int) bool) int {
 	return limit
 }
 
-// AutoTune derives the I/OAT offload thresholds from the platform's
+// autoTune derives the I/OAT offload thresholds from the platform's
 // copy models, the way Section VI proposes running microbenchmarks at
 // startup: the minimum fragment size is where an offloaded chunk
 // beats the uncached memcpy of the same chunk, and the minimum
 // message size is where the submission overhead of a fragment is
 // amortized several times over by the freed CPU time.
-func AutoTune(p *platform.Platform) (minFrag, minMsg int) {
+func autoTune(p *platform.Platform) (minFrag, minMsg int) {
 	memcpyNs := func(n int) float64 {
 		return float64(p.MemcpyCallCost) + float64(n)/float64(p.MemcpyColdRate)/p.DMAColdPenalty
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestAutoTuneMatchesEmpiricalThresholds(t *testing.T) {
 	p := platform.Clovertown()
-	minFrag, minMsg := AutoTune(p)
+	minFrag, minMsg := autoTune(p)
 	// The paper chose 1 kB / 64 kB empirically; auto-tuning from the
 	// same hardware numbers should land in the same decade.
 	if minFrag < 512 || minFrag > 4096 {
@@ -63,29 +63,6 @@ func TestLargeThresholdClampedToEagerCapacity(t *testing.T) {
 	sendRecv(t, pr, maxEagerBytes)
 	if pr.sa.Stats.RndvSent != 0 {
 		t.Fatalf("%d-byte message used rendezvous below threshold", maxEagerBytes)
-	}
-}
-
-func TestAutoTuneKnobAppliesAtAttach(t *testing.T) {
-	p := platform.Clovertown()
-	th := ProbeThresholds(p)
-	pr := newPair(t, Config{IOAT: true, AutoTune: true}, Config{IOAT: true, AutoTune: true})
-	got := pr.sa.Cfg
-	if got.LargeThreshold != th.LargeThreshold || got.ShmIOATThreshold != th.ShmIOATThreshold ||
-		got.IOATMinFrag != th.IOATMinFrag || got.IOATMinMsg != th.IOATMinMsg {
-		t.Errorf("AutoTune knob: attached config %+v, probe %+v", got, th)
-	}
-	// The tuned stack still moves bytes correctly.
-	sendRecv(t, pr, 1<<20)
-
-	// Explicitly set thresholds win over the probe.
-	pr2 := newPair(t, Config{IOAT: true, AutoTune: true, LargeThreshold: 8 << 10},
-		Config{IOAT: true, AutoTune: true})
-	if pr2.sa.Cfg.LargeThreshold != 8<<10 {
-		t.Errorf("explicit LargeThreshold overridden by autotune: %d", pr2.sa.Cfg.LargeThreshold)
-	}
-	if pr2.sa.Cfg.ShmIOATThreshold != th.ShmIOATThreshold {
-		t.Errorf("unset threshold not tuned: %d", pr2.sa.Cfg.ShmIOATThreshold)
 	}
 }
 

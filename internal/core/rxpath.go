@@ -487,7 +487,7 @@ func (ep *Endpoint) forceAck(c *rxChan) {
 
 func (ep *Endpoint) armAckTimer(c *rxChan, force bool) {
 	s := ep.S
-	c.ackTimer = s.H.E.Schedule(s.Cfg.DeferredAckDelay, func() {
+	c.ackTimer = s.H.E.Schedule(deferredAckDelay, func() {
 		c.ackTimer = sim.Timer{}
 		if !force && c.win.Edge() == c.lastAckSent {
 			return

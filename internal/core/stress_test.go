@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"omxsim/internal/hostmem"
+	"omxsim/internal/proto"
 	"omxsim/internal/wire"
 	"omxsim/sim"
 )
@@ -95,9 +96,9 @@ func propertyStressRun(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: leaked skbuffs %d/%d", seed, pr.sa.H.NIC.SkbsLive(), pr.sb.H.NIC.SkbsLive())
 		return false
 	}
-	if len(pr.epA.freeSlots) != pr.sa.Cfg.RingSlots || len(pr.epB.freeSlots) != pr.sb.Cfg.RingSlots {
+	if len(pr.epA.freeSlots) != proto.RingSlots || len(pr.epB.freeSlots) != proto.RingSlots {
 		t.Logf("seed %d: leaked ring slots A=%d/%d B=%d/%d evqA=%d evqB=%d uxA=%d uxB=%d",
-			seed, len(pr.epA.freeSlots), pr.sa.Cfg.RingSlots, len(pr.epB.freeSlots), pr.sb.Cfg.RingSlots,
+			seed, len(pr.epA.freeSlots), proto.RingSlots, len(pr.epB.freeSlots), proto.RingSlots,
 			len(pr.epA.evq), len(pr.epB.evq), len(pr.epA.ux), len(pr.epB.ux))
 		for _, c := range pr.epB.rxChans {
 			t.Logf("  B rxChan complete=%d pending=%d asm=%d", c.win.Edge(), c.win.Pending(), len(c.asm))

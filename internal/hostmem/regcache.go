@@ -4,29 +4,15 @@ package hostmem
 // transfer stay registered afterwards and later posts to the same
 // buffer reuse the registration for free, amortizing the per-page pin
 // cost the way Open-MX's (and Ibdxnet-style RDMA stacks')
-// registration caches do. An optional LRU bound caps how many regions
-// stay resident: acquiring a new region past the bound evicts the
-// least-recently-used one, whose deregistration cost the acquiring
-// post pays.
+// registration caches do. Like Open-MX's, it is unbounded:
+// deregistration is deferred for as long as the stack runs.
 //
 // The cache holds one pin reference per resident region (taken via
-// Buffer.Pin at first acquire, released via Buffer.Unpin at
-// eviction), so cached buffers stay pinned exactly as the real
-// deferred-deregistration scheme keeps them.
+// Buffer.Pin at first acquire), so cached buffers stay pinned exactly
+// as the real deferred-deregistration scheme keeps them.
 type RegCache struct {
-	max     int // maximum resident regions; 0 = unbounded
-	entries map[*Buffer]*regEntry
-	// LRU list, most recent at the head. Sentinel-free doubly linked
-	// list; head/tail are nil when the cache is empty.
-	head, tail *regEntry
-
-	stats RegStats
-}
-
-type regEntry struct {
-	buf        *Buffer
-	pages      int64
-	prev, next *regEntry
+	entries map[*Buffer]struct{}
+	stats   RegStats
 }
 
 // RegStats is a deterministic snapshot of registration-cache
@@ -37,31 +23,25 @@ type RegStats struct {
 	// did not find, the buffer resident; they sum to the number of
 	// posts that consulted the cache.
 	Hits, Misses int64
-	// Evictions counts regions deregistered to honour the LRU bound.
-	Evictions int64
 	// Resident is the number of currently cached regions;
 	// PinnedPages the pages they keep pinned.
 	Resident    int
 	PinnedPages int64
 }
 
-// NewRegCache returns a registration cache bounded to maxEntries
-// resident regions (0 = unbounded, classic Open-MX behaviour).
-func NewRegCache(maxEntries int) *RegCache {
-	return &RegCache{max: maxEntries, entries: make(map[*Buffer]*regEntry)}
+// NewRegCache returns an empty registration cache.
+func NewRegCache() *RegCache {
+	return &RegCache{entries: make(map[*Buffer]struct{})}
 }
 
 // Acquire registers the n-byte region of buf if it is not already
-// resident and reports the page counts the posting CPU must be
-// charged for: pinPages is the pages pinned by a miss (0 on a hit),
-// unpinPages the pages deregistered by any LRU eviction this
-// acquisition forced. The pin cost is therefore paid exactly once per
-// residency of a region, on the post that faulted it in.
-func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
-	if e := rc.entries[buf]; e != nil {
+// resident and reports the pages the posting CPU must be charged for:
+// the pages pinned by a miss, 0 on a hit. The pin cost is therefore
+// paid exactly once per region, on the post that faulted it in.
+func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages int64) {
+	if _, ok := rc.entries[buf]; ok {
 		rc.stats.Hits++
-		rc.moveToFront(e)
-		return 0, 0
+		return 0
 	}
 	rc.stats.Misses++
 	buf.Pin()
@@ -70,68 +50,21 @@ func (rc *RegCache) Acquire(buf *Buffer, n int) (pinPages, unpinPages int64) {
 		ps := buf.Mem.P.PageSize
 		pages = int64((n + ps - 1) / ps)
 	}
-	e := &regEntry{buf: buf, pages: pages}
-	rc.entries[buf] = e
-	rc.pushFront(e)
+	rc.entries[buf] = struct{}{}
 	rc.stats.PinnedPages += pages
-	for rc.max > 0 && len(rc.entries) > rc.max {
-		unpinPages += rc.evictLRU()
-	}
-	return pages, unpinPages
-}
-
-// evictLRU deregisters the least-recently-used region and reports its
-// page count.
-func (rc *RegCache) evictLRU() int64 {
-	e := rc.tail
-	rc.unlink(e)
-	delete(rc.entries, e.buf)
-	e.buf.Unpin()
-	rc.stats.Evictions++
-	rc.stats.PinnedPages -= e.pages
-	return e.pages
+	return pages
 }
 
 // Resident reports whether the buffer currently holds a cached
 // registration.
-func (rc *RegCache) Resident(buf *Buffer) bool { return rc.entries[buf] != nil }
+func (rc *RegCache) Resident(buf *Buffer) bool {
+	_, ok := rc.entries[buf]
+	return ok
+}
 
 // Stats snapshots the cache counters.
 func (rc *RegCache) Stats() RegStats {
 	st := rc.stats
 	st.Resident = len(rc.entries)
 	return st
-}
-
-func (rc *RegCache) pushFront(e *regEntry) {
-	e.prev, e.next = nil, rc.head
-	if rc.head != nil {
-		rc.head.prev = e
-	}
-	rc.head = e
-	if rc.tail == nil {
-		rc.tail = e
-	}
-}
-
-func (rc *RegCache) unlink(e *regEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		rc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		rc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (rc *RegCache) moveToFront(e *regEntry) {
-	if rc.head == e {
-		return
-	}
-	rc.unlink(e)
-	rc.pushFront(e)
 }

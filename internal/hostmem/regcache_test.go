@@ -6,48 +6,28 @@ import (
 	"omxsim/platform"
 )
 
-// Table-driven churn over caches of various bounds: the LRU bound is
-// honoured, hits+misses sum to the posts, and the pin cost (a Pin
-// call plus reported pinPages) is charged exactly once per residency
-// of a region.
+// Table-driven churn over the cache: hits+misses sum to the posts,
+// and the pin cost (a Pin call plus reported pinPages) is charged
+// exactly once per region.
 func TestRegCacheChurn(t *testing.T) {
 	cases := []struct {
-		name    string
-		max     int
-		bufs    int   // distinct regions
-		posts   []int // sequence of region indices to Acquire
-		hits    int64
-		misses  int64
-		evicted int64
+		name   string
+		bufs   int   // distinct regions
+		posts  []int // sequence of region indices to Acquire
+		hits   int64
+		misses int64
 	}{
 		{
-			name: "unbounded-repeat", max: 0, bufs: 2,
+			name: "unbounded-repeat", bufs: 2,
 			posts: []int{0, 1, 0, 1, 0, 1},
-			hits:  4, misses: 2, evicted: 0,
+			hits:  4, misses: 2,
 		},
 		{
-			name: "bound-fits", max: 2, bufs: 2,
-			posts: []int{0, 1, 0, 1},
-			hits:  2, misses: 2, evicted: 0,
-		},
-		{
-			// Round-robin over 3 regions with room for 2: every post
-			// misses (the LRU victim is always the one about to be
-			// reused) and every miss past the second evicts.
-			name: "thrash", max: 2, bufs: 3,
+			// Round-robin over 3 regions: each misses once, then
+			// every later post hits.
+			name: "round-robin", bufs: 3,
 			posts: []int{0, 1, 2, 0, 1, 2},
-			hits:  0, misses: 6, evicted: 4,
-		},
-		{
-			// LRU order: re-touching 0 protects it; 1 is the victim.
-			name: "lru-order", max: 2, bufs: 3,
-			posts: []int{0, 1, 0, 2, 0},
-			hits:  2, misses: 3, evicted: 1,
-		},
-		{
-			name: "bound-one", max: 1, bufs: 2,
-			posts: []int{0, 0, 1, 1, 0},
-			hits:  2, misses: 3, evicted: 2,
+			hits:  3, misses: 3,
 		},
 	}
 	p := platform.Clovertown()
@@ -55,33 +35,27 @@ func TestRegCacheChurn(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(p)
-			rc := NewRegCache(tc.max)
+			rc := NewRegCache()
 			bufs := make([]*Buffer, tc.bufs)
 			for i := range bufs {
 				bufs[i] = m.Alloc(regBytes)
 			}
-			var pinned, unpinned int64
+			var pinned int64
 			for _, i := range tc.posts {
-				pp, up := rc.Acquire(bufs[i], regBytes)
-				pinned += pp
-				unpinned += up
+				pinned += rc.Acquire(bufs[i], regBytes)
 			}
 			st := rc.Stats()
-			if st.Hits != tc.hits || st.Misses != tc.misses || st.Evictions != tc.evicted {
-				t.Fatalf("hits/misses/evictions = %d/%d/%d, want %d/%d/%d",
-					st.Hits, st.Misses, st.Evictions, tc.hits, tc.misses, tc.evicted)
+			if st.Hits != tc.hits || st.Misses != tc.misses {
+				t.Fatalf("hits/misses = %d/%d, want %d/%d",
+					st.Hits, st.Misses, tc.hits, tc.misses)
 			}
 			if st.Hits+st.Misses != int64(len(tc.posts)) {
 				t.Fatalf("hits+misses = %d, want the %d posts", st.Hits+st.Misses, len(tc.posts))
 			}
-			// Pin cost charged exactly once per residency: pages flow
-			// in on misses and out on evictions, never twice.
-			if pinned != st.Misses*3 || unpinned != st.Evictions*3 {
-				t.Fatalf("pinned/unpinned pages = %d/%d, want %d/%d",
-					pinned, unpinned, st.Misses*3, st.Evictions*3)
-			}
-			if tc.max > 0 && st.Resident > tc.max {
-				t.Fatalf("resident = %d exceeds bound %d", st.Resident, tc.max)
+			// Pin cost charged exactly once per region: pages flow in
+			// on misses only, never twice.
+			if pinned != st.Misses*3 {
+				t.Fatalf("pinned pages = %d, want %d", pinned, st.Misses*3)
 			}
 			if st.PinnedPages != int64(st.Resident)*3 {
 				t.Fatalf("PinnedPages = %d, want %d", st.PinnedPages, int64(st.Resident)*3)
@@ -106,27 +80,22 @@ func TestRegCacheChurn(t *testing.T) {
 	}
 }
 
-// Acquire of a sub-page region pins one page; the pages recorded at
-// miss time are the pages released at eviction, even if a later
-// Acquire of the same buffer uses a different length.
+// Acquire of a sub-page region pins one page, and a later hit on the
+// same buffer with a larger span pins nothing more.
 func TestRegCachePageAccounting(t *testing.T) {
 	p := platform.Clovertown()
 	m := New(p)
-	rc := NewRegCache(1)
-	a, b := m.Alloc(64*1024), m.Alloc(64*1024)
-	if pp, _ := rc.Acquire(a, 100); pp != 1 {
+	rc := NewRegCache()
+	a := m.Alloc(64 * 1024)
+	if pp := rc.Acquire(a, 100); pp != 1 {
 		t.Fatalf("sub-page pin = %d pages, want 1", pp)
 	}
 	// Hit with a larger span: no re-pin (the model registers whole
 	// regions, as the deferred-deregistration scheme does).
-	if pp, _ := rc.Acquire(a, 64*1024); pp != 0 {
+	if pp := rc.Acquire(a, 64*1024); pp != 0 {
 		t.Fatalf("hit repinned %d pages", pp)
 	}
-	// Evicting a releases the 1 page recorded at its miss.
-	if _, up := rc.Acquire(b, 8192); up != 1 {
-		t.Fatalf("eviction released %d pages, want 1", up)
-	}
-	if st := rc.Stats(); st.PinnedPages != 2 || st.Resident != 1 {
-		t.Fatalf("PinnedPages/Resident = %d/%d, want 2/1", st.PinnedPages, st.Resident)
+	if st := rc.Stats(); st.PinnedPages != 1 || st.Resident != 1 {
+		t.Fatalf("PinnedPages/Resident = %d/%d, want 1/1", st.PinnedPages, st.Resident)
 	}
 }

@@ -60,18 +60,13 @@ func (s *Stack) dmaDelayTo(buf *hostmem.Buffer, n int) sim.Duration {
 // deposit records a firmware DMA write into buf: pushed into the DCA
 // target's LLC on a DCA-capable platform, plain cache-cold memory
 // otherwise. ep is the consuming endpoint — native firmware knows the
-// consumer and steers at its core unless Config.DCATargetCore
-// overrides it.
+// consumer and steers at its core.
 func (s *Stack) deposit(ep *Endpoint, buf *hostmem.Buffer, n int) {
 	if !s.H.P.HasDCA {
 		buf.WrittenByDMA()
 		return
 	}
-	target := ep.Core
-	if s.Cfg.DCATargetCore > 0 {
-		target = s.Cfg.DCATargetCore
-	}
-	buf.WrittenByDCA(target, n)
+	buf.WrittenByDCA(ep.Core, n)
 }
 
 // fwAck applies a (cumulative) transport ack to the sending

@@ -42,29 +42,21 @@ import (
 	"omxsim/sim"
 )
 
-// Config for the native stack.
+// Config selects native-stack options. On a platform with HasDCA the
+// firmware steers its DMA deposits at the receiving endpoint's own
+// core: native MX firmware knows the consumer, unlike the generic
+// driver, which can only follow the interrupt.
 type Config struct {
-	// RegCache enables the registration cache: per-stack, unbounded
-	// unless RegCacheEntries caps it.
+	// RegCache enables the registration cache: per-stack and
+	// unbounded. It is worth more here than in Open-MX, because MX
+	// registration also updates the NIC's translation table.
 	RegCache bool
-	// RegCacheEntries bounds the registration cache to this many
-	// resident regions (LRU eviction past the bound); 0 = unbounded.
-	RegCacheEntries int
-	// DCATargetCore, on a platform with HasDCA, steers the firmware's
-	// DMA deposits at this core's LLC. 0 (the default) targets the
-	// receiving endpoint's own core — native MX firmware knows the
-	// consumer, unlike the generic driver which can only follow the
-	// interrupt. Ignored without HasDCA.
-	DCATargetCore int
-	// RingSlots is the eager receive queue capacity (4 kiB slots).
-	RingSlots int
 	// RetransmitTimeout is the firmware's base retransmission timeout
-	// for unacked eager messages, rendezvous requests and pull
-	// blocks; RetransmitBackoff multiplies it per consecutive
-	// unanswered attempt (1 disables), capped at RetransmitMax.
+	// (default 50 ms) for unacked eager messages, rendezvous requests
+	// and pull blocks. Every consecutive unanswered attempt doubles
+	// it, up to 16 times the base. Retransmission runs in firmware and
+	// costs the host no CPU.
 	RetransmitTimeout sim.Duration
-	RetransmitBackoff float64
-	RetransmitMax     sim.Duration
 	// Adaptive enables the firmware's self-tuning tier, run by the
 	// shared transport core (proto.Transport) in firmware context:
 	// per-peer RTT-derived retransmission timeouts (unless an explicit
@@ -112,9 +104,6 @@ type Stack struct {
 // Attach builds a native MX stack on h, switching the NIC to firmware
 // mode.
 func Attach(h *host.Host, cfg Config) *Stack {
-	if cfg.RingSlots == 0 {
-		cfg.RingSlots = 512
-	}
 	s := &Stack{
 		Cfg:       cfg,
 		endpoints: make(map[int]*Endpoint),
@@ -125,9 +114,7 @@ func Attach(h *host.Host, cfg Config) *Stack {
 		collPending: make(map[collKey][]*wire.Frame),
 	}
 	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{
-		RegCache: cfg.RegCache, RegCacheEntries: cfg.RegCacheEntries,
-		RetransmitTimeout: cfg.RetransmitTimeout, RetransmitBackoff: cfg.RetransmitBackoff,
-		RetransmitMax: cfg.RetransmitMax, Adaptive: cfg.Adaptive,
+		RegCache: cfg.RegCache, RetransmitTimeout: cfg.RetransmitTimeout, Adaptive: cfg.Adaptive,
 	})
 	for i, n := range h.NICs {
 		lane := i
@@ -259,13 +246,13 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 	}
 	ep := &Endpoint{
 		S: s, ID: id, Core: coreID,
-		ring:  s.H.Alloc(s.Cfg.RingSlots * proto.MediumFragSize),
+		ring:  s.H.Alloc(proto.RingSlots * proto.MediumFragSize),
 		evSig: sim.NewSignal(),
 		asm:   make(map[asmKey]*assembly),
 		tx:    make(map[proto.Addr]*proto.TxChan[eagerFrames]),
 		rx:    make(map[proto.Addr]*mxRxChan),
 	}
-	for i := s.Cfg.RingSlots - 1; i >= 0; i-- {
+	for i := proto.RingSlots - 1; i >= 0; i-- {
 		ep.freeSlots = append(ep.freeSlots, i)
 	}
 	s.endpoints[id] = ep

@@ -80,13 +80,11 @@ type NIC struct {
 	// core"). It is resolved at the start of each bottom-half run, so
 	// the adaptive transport tier may re-steer it between interrupts;
 	// without Config.Adaptive it stays fixed for the whole run, the
-	// common production setup.
+	// common production setup. On platforms with HasDCA it is also the
+	// core whose LLC the NIC's DMA deposits are pushed into (the DCA
+	// tag in the TLP header): the chipset steers toward the
+	// interrupted core.
 	IRQCore int
-	// DCATarget, on platforms with HasDCA, is the core whose LLC the
-	// NIC's DMA deposits are pushed into (the DCA tag in the TLP
-	// header). Negative means follow IRQCore — the chipset default of
-	// steering toward the interrupted core.
-	DCATarget int
 
 	// Receive state (generic mode). pending is a head-cursor FIFO:
 	// popping advances pendingHead instead of reslicing, so the backing
@@ -119,7 +117,7 @@ type NIC struct {
 
 // New returns a NIC attached to the given host resources.
 func New(e *sim.Engine, p *platform.Platform, sys *cpu.System, mem *hostmem.Memory, name string) *NIC {
-	n := &NIC{E: e, P: p, Sys: sys, Mem: mem, Name: name, DCATarget: -1, bhSig: sim.NewSignal()}
+	n := &NIC{E: e, P: p, Sys: sys, Mem: mem, Name: name, bhSig: sim.NewSignal()}
 	n.txDoneFn = n.txDone
 	n.depositFn = n.deposit
 	e.GoDaemon("bh:"+name, n.bhLoop)
@@ -232,9 +230,9 @@ func (n *NIC) deposit(arg any) {
 	// copying it.
 	buf := n.Mem.Wrap(f.Data)
 	if n.P.HasDCA {
-		// Direct Cache Access: the deposit is pushed into the DCA
-		// target core's LLC instead of landing cold in memory.
-		buf.WrittenByDCA(n.DCATargetCore(), len(f.Data))
+		// Direct Cache Access: the deposit is pushed into the
+		// interrupt core's LLC instead of landing cold in memory.
+		buf.WrittenByDCA(n.IRQCore, len(f.Data))
 	} else {
 		buf.WrittenByDMA()
 	}
@@ -242,15 +240,6 @@ func (n *NIC) deposit(arg any) {
 	n.skbsLive++
 	n.pending = append(n.pending, &Skb{Buf: buf, Frame: f, nic: n})
 	n.bhSig.Broadcast()
-}
-
-// DCATargetCore resolves the core whose cache DCA deposits are pushed
-// toward: the configured target, or the interrupted core by default.
-func (n *NIC) DCATargetCore() int {
-	if n.DCATarget >= 0 {
-		return n.DCATarget
-	}
-	return n.IRQCore
 }
 
 // pendingLen reports the number of skbuffs waiting for the bottom half.

@@ -60,6 +60,11 @@ const (
 	LargeFragSize = 8192
 )
 
+// RingSlots is the capacity, in MediumFragSize slots, of each
+// endpoint's eager receive ring (Open-MX) or receive queue (native
+// MX).
+const RingSlots = 512
+
 // Eager carries a tiny/small message or one fragment of a medium
 // message. Fragments of one message share Seq; FragID identifies the
 // piece. Reliability: the receiver acknowledges cumulative sequence

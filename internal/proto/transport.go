@@ -92,11 +92,12 @@ func (c Counters) Retransmits() int64 {
 }
 
 // TransportConfig is the part of a stack's Config the transport core
-// reads. Zero retransmission fields take the defaults above.
+// reads. Zero retransmission fields take the defaults above; neither
+// stack sets RetransmitBackoff or RetransmitMax, which exist so the
+// transport's own tests can pin other backoff schedules.
 type TransportConfig struct {
 	StripePolicy      string
 	RegCache          bool
-	RegCacheEntries   int
 	RetransmitTimeout sim.Duration
 	RetransmitBackoff float64
 	RetransmitMax     sim.Duration
@@ -184,7 +185,7 @@ func NewTransport(h *host.Host, ctr *Counters, cfg TransportConfig) Transport {
 		t.pullWin = make(map[Addr]*AIMDWindow)
 	}
 	if cfg.RegCache {
-		t.reg = hostmem.NewRegCache(cfg.RegCacheEntries)
+		t.reg = hostmem.NewRegCache()
 	}
 	ctr.NICTxFrames = make([]int64, t.Lanes)
 	return t
@@ -304,13 +305,11 @@ func (t *Transport) TraceCounter(name string, v float64) {
 // PinCost returns the time to register the n-byte region of buf at
 // perPage per page, honouring the registration cache, and takes the
 // pin reference. A cache hit costs nothing; a miss pays perPage over
-// the region, plus UnpinPerPage over any region the cache's LRU bound
-// forced out to make room.
+// the region.
 func (t *Transport) PinCost(buf *hostmem.Buffer, n int, perPage int64) sim.Duration {
 	p := t.H.P
 	if t.reg != nil {
-		pinned, evicted := t.reg.Acquire(buf, n)
-		return sim.Duration(pinned*perPage + evicted*p.UnpinPerPage)
+		return sim.Duration(t.reg.Acquire(buf, n) * perPage)
 	}
 	buf.Pin()
 	return sim.Duration(pagesSpanned(n, p.PageSize) * perPage)

@@ -115,9 +115,6 @@ func NewHose(e *sim.Engine, p *platform.Platform, peer Port) *Hose {
 	return h
 }
 
-// Peer returns the receiving port of this hose.
-func (h *Hose) Peer() Port { return h.peer }
-
 // SerializeTime reports the wire occupancy of a frame with the given
 // payload length (adding Ethernet framing overhead), honouring the
 // direction's rate asymmetry.

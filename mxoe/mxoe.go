@@ -15,37 +15,10 @@ import (
 	"omxsim/sim"
 )
 
-// Config selects native-stack options.
-type Config struct {
-	// RegCache enables the registration cache (more valuable here
-	// than in Open-MX: MX registration updates NIC translation
-	// tables).
-	RegCache bool
-	// RegCacheEntries bounds the registration cache to this many
-	// resident regions (LRU eviction deregisters the coldest past the
-	// bound); 0 keeps it unbounded.
-	RegCacheEntries int
-	// DCATargetCore, on a platform with HasDCA (e.g.
-	// platform.ClovertownDCA), steers the firmware's DMA deposits at
-	// this core's LLC. 0 (the default) targets each receiving
-	// endpoint's own core. Ignored without HasDCA.
-	DCATargetCore int
-	// RetransmitTimeout is the firmware's base retransmission
-	// timeout (default 50 ms); RetransmitBackoff multiplies it per
-	// consecutive unanswered attempt (default 2), capped at
-	// RetransmitMax (default 16× the timeout). All firmware-level:
-	// retransmission costs the host no CPU.
-	RetransmitTimeout sim.Duration
-	RetransmitBackoff float64
-	RetransmitMax     sim.Duration
-	// Adaptive enables the firmware's self-tuning transport tier:
-	// retransmission timeouts derived from per-peer SRTT/RTTVAR
-	// (unless RetransmitTimeout is set explicitly) and an AIMD pull
-	// window bounded by [2, 4 x NICs] instead of the fixed two blocks
-	// per lane. Off (the default) keeps the static firmware behavior
-	// bit-identical.
-	Adaptive bool
-}
+// Config selects native-stack options: the registration cache, the
+// firmware's retransmission timeout and its adaptive tier (see
+// internal/mxoe.Config for field documentation).
+type Config = mxoe.Config
 
 // Stats re-exports the firmware protocol counters.
 type Stats = mxoe.Stats
@@ -68,15 +41,7 @@ type Stack struct {
 
 // Attach builds the native stack on a host.
 func Attach(h *cluster.Host, cfg Config) *Stack {
-	return &Stack{h: h, s: mxoe.Attach(h.Machine(), mxoe.Config{
-		RegCache:          cfg.RegCache,
-		RegCacheEntries:   cfg.RegCacheEntries,
-		DCATargetCore:     cfg.DCATargetCore,
-		RetransmitTimeout: cfg.RetransmitTimeout,
-		RetransmitBackoff: cfg.RetransmitBackoff,
-		RetransmitMax:     cfg.RetransmitMax,
-		Adaptive:          cfg.Adaptive,
-	})}
+	return &Stack{h: h, s: mxoe.Attach(h.Machine(), cfg)}
 }
 
 // Stats exposes the firmware's protocol counters (retransmissions,

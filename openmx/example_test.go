@@ -85,8 +85,8 @@ func ExampleStack_CPUStats() {
 // ExampleProbeThresholds runs the adaptive autotuner's startup probe
 // against the modelled Clovertown platform. The crossover points it
 // picks land within a factor of two of the constants the paper chose
-// by hand (32 kB eager→rendezvous, 32 kB local I/OAT switch); setting
-// Config.AutoTune applies the same probe when a stack attaches.
+// by hand (32 kB eager→rendezvous, 32 kB local I/OAT switch);
+// AutoTuned returns a configuration built from them.
 func ExampleProbeThresholds() {
 	th := openmx.ProbeThresholds(platform.Clovertown())
 	d := openmx.Defaults()

@@ -67,9 +67,7 @@ const (
 // AutoTuned returns an I/OAT-enabled configuration whose offload and
 // protocol thresholds are derived from startup microbenchmarks of the
 // given platform instead of the paper's empirical constants (the
-// Section VI auto-tuning proposal). Setting Config.AutoTune instead
-// runs the same probe when the stack attaches, filling only the
-// thresholds the caller left unset.
+// Section VI auto-tuning proposal).
 func AutoTuned(p *platform.Platform) Config { return core.AutoTuned(p) }
 
 // Thresholds is the full set of protocol/offload thresholds the
@@ -207,8 +205,7 @@ func (s *Stack) ResetCPUStats() { s.s.H.Sys.ResetAccounting() }
 
 // RegStats is a snapshot of the stack's registration-cache counters:
 // hits and misses (which sum to the posts that consulted the cache),
-// LRU evictions, and the currently resident regions with their pinned
-// pages.
+// and the currently resident regions with their pinned pages.
 type RegStats = hostmem.RegStats
 
 // RegStats snapshots the registration cache (zero value when

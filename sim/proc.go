@@ -161,9 +161,6 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Daemon reports whether the process was started with GoDaemon.
-func (p *Proc) Daemon() bool { return p.daemon }
-
 // block suspends the process until its next step event, running the
 // event loop on this goroutine meanwhile. Called only from process
 // context. A process unwinding from Close never runs the loop.
@@ -296,6 +293,3 @@ func (s *Signal) Broadcast() {
 	}
 	s.spare = ws[:0]
 }
-
-// Waiters reports the number of processes currently waiting.
-func (s *Signal) Waiters() int { return len(s.waiters) }

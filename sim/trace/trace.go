@@ -23,25 +23,15 @@ import (
 )
 
 // Arg is one ordered key/value annotation on a span or instant event.
-// Values render as JSON numbers when numeric (Int/Float) and as JSON
-// strings otherwise; ordering is preserved into the output.
+// Val is an integer rendered as a JSON number; ordering is preserved
+// into the output.
 type Arg struct {
 	Key string
 	Val string
-	num bool
 }
-
-// Str builds a string-valued argument.
-func Str(key, val string) Arg { return Arg{Key: key, Val: val} }
 
 // Int builds an integer-valued argument.
-func Int(key string, val int) Arg { return Arg{Key: key, Val: strconv.Itoa(val), num: true} }
-
-// Float builds a float-valued argument with fixed 3-decimal precision
-// (deterministic formatting).
-func Float(key string, val float64) Arg {
-	return Arg{Key: key, Val: strconv.FormatFloat(val, 'f', 3, 64), num: true}
-}
+func Int(key string, val int) Arg { return Arg{Key: key, Val: strconv.Itoa(val)} }
 
 // span is one closed interval on a process timeline.
 type span struct {
@@ -245,11 +235,7 @@ func renderArgs(args []Arg) string {
 		}
 		b.WriteString(quote(a.Key))
 		b.WriteString(":")
-		if a.num {
-			b.WriteString(a.Val)
-		} else {
-			b.WriteString(quote(a.Val))
-		}
+		b.WriteString(a.Val)
 	}
 	b.WriteString("}")
 	return b.String()
