@@ -156,8 +156,9 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		txChans: make(map[proto.Addr]*proto.TxChan[*Request]),
 		rxChans: make(map[proto.Addr]*rxChan),
 	}
-	for i := proto.RingSlots - 1; i >= 0; i-- {
-		ep.freeSlots = append(ep.freeSlots, i)
+	ep.freeSlots = make([]int, proto.RingSlots)
+	for i := range ep.freeSlots {
+		ep.freeSlots[i] = proto.RingSlots - 1 - i
 	}
 	s.endpoints[id] = ep
 	return ep

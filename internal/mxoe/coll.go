@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
@@ -35,6 +36,36 @@ import (
 // host CPU, not faster arithmetic. Combining order is fixed (own
 // contribution, then children in member order), so results are
 // independent of frame arrival timing.
+//
+// Collective state is NIC-resident and reused, the way a firmware sizes
+// its collective tables once. A call's bytes live in payload buffers
+// from its group's pool, and every hop it sends is a view of them,
+// never a copy:
+//   - contrib is the NIC's snapshot of the local contribution. A
+//     reduction combines into it in place (own contribution first,
+//     then children in member order), so after the combine it holds
+//     the partial or the result the call sends and deposits.
+//   - Each child's contribution assembles in a vector of its own until
+//     the combine.
+//   - down stores each arrived fan-out fragment before the call
+//     forwards and deposits it (store-and-forward), so a relayed hop
+//     views this NIC's copy, not the upstream sender's buffer.
+//   - Nothing writes a buffer range after it is first sent, so a view
+//     stays valid for every retransmission.
+//
+// A buffer goes back to the pool (give) only once nothing can read it
+// again. A peer reads a hop's bytes only on the first arrival (stash
+// copies them), which precedes its ack; any later copy, such as a
+// duplicate still on the wire, fails the fragment bitmap or the done
+// set before its data is read. So a child's vector is released once
+// the combine has summed it, and everything else at retirement: the
+// call is complete, so every deposit has landed and every step it
+// scheduled has run, and every hop it sent is acked, so no
+// retransmission can read its buffers again. Releasing earlier, say
+// when the call completes, would let a retransmission carry the next
+// call's bytes. A retired call goes on its group's free list, and the
+// next call reuses its outs map and its child, vector and landing
+// lists (recycle).
 
 // CollMaxBytes bounds an offloaded payload: fragment bitmaps are one
 // 64-bit word (proto.CollMaxFrags eager fragments). The mpi layer's
@@ -90,13 +121,16 @@ type CollGroup struct {
 	calls   map[uint32]*collCall
 	done    map[uint32]bool
 	doneQ   []uint32
+	free    *collCall // retired calls, linked by next, reused by newCall
+	bufs    [][]byte  // released payload buffers (take, give)
 }
 
 // CollJoin registers (or returns) this endpoint's membership in the
 // group defined by members — every rank's endpoint address in rank
 // order. All members derive the same group ID locally; no wire
 // traffic is needed. Frames that raced ahead of the join are drained
-// into the new group.
+// into the new group. The group keeps members: the caller must not
+// modify it afterwards.
 func (ep *Endpoint) CollJoin(members []proto.Addr) *CollGroup {
 	s := ep.S
 	key := collKey{id: collGroupID(members), ep: ep.ID}
@@ -115,7 +149,7 @@ func (ep *Endpoint) CollJoin(members []proto.Addr) *CollGroup {
 		panic(fmt.Sprintf("mxoe: endpoint %v is not in the collective member list", self))
 	}
 	g := &CollGroup{
-		ep: ep, id: key.id, members: append([]proto.Addr(nil), members...), me: me,
+		ep: ep, id: key.id, members: members, me: me,
 		calls: make(map[uint32]*collCall),
 		done:  make(map[uint32]bool),
 	}
@@ -206,7 +240,8 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 	case proto.CollScan:
 		s.Stats.Coll.Scans++
 	}
-	req := &Request{ep: ep, isRecv: rbuf != nil, buf: rbuf, off: roff, n: n}
+	cr := &collReq{req: Request{ep: ep, isRecv: rbuf != nil, buf: rbuf, off: roff, n: n}}
+	req := &cr.req
 	if len(g.members) == 1 {
 		// One-rank group: complete locally (the result is the local
 		// contribution).
@@ -234,14 +269,17 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 	ep.core().RunOn(p, cpu.UserLib, cost)
 	c.posted = true
 	c.req = req
+	c.doneEv = &cr.ev
 	c.rbuf, c.roff = rbuf, roff
-	if sbuf != nil {
+	switch {
+	case sbuf != nil:
 		// NIC snapshot of the contribution (like an eager send: the
 		// host buffer is immediately reusable).
-		c.contrib = make([]byte, n)
+		c.contrib = g.take(n)
 		sbuf.ReadAt(c.contrib, soff)
-	} else {
-		c.contrib = make([]byte, n)
+	case op == proto.CollAllreduce || op == proto.CollScan:
+		c.contrib = g.take(n)
+		clear(c.contrib)
 	}
 	if op == proto.CollBcast {
 		if g.me == root {
@@ -255,11 +293,10 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 			return req
 		}
 		// Deposit whatever arrived before the post.
-		if c.down != nil {
+		if c.down.cnt != 0 {
 			for fid := 0; fid < c.frags; fid++ {
 				if c.down.got&(uint64(1)<<uint(fid)) != 0 {
-					off := fid * proto.MediumFragSize
-					s.collDeposit(c, off, c.down.slice(off, collFragLen(c.n, fid)))
+					s.collDeposit(c, fid, fragOf(c.down.data, c.n, fid))
 				}
 			}
 		}
@@ -281,22 +318,22 @@ type collCall struct {
 
 	posted  bool
 	req     *Request
+	doneEv  *event // req's completion event, allocated with it
 	rbuf    *hostmem.Buffer
 	roff    int
-	contrib []byte
+	contrib []byte // local contribution, combined in place
 
 	parent   int
 	children []int
 
-	// Fan-in: per-child contribution vectors, completed-child count,
-	// and the combined accumulator.
-	up     map[int]*collVec
+	// Fan-in: upv[i] assembles children[i]'s contribution; haveUp
+	// counts the complete ones.
+	upv    []collVec
 	haveUp int
 	sentUp bool
-	acc    []byte
 
 	// Fan-out / chain: the assembling down payload and its DMA state.
-	down      *collVec
+	down      collVec
 	haveDown  bool
 	forwarded bool
 	landed    int
@@ -307,18 +344,43 @@ type collCall struct {
 	outs    map[collOutKey]*collOut
 	unacked int
 
+	// lands holds one pending result DMA per fragment (collDeposit).
+	lands []collLand
+
 	// startedAt is the call's creation time: collFinish publishes the
 	// [startedAt, finish] interval as a "collective" trace span.
 	startedAt sim.Time
+
+	next *collCall // free-list link
+}
+
+// collReq is a collective's host request together with its completion
+// event: one allocation per post.
+type collReq struct {
+	req Request
+	ev  event
+}
+
+// collLand is one result fragment's DMA into the posted destination.
+type collLand struct {
+	c    *collCall
+	off  int
+	data []byte
 }
 
 // collVec assembles one fragmented tree payload (a child contribution
-// or the down data), with the duplicate-suppression bitmap.
+// or the down data), with the duplicate-suppression bitmap. The zero
+// value is a vector the call has not opened yet.
 type collVec struct {
-	data    []byte
+	data    []byte // the payload's n bytes, from the group's pool
 	got     uint64
 	arrived int
-	cnt     int
+	cnt     int // fragments expected, 0 until opened
+}
+
+// open starts assembling cnt fragments into data.
+func (v *collVec) open(cnt int, data []byte) {
+	*v = collVec{data: data, cnt: cnt}
 }
 
 func (v *collVec) mark(frag int) bool {
@@ -334,22 +396,68 @@ func (v *collVec) mark(frag int) bool {
 func (v *collVec) done() bool { return v.arrived == v.cnt }
 
 // stash copies an arrived fragment into the vector's buffer.
-func (v *collVec) stash(n, off int, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	if v.data == nil {
-		v.data = make([]byte, n)
-	}
+func (v *collVec) stash(off int, data []byte) {
 	copy(v.data[off:], data)
 }
 
-// slice returns the stashed bytes [off, off+ln) (empty for ln 0).
-func (v *collVec) slice(off, ln int) []byte {
-	if ln <= 0 {
+// fragOf views fragment fid of the n-byte payload b (nil when empty).
+// The view is cap-limited: nothing can append into the next fragment
+// through it.
+func fragOf(b []byte, n, fid int) []byte {
+	ln := collFragLen(n, fid)
+	if ln == 0 {
 		return nil
 	}
-	return v.data[off : off+ln]
+	off := fid * proto.MediumFragSize
+	return b[off : off+ln : off+ln]
+}
+
+// fit returns b resized to n elements, reusing its backing array when
+// it is large enough. The contents are unspecified.
+func fit[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// collPoisonRecycled makes give overwrite every released buffer with
+// collPoison, so a read after release shows up as wrong bytes. Tests
+// set it.
+var collPoisonRecycled bool
+
+const collPoison = 0xdb
+
+// take hands out an n-byte payload buffer (nil for n 0), reusing a
+// released one when there is one. The contents are unspecified.
+func (g *CollGroup) take(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	k := len(g.bufs)
+	if k == 0 {
+		return make([]byte, n)
+	}
+	b := g.bufs[k-1]
+	g.bufs[k-1] = nil
+	g.bufs = g.bufs[:k-1]
+	return fit(b, n)
+}
+
+// give releases a payload buffer to the group's pool. The caller
+// guarantees nothing reads it again (see the package comment on
+// collective state).
+func (g *CollGroup) give(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:cap(b)]
+	if collPoisonRecycled {
+		for i := range b {
+			b[i] = collPoison
+		}
+	}
+	g.bufs = append(g.bufs, b)
 }
 
 // collOutKey identifies one outgoing fragment hop: destination member,
@@ -361,28 +469,64 @@ type collOutKey struct {
 }
 
 // collOut is a fragment awaiting its hop ack, with the firmware
-// retransmission timer.
+// retransmission timer: one allocation per hop. Every transmission of
+// the hop, retransmissions included, sends frame, whose Msg is msg and
+// whose Data views the call's buffer; duplicate deliveries share one
+// Frame on the wire too. A collOut is never reused, since a stale
+// copy of its frame may still be on the wire.
 type collOut struct {
-	m        *proto.CollData
-	payload  []byte
+	msg      proto.CollData
+	frame    wire.Frame
 	lane     int
 	timer    sim.Timer
 	attempts int
 	acked    bool
 }
 
+// collAckFrame is a hop ack and the frame that carries it, in one
+// allocation.
+type collAckFrame struct {
+	m proto.CollAck
+	f wire.Frame
+}
+
 func (g *CollGroup) newCall(seq uint32, op proto.CollOp, root, n int) *collCall {
-	c := &collCall{
-		g: g, seq: seq, op: op, root: root, n: n,
-		frags:     proto.CollFragsOf(n),
-		up:        make(map[int]*collVec),
-		outs:      make(map[collOutKey]*collOut),
-		parent:    -1,
-		startedAt: g.ep.S.H.E.Now(),
+	c := g.free
+	if c != nil {
+		g.free, c.next = c.next, nil
+	} else {
+		c = &collCall{g: g, outs: make(map[collOutKey]*collOut)}
 	}
+	c.seq, c.op, c.root, c.n = seq, op, root, n
+	c.frags = proto.CollFragsOf(n)
+	c.parent = -1
+	c.startedAt = g.ep.S.H.E.Now()
 	c.initTree()
 	g.calls[seq] = c
 	return c
+}
+
+// recycle releases a retired call's buffers and puts it on the group's
+// free list. It may run only at retirement (see the package comment on
+// collective state). The outs map is cleared, not re-made, and the
+// child, vector and landing lists keep their backing arrays.
+func (g *CollGroup) recycle(c *collCall) {
+	g.give(c.contrib)
+	g.give(c.down.data)
+	for i := range c.upv {
+		g.give(c.upv[i].data)
+	}
+	clear(c.upv)
+	clear(c.lands)
+	clear(c.outs)
+	*c = collCall{
+		g: g, outs: c.outs,
+		children: c.children[:0],
+		upv:      c.upv[:0],
+		lands:    c.lands[:0],
+		next:     g.free,
+	}
+	g.free = c
 }
 
 // initTree computes this member's parent and children: the binomial
@@ -405,6 +549,7 @@ func (c *collCall) initTree() {
 			c.children = append(c.children, (child+c.root)%p)
 		}
 	}
+	c.upv = fit(c.upv, len(c.children))
 }
 
 // collFragLen is the payload length of fragment fid of an n-byte
@@ -457,10 +602,12 @@ func (s *Stack) fwCollData(f *wire.Frame, m *proto.CollData) {
 	// Hop-level ack, duplicates included: a duplicate proves the
 	// sender missed the previous ack.
 	s.Stats.Coll.Acks++
-	s.collEmit(s.LaneOf(m.Seq, m.FragID), m.Src, &proto.CollAck{
+	a := &collAckFrame{m: proto.CollAck{
 		Src: proto.Addr{Host: s.H.Name, EP: m.Dst.EP}, Dst: m.Src,
 		Group: m.Group, Seq: m.Seq, Down: m.Down, SrcRank: g.me, FragID: m.FragID,
-	}, nil)
+	}}
+	a.f.Msg = &a.m
+	s.collEmit(s.LaneOf(m.Seq, m.FragID), m.Src, &a.f)
 	if g.done[m.Seq] {
 		s.Stats.Coll.DupFrags++
 		return
@@ -479,35 +626,34 @@ func (s *Stack) fwCollData(f *wire.Frame, m *proto.CollData) {
 // fwCollUp assembles a child's fan-in contribution; when complete it
 // counts toward the combine barrier.
 func (s *Stack) fwCollUp(c *collCall, m *proto.CollData, data []byte) {
-	v := c.up[m.SrcRank]
-	if v == nil {
-		v = &collVec{cnt: m.FragCount}
-		c.up[m.SrcRank] = v
+	i := slices.Index(c.children, m.SrcRank)
+	if i < 0 {
+		return // not a child in this call's tree: nothing to combine
+	}
+	v := &c.upv[i]
+	if v.cnt == 0 {
+		v.open(m.FragCount, c.g.take(c.n))
 	}
 	if !v.mark(m.FragID) {
 		s.Stats.Coll.DupFrags++
 		return
 	}
-	v.stash(c.n, m.Offset, data)
+	v.stash(m.Offset, data)
 	if !v.done() {
 		return
 	}
-	for _, ch := range c.children {
-		if ch == m.SrcRank {
-			c.haveUp++
-			break
-		}
-	}
+	c.haveUp++
 	s.collAdvance(c)
 }
 
 // fwCollDown handles a fan-out fragment: barrier release, bcast data,
-// allreduce result, or scan prefix. Data fragments forward down-tree
-// immediately (store-and-forward pipelining, no wait for the local
-// post) and DMA-deposit into the posted destination.
+// allreduce result, or scan prefix. Data fragments are stored in the
+// call's down vector, forwarded down-tree from there immediately
+// (store-and-forward pipelining, no wait for the local post) and
+// DMA-deposited into the posted destination.
 func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
-	if c.down == nil {
-		c.down = &collVec{cnt: c.frags}
+	if c.down.cnt == 0 {
+		c.down.open(c.frags, c.g.take(c.n))
 	}
 	if !c.down.mark(m.FragID) {
 		s.Stats.Coll.DupFrags++
@@ -521,17 +667,17 @@ func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
 		// The incoming prefix is combine input, not the result: no
 		// forwarding, no deposit — advance runs the combine when both
 		// the prefix and the local post are in.
-		c.down.stash(c.n, m.Offset, data)
+		c.down.stash(m.Offset, data)
 		if c.down.done() {
 			c.haveDown = true
 			s.collAdvance(c)
 		}
 	default: // bcast data, allreduce result
-		s.collForwardFrag(c, m, data)
+		c.down.stash(m.Offset, data)
+		frag := fragOf(c.down.data, c.n, m.FragID)
+		s.collForwardFrag(c, m, frag)
 		if c.posted {
-			s.collDeposit(c, m.Offset, data)
-		} else {
-			c.down.stash(c.n, m.Offset, data)
+			s.collDeposit(c, m.FragID, frag)
 		}
 		if c.down.done() {
 			c.haveDown = true
@@ -595,98 +741,120 @@ func (s *Stack) advBarrier(c *collCall) {
 	}
 	if c.haveDown && c.posted && !c.finishing {
 		c.finishing = true
-		s.H.E.Schedule(s.dmaDelay(0), func() { s.collFinish(c) })
+		s.H.E.ScheduleArg(s.dmaDelay(0), s.collStepFn, c)
 	}
 }
 
 // advAllreduce: once posted and every child vector is in, combine
-// (own contribution, then children in member order — arrival timing
-// never changes the result) at the firmware's reduce rate, then send
-// the partial up; the root's combine is the full sum, which fans out
-// and deposits locally.
+// into the contribution in place (own contribution, then children in
+// member order — arrival timing never changes the result) at the
+// firmware's reduce rate, then send the partial up; the root's combine
+// is the full sum, which fans out and deposits locally.
 func (s *Stack) advAllreduce(c *collCall) {
 	if !c.posted || c.haveUp != len(c.children) || c.sentUp {
 		return
 	}
 	c.sentUp = true
-	acc := make([]byte, c.n)
-	copy(acc, c.contrib)
 	combined := 0
-	for _, ch := range c.children {
-		if v := c.up[ch]; v != nil && v.data != nil {
-			collSumInto(acc, v.data)
-		}
+	for i := range c.upv {
+		// Summed, a child's contribution is never read again (a late
+		// duplicate fails mark before its stash): release it now.
+		v := &c.upv[i]
+		collSumInto(c.contrib, v.data)
+		c.g.give(v.data)
+		v.data = nil
 		combined += c.n
 	}
-	c.acc = acc
 	s.Stats.Coll.CombinedBytes += int64(combined)
 	d := sim.Duration(s.H.P.MXFirmwareMatchCost) + s.combineDelay(combined)
-	s.H.E.Schedule(d, func() {
-		if c.g.me != c.root {
-			s.collSendVec(c, c.parent, false, c.acc)
-			return
-		}
-		c.haveDown, c.forwarded = true, true
-		s.collFanout(c, c.acc)
-		s.collDepositLocal(c)
-	})
+	s.H.E.ScheduleArg(d, s.collStepFn, c)
+}
+
+// collStep runs the one step a call schedules for itself: a barrier's
+// completion after the release's DMA, or the send that follows an
+// allreduce's or a scan's combine.
+func (s *Stack) collStep(arg any) {
+	c := arg.(*collCall)
+	switch c.op {
+	case proto.CollBarrier:
+		s.collFinish(c)
+	case proto.CollAllreduce:
+		s.allreduceSend(c)
+	case proto.CollScan:
+		s.scanSend(c)
+	}
+}
+
+// allreduceSend sends the combined partial up, or, on the root, fans
+// the result out and deposits it locally.
+func (s *Stack) allreduceSend(c *collCall) {
+	if c.g.me != c.root {
+		s.collSendVec(c, c.parent, false, c.contrib)
+		return
+	}
+	c.haveDown, c.forwarded = true, true
+	s.collFanout(c, c.contrib)
+	s.collDepositLocal(c)
 }
 
 // advScan: once posted and the upstream prefix is in (member 0 needs
-// none), add the local contribution, deposit the result, and forward
-// it as the next member's prefix.
+// none), add the prefix into the contribution in place, deposit the
+// result, and forward it as the next member's prefix.
 func (s *Stack) advScan(c *collCall) {
 	if !c.posted || c.sentUp || (c.g.me > 0 && !c.haveDown) {
 		return
 	}
 	c.sentUp = true
-	acc := make([]byte, c.n)
-	copy(acc, c.contrib)
 	combined := 0
 	if c.g.me > 0 {
-		if c.down != nil && c.down.data != nil {
-			collSumInto(acc, c.down.data)
-		}
+		collSumInto(c.contrib, c.down.data)
 		combined = c.n
 	}
-	c.acc = acc
 	s.Stats.Coll.CombinedBytes += int64(combined)
 	d := sim.Duration(s.H.P.MXFirmwareMatchCost) + s.combineDelay(combined)
-	s.H.E.Schedule(d, func() {
-		if next := c.g.me + 1; next < len(c.g.members) {
-			s.collSendVec(c, next, true, c.acc)
-		}
-		s.collDepositLocal(c)
-	})
+	s.H.E.ScheduleArg(d, s.collStepFn, c)
 }
 
-// collDeposit DMAs one result fragment into the posted destination;
-// the last landed fragment completes the call.
-func (s *Stack) collDeposit(c *collCall, off int, data []byte) {
-	n := len(data)
-	s.H.E.Schedule(s.dmaDelay(n), func() {
-		if n > 0 && c.rbuf != nil {
-			c.rbuf.WriteAt(data, c.roff+off)
-			c.rbuf.WrittenByDMA()
-		}
-		c.landed++
-		if c.landed == c.frags {
-			s.collFinish(c)
-		}
-	})
+// scanSend forwards a scan member's result to the next member and
+// deposits it locally.
+func (s *Stack) scanSend(c *collCall) {
+	if next := c.g.me + 1; next < len(c.g.members) {
+		s.collSendVec(c, next, true, c.contrib)
+	}
+	s.collDepositLocal(c)
 }
 
-// collDepositLocal deposits the whole combined accumulator (the root's
-// allreduce result, a scan member's own result).
+// collDeposit DMAs result fragment fid, a view of a buffer the call
+// owns, into the posted destination; the last landed fragment
+// completes the call.
+func (s *Stack) collDeposit(c *collCall, fid int, data []byte) {
+	if len(c.lands) < c.frags {
+		c.lands = fit(c.lands, c.frags)
+	}
+	l := &c.lands[fid]
+	l.c, l.off, l.data = c, fid*proto.MediumFragSize, data
+	s.H.E.ScheduleArg(s.dmaDelay(len(data)), s.collLandFn, l)
+}
+
+// collLand completes one result fragment's DMA.
+func (s *Stack) collLand(arg any) {
+	l := arg.(*collLand)
+	c := l.c
+	if len(l.data) > 0 && c.rbuf != nil {
+		c.rbuf.WriteAt(l.data, c.roff+l.off)
+		c.rbuf.WrittenByDMA()
+	}
+	c.landed++
+	if c.landed == c.frags {
+		s.collFinish(c)
+	}
+}
+
+// collDepositLocal deposits the whole combined contribution (the
+// root's allreduce result, a scan member's own result).
 func (s *Stack) collDepositLocal(c *collCall) {
 	for fid := 0; fid < c.frags; fid++ {
-		off := fid * proto.MediumFragSize
-		ln := collFragLen(c.n, fid)
-		var d []byte
-		if ln > 0 {
-			d = c.acc[off : off+ln]
-		}
-		s.collDeposit(c, off, d)
+		s.collDeposit(c, fid, fragOf(c.contrib, c.n, fid))
 	}
 }
 
@@ -704,7 +872,8 @@ func (s *Stack) collFinish(c *collCall) {
 	}
 	if c.req != nil && !c.req.done {
 		c.req.Len = c.n
-		c.g.ep.pushEvent(&event{kind: evCollDone, req: c.req})
+		*c.doneEv = event{kind: evCollDone, req: c.req}
+		c.g.ep.pushEvent(c.doneEv)
 	}
 	s.collMaybeRetire(c)
 }
@@ -722,12 +891,8 @@ func (s *Stack) collMaybeRetire(c *collCall) {
 	}
 	delete(g.calls, c.seq)
 	g.done[c.seq] = true
-	g.doneQ = append(g.doneQ, c.seq)
-	if len(g.doneQ) > collDoneWindow {
-		old := g.doneQ[0]
-		g.doneQ = g.doneQ[1:]
-		delete(g.done, old)
-	}
+	g.doneQ = proto.EvictOldest(g.done, g.doneQ, c.seq, collDoneWindow)
+	g.recycle(c)
 }
 
 // ---------------------------------------------------------------
@@ -736,20 +901,14 @@ func (s *Stack) collMaybeRetire(c *collCall) {
 
 // collSendVec originates every fragment of a payload to one member
 // (fragments already sent — e.g. forwarded at arrival — are skipped).
+// Each fragment's payload is a view of the call's buffer.
 func (s *Stack) collSendVec(c *collCall, dst int, down bool, payload []byte) {
 	for fid := 0; fid < c.frags; fid++ {
-		off := fid * proto.MediumFragSize
-		ln := collFragLen(c.n, fid)
-		var data []byte
-		if ln > 0 {
-			data = make([]byte, ln)
-			copy(data, payload[off:off+ln])
-		}
-		s.collOutSend(c, collOutKey{dst: dst, down: down, frag: fid}, &proto.CollData{
+		s.collOutSend(c, collOutKey{dst: dst, down: down, frag: fid}, proto.CollData{
 			Src: c.g.ep.Addr(), Dst: c.g.members[dst], Group: c.g.id, Seq: c.seq,
 			Op: c.op, Down: down, SrcRank: c.g.me, Root: c.root, MsgLen: c.n,
-			FragID: fid, FragCount: c.frags, Offset: off,
-		}, data)
+			FragID: fid, FragCount: c.frags, Offset: fid * proto.MediumFragSize,
+		}, fragOf(payload, c.n, fid))
 	}
 }
 
@@ -760,35 +919,34 @@ func (s *Stack) collFanout(c *collCall, payload []byte) {
 	}
 }
 
-// collForwardFrag relays one arrived down fragment to every child
-// immediately — per-fragment store-and-forward, so deep trees
-// pipeline instead of waiting for whole payloads.
+// collForwardFrag relays one arrived down fragment, data being its
+// view in the call's down vector, to every child immediately —
+// per-fragment store-and-forward, so deep trees pipeline instead of
+// waiting for whole payloads. The relayed hop views this call's copy,
+// not the upstream frame: the upstream sender recycles its buffers
+// once its own hops are acked, which says nothing of this call's.
 func (s *Stack) collForwardFrag(c *collCall, m *proto.CollData, data []byte) {
 	for _, child := range c.children {
 		key := collOutKey{dst: child, down: true, frag: m.FragID}
 		if c.outs[key] != nil {
 			continue
 		}
-		var payload []byte
-		if len(data) > 0 {
-			payload = make([]byte, len(data))
-			copy(payload, data)
-		}
-		s.collOutSend(c, key, &proto.CollData{
+		s.collOutSend(c, key, proto.CollData{
 			Src: c.g.ep.Addr(), Dst: c.g.members[child], Group: c.g.id, Seq: c.seq,
 			Op: c.op, Down: true, SrcRank: c.g.me, Root: c.root, MsgLen: m.MsgLen,
 			FragID: m.FragID, FragCount: m.FragCount, Offset: m.Offset,
-		}, payload)
+		}, data)
 	}
 }
 
 // collOutSend transmits one hop fragment and arms its retransmission
 // timer; the hop retires on the peer's CollAck.
-func (s *Stack) collOutSend(c *collCall, key collOutKey, m *proto.CollData, payload []byte) {
+func (s *Stack) collOutSend(c *collCall, key collOutKey, m proto.CollData, payload []byte) {
 	if c.outs[key] != nil {
 		return
 	}
-	o := &collOut{m: m, payload: payload, lane: s.LaneOf(m.Seq, m.FragID)}
+	o := &collOut{msg: m, lane: s.LaneOf(m.Seq, m.FragID)}
+	o.frame = wire.Frame{Data: payload, Msg: &o.msg}
 	c.outs[key] = o
 	c.unacked++
 	if m.Down {
@@ -796,33 +954,37 @@ func (s *Stack) collOutSend(c *collCall, key collOutKey, m *proto.CollData, payl
 	} else {
 		s.Stats.Coll.UpFrames++
 	}
-	s.collEmit(o.lane, m.Dst, m, payload)
+	s.collEmit(o.lane, m.Dst, &o.frame)
 	s.armCollRtx(o)
 }
 
 // armCollRtx (re)arms one hop fragment's retransmission timer with
 // the firmware's standard backoff.
 func (s *Stack) armCollRtx(o *collOut) {
-	o.timer = s.H.E.Schedule(s.RtxTimeout(o.m.Dst, o.attempts), func() {
-		if o.acked {
-			return
-		}
-		o.attempts++
-		s.Stats.Coll.Retransmits++
-		s.TraceRetransmit(o.m.Seq, o.m.FragID, o.lane)
-		s.collEmit(o.lane, o.m.Dst, o.m, o.payload)
-		s.armCollRtx(o)
-	})
+	o.timer = s.H.E.ScheduleArg(s.RtxTimeout(o.msg.Dst, o.attempts), s.collRtxFn, o)
 }
 
-// collEmit puts one collective frame on the wire — or, between
-// endpoints of the same host, through the NIC's internal loopback
-// (fixed NIC latency, no wire).
-func (s *Stack) collEmit(lane int, dst proto.Addr, msg any, payload []byte) {
-	if dst.Host == s.H.Name {
-		f := &wire.Frame{Data: payload, WireLen: len(payload) + s.H.P.OMXHeaderBytes, Msg: msg}
-		s.H.E.Schedule(sim.Duration(s.H.P.NICFixedLatency), func() { s.firmwareRx(lane, f) })
+// collRtx is a hop fragment's retransmission timeout.
+func (s *Stack) collRtx(arg any) {
+	o := arg.(*collOut)
+	if o.acked {
 		return
 	}
-	s.TransmitOn(lane, dst, msg, payload)
+	o.attempts++
+	s.Stats.Coll.Retransmits++
+	s.TraceRetransmit(o.msg.Seq, o.msg.FragID, o.lane)
+	s.collEmit(o.lane, o.msg.Dst, &o.frame)
+	s.armCollRtx(o)
+}
+
+// collEmit puts one collective frame (Data and Msg set) on the wire —
+// or, between endpoints of the same host, through the NIC's internal
+// loopback (fixed NIC latency, no wire).
+func (s *Stack) collEmit(lane int, dst proto.Addr, f *wire.Frame) {
+	if dst.Host == s.H.Name {
+		f.WireLen = len(f.Data) + s.H.P.OMXHeaderBytes
+		s.H.E.ScheduleArg(sim.Duration(s.H.P.NICFixedLatency), s.loopbackFns[lane], f)
+		return
+	}
+	s.TransmitFrameOn(lane, dst, f)
 }

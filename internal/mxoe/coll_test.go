@@ -1,0 +1,263 @@
+package mxoe
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"omxsim/internal/host"
+	"omxsim/internal/hostmem"
+	"omxsim/internal/proto"
+	"omxsim/internal/wire"
+	"omxsim/platform"
+	"omxsim/sim"
+)
+
+// collWorld is hosts×ppn MXoE endpoints on one switch, joined in one
+// firmware collective group in host-major rank order.
+type collWorld struct {
+	e      *sim.Engine
+	hosts  []*host.Host
+	stacks []*Stack
+	eps    []*Endpoint
+	gs     []*CollGroup
+}
+
+// newCollWorld builds the world. A non-zero impairment is installed on
+// every switch output port and every NIC→switch link, each with its
+// own seed; same-host hops take the NIC loopback and stay clean.
+func newCollWorld(t *testing.T, hosts, ppn int, cfg Config, im wire.Impairment) *collWorld {
+	t.Helper()
+	e := sim.New()
+	t.Cleanup(e.Close)
+	p := platform.Clovertown()
+	sw := wire.NewSwitch(e, p)
+	sw.PortImpair = im
+	w := &collWorld{e: e}
+	var members []proto.Addr
+	for i := range hosts {
+		h := host.New(e, p, fmt.Sprintf("cw%d", i))
+		up := sw.Attach(h.NIC)
+		if im.Enabled() {
+			up.SetImpairment(im.WithPortSeed("up:" + h.NIC.Name))
+		}
+		h.NIC.SetHose(up)
+		s := Attach(h, cfg)
+		w.hosts, w.stacks = append(w.hosts, h), append(w.stacks, s)
+		for j := range ppn {
+			ep := s.OpenEndpoint(j, 2+2*j)
+			w.eps = append(w.eps, ep)
+			members = append(members, ep.Addr())
+		}
+	}
+	for _, ep := range w.eps {
+		w.gs = append(w.gs, ep.CollJoin(members))
+	}
+	return w
+}
+
+// run starts one proc per rank running body and runs the engine until
+// every rank is done, or fails after a minute of simulated time.
+func (w *collWorld) run(t *testing.T, body func(r int, p *sim.Proc)) {
+	t.Helper()
+	done := 0
+	for r := range w.eps {
+		w.e.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+			body(r, p)
+			done++
+		})
+	}
+	w.e.RunUntil(w.e.Now() + 60*sim.Second)
+	if done != len(w.eps) {
+		t.Fatalf("%d of %d ranks finished; blocked: %v", done, len(w.eps), w.e.BlockedProcs())
+	}
+}
+
+// putFloats writes vals as little-endian float64s into b.
+func putFloats(b *hostmem.Buffer, vals []float64) {
+	raw := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+	}
+	b.WriteAt(raw, 0)
+}
+
+// floatsOf reads n float64s from b.
+func floatsOf(b *hostmem.Buffer, n int) []float64 {
+	raw := make([]byte, 8*n)
+	b.ReadAt(raw, 0)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out
+}
+
+// contribution is rank r's input to collective call k: small integers,
+// so every summation order gives the exact same float64 result.
+func contribution(r, k, words int) []float64 {
+	v := make([]float64, words)
+	for j := range v {
+		v[j] = float64((r+1)*1000 + k*7 + j%97)
+	}
+	return v
+}
+
+// TestCollRecyclePoisonStress runs back-to-back firmware Allreduce,
+// Bcast, Scan and Barrier calls under loss, duplication and reordering
+// while every released collective buffer is overwritten with a poison
+// pattern. A call whose buffers were released while a retransmission,
+// a forward or a deposit could still read them delivers poison instead
+// of the exact result.
+func TestCollRecyclePoisonStress(t *testing.T) {
+	collPoisonRecycled = true
+	t.Cleanup(func() { collPoisonRecycled = false })
+	const (
+		rounds = 10
+		words  = (2*proto.MediumFragSize + 808) / 8 // three fragments
+		n      = 8 * words
+	)
+	w := newCollWorld(t, 5, 2, rtxCfg(), wire.Impairment{
+		Seed: 23, LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.1,
+	})
+	size := len(w.eps)
+	var bad []string
+	check := func(op string, r, k int, got, want []float64) {
+		for j := range want {
+			if got[j] != want[j] {
+				bad = append(bad, fmt.Sprintf("%s round %d rank %d word %d: got %v, want %v", op, k, r, j, got[j], want[j]))
+				return
+			}
+		}
+	}
+	w.run(t, func(r int, p *sim.Proc) {
+		ep, g := w.eps[r], w.gs[r]
+		h := w.hosts[r/2]
+		sbuf, rbuf := h.Alloc(n), h.Alloc(n)
+		for k := range rounds {
+			// Allreduce: the sum over every rank.
+			putFloats(sbuf, contribution(r, 3*k, words))
+			ep.Wait(p, g.PostAllreduce(p, sbuf, rbuf, n))
+			want := make([]float64, words)
+			for q := range size {
+				for j, v := range contribution(q, 3*k, words) {
+					want[j] += v
+				}
+			}
+			check("allreduce", r, k, floatsOf(rbuf, words), want)
+
+			// Bcast from a rotating root.
+			root := k % size
+			if r == root {
+				putFloats(sbuf, contribution(r, 3*k+1, words))
+				ep.Wait(p, g.PostBcast(p, root, sbuf, 0, n))
+			} else {
+				ep.Wait(p, g.PostBcast(p, root, rbuf, 0, n))
+				check("bcast", r, k, floatsOf(rbuf, words), contribution(root, 3*k+1, words))
+			}
+
+			// Inclusive scan: the sum over ranks 0..r.
+			putFloats(sbuf, contribution(r, 3*k+2, words))
+			ep.Wait(p, g.PostScan(p, sbuf, rbuf, n))
+			want = make([]float64, words)
+			for q := 0; q <= r; q++ {
+				for j, v := range contribution(q, 3*k+2, words) {
+					want[j] += v
+				}
+			}
+			check("scan", r, k, floatsOf(rbuf, words), want)
+
+			ep.Wait(p, g.PostBarrier(p))
+		}
+	})
+	if len(bad) > 0 {
+		t.Fatalf("%d wrong results, first: %s", len(bad), bad[0])
+	}
+	var rtx, dups int64
+	for _, s := range w.stacks {
+		rtx += s.Stats.Coll.Retransmits
+		dups += s.Stats.Coll.DupFrags
+	}
+	if rtx == 0 || dups == 0 {
+		t.Fatalf("impairment exercised nothing: %d retransmits, %d duplicate fragments", rtx, dups)
+	}
+	t.Logf("%d retransmits, %d duplicate fragments", rtx, dups)
+}
+
+// TestFirmwareCollAllocBound bounds the heap objects one warm 8-rank
+// 4 kB firmware Allreduce makes in the whole world: hop payloads are
+// views of NIC-resident buffers, retired calls are recycled, and timers
+// are bound callbacks, so what is left is about one object per hop and
+// per ack plus each rank's request. Copying payloads, re-making calls
+// and building a closure per timer cost about 290 objects per call.
+func TestFirmwareCollAllocBound(t *testing.T) {
+	const (
+		ranks   = 8
+		n       = 4 << 10
+		warm    = 4
+		calls   = 50
+		ceiling = 64
+	)
+	w := newCollWorld(t, ranks, 1, Config{}, wire.Impairment{})
+	sbufs, rbufs := make([]*hostmem.Buffer, ranks), make([]*hostmem.Buffer, ranks)
+	for r := range ranks {
+		sbufs[r], rbufs[r] = w.hosts[r].Alloc(n), w.hosts[r].Alloc(n)
+		putFloats(sbufs[r], contribution(r, 0, n/8))
+	}
+	allreduce := func(k int) {
+		w.run(t, func(r int, p *sim.Proc) {
+			for range k {
+				w.eps[r].Wait(p, w.gs[r].PostAllreduce(p, sbufs[r], rbufs[r], n))
+			}
+		})
+	}
+	allreduce(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allreduce(calls)
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("%.1f objects per 8-rank Allreduce", per)
+	if per > ceiling {
+		t.Fatalf("a warm 8-rank 4 kB firmware Allreduce makes %.1f objects, want ≤ %d", per, ceiling)
+	}
+	want := make([]float64, n/8)
+	for r := range ranks {
+		for j, v := range contribution(r, 0, n/8) {
+			want[j] += v
+		}
+	}
+	for r := range ranks {
+		for j, v := range floatsOf(rbufs[r], n/8) {
+			if v != want[j] {
+				t.Fatalf("rank %d word %d: got %v, want %v", r, j, v, want[j])
+			}
+		}
+	}
+}
+
+// TestCollDoneWindowBounded runs collDoneWindow+k barriers: each
+// member's done set then holds exactly the last collDoneWindow
+// sequences.
+func TestCollDoneWindowBounded(t *testing.T) {
+	const k = 5
+	w := newCollWorld(t, 2, 1, Config{}, wire.Impairment{})
+	w.run(t, func(r int, p *sim.Proc) {
+		for range collDoneWindow + k {
+			w.eps[r].Wait(p, w.gs[r].PostBarrier(p))
+		}
+	})
+	for r, g := range w.gs {
+		if len(g.done) != collDoneWindow || len(g.doneQ) != collDoneWindow || len(g.calls) != 0 {
+			t.Fatalf("rank %d: done set %d, done queue %d, live calls %d; want %d, %d, 0",
+				r, len(g.done), len(g.doneQ), len(g.calls), collDoneWindow, collDoneWindow)
+		}
+		for seq := uint32(k + 1); seq <= collDoneWindow+k; seq++ {
+			if !g.done[seq] {
+				t.Fatalf("rank %d: sequence %d missing from the done set", r, seq)
+			}
+		}
+	}
+}

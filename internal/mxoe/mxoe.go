@@ -98,6 +98,15 @@ type Stack struct {
 	collGroups  map[collKey]*CollGroup
 	collPending map[collKey][]*wire.Frame
 
+	// Firmware callbacks bound once, so scheduling them through
+	// Engine.ScheduleArg builds no closure: hop retransmission, a
+	// call's own step, result DMA, and the same-host loopback into
+	// each NIC lane's firmware.
+	collRtxFn   func(any)
+	collStepFn  func(any)
+	collLandFn  func(any)
+	loopbackFns []func(any) // per NIC lane
+
 	Stats Stats
 }
 
@@ -116,9 +125,11 @@ func Attach(h *host.Host, cfg Config) *Stack {
 	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{
 		RegCache: cfg.RegCache, RetransmitTimeout: cfg.RetransmitTimeout, Adaptive: cfg.Adaptive,
 	})
+	s.collRtxFn, s.collStepFn, s.collLandFn = s.collRtx, s.collStep, s.collLand
 	for i, n := range h.NICs {
 		lane := i
 		n.SetFirmware(func(f *wire.Frame) { s.firmwareRx(lane, f) })
+		s.loopbackFns = append(s.loopbackFns, func(f any) { s.firmwareRx(lane, f.(*wire.Frame)) })
 	}
 	return s
 }
@@ -132,8 +143,9 @@ type Endpoint struct {
 	ring      *hostmem.Buffer
 	freeSlots []int
 
-	evq   []*event
-	evSig *sim.Signal
+	evq    []*event // evq[evHead:] are pending
+	evHead int
+	evSig  *sim.Signal
 
 	posted []*Request
 	ux     []*uxMsg
@@ -252,8 +264,9 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		tx:    make(map[proto.Addr]*proto.TxChan[eagerFrames]),
 		rx:    make(map[proto.Addr]*mxRxChan),
 	}
-	for i := proto.RingSlots - 1; i >= 0; i-- {
-		ep.freeSlots = append(ep.freeSlots, i)
+	ep.freeSlots = make([]int, proto.RingSlots)
+	for i := range ep.freeSlots {
+		ep.freeSlots[i] = proto.RingSlots - 1 - i
 	}
 	s.endpoints[id] = ep
 	return ep
@@ -390,7 +403,7 @@ func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, got uint64, msgLen int
 func (ep *Endpoint) Wait(p *sim.Proc, r *Request) {
 	for !r.done {
 		if !ep.Progress(p) {
-			p.WaitFor(ep.evSig, func() bool { return len(ep.evq) > 0 })
+			p.WaitFor(ep.evSig, ep.hasEvents)
 		}
 	}
 }
@@ -401,19 +414,27 @@ func (ep *Endpoint) Test(p *sim.Proc, r *Request) bool {
 	return r.done
 }
 
-// Progress drains pending events.
+// Progress drains pending events. The queue keeps its backing array:
+// once drained it restarts at the front.
 func (ep *Endpoint) Progress(p *sim.Proc) bool {
-	if len(ep.evq) == 0 {
+	if !ep.hasEvents() {
 		return false
 	}
-	for len(ep.evq) > 0 {
-		ev := ep.evq[0]
-		ep.evq = ep.evq[1:]
+	for ep.hasEvents() {
+		ev := ep.evq[ep.evHead]
+		ep.evq[ep.evHead] = nil
+		ep.evHead++
+		if ep.evHead == len(ep.evq) {
+			ep.evq, ep.evHead = ep.evq[:0], 0
+		}
 		ep.core().RunOn(p, cpu.UserLib, sim.Duration(ep.S.H.P.OMXLibPickupCost))
 		ep.handleEvent(p, ev)
 	}
 	return true
 }
+
+// hasEvents reports whether an event is pending.
+func (ep *Endpoint) hasEvents() bool { return ep.evHead < len(ep.evq) }
 
 func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 	switch ev.kind {

@@ -224,13 +224,16 @@ func (t *Transport) Transmit(dst Addr, msg any, payload []byte) {
 // peer's same-numbered lane (striping peers use symmetric lane
 // numbering; see wire.LaneAddr).
 func (t *Transport) TransmitOn(lane int, dst Addr, msg any, payload []byte) {
+	t.TransmitFrameOn(lane, dst, &wire.Frame{Data: payload, Msg: msg})
+}
+
+// TransmitFrameOn is TransmitOn for a frame the caller built, with
+// Data and Msg set: it fills in the wire length and the destination.
+func (t *Transport) TransmitFrameOn(lane int, dst Addr, f *wire.Frame) {
 	t.ctr.NICTxFrames[lane]++
-	t.H.NICs[lane].Transmit(&wire.Frame{
-		Data:    payload,
-		WireLen: len(payload) + t.H.P.OMXHeaderBytes,
-		Msg:     msg,
-		DstAddr: wire.LaneAddr(dst.Host, lane),
-	})
+	f.WireLen = len(f.Data) + t.H.P.OMXHeaderBytes
+	f.DstAddr = wire.LaneAddr(dst.Host, lane)
+	t.H.NICs[lane].Transmit(f)
 }
 
 // RtxTimeout returns the retransmission timeout towards peer after

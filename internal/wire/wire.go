@@ -26,10 +26,14 @@ import (
 type Frame struct {
 	// Data is the payload (may be nil for pure control messages whose
 	// few bytes ride in Msg): a view of the lent sender buffer for a
-	// pull reply, a copy made at send time otherwise. It never changes
-	// once the frame is sent (a write into a lent buffer copies the
-	// buffer first): duplicate deliveries share one Frame, and the
-	// receiving NIC's buffer wraps Data rather than copying it.
+	// pull reply, a view of the sending call's NIC-resident buffer for
+	// a firmware collective hop, a copy made at send time otherwise.
+	// It does not change while a receiver can still read it (a write
+	// into a lent buffer copies the buffer first; a firmware
+	// collective reuses its buffers only once every hop is acked, and
+	// a stale copy is then dropped as a duplicate unread): duplicate
+	// deliveries share one Frame, and the receiving NIC's buffer wraps
+	// Data rather than copying it.
 	Data []byte
 	// WireLen is the accounted payload length in bytes, including the
 	// protocol header but excluding Ethernet framing (which the link

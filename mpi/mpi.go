@@ -45,6 +45,10 @@ type World struct {
 	// cap across them (resolved once, at the first collective).
 	nicCap *bool
 	nicMax int
+	// nicMembers is every rank's endpoint address in rank order: the
+	// member list all ranks join their firmware group with (built
+	// once, at the first NIC collective).
+	nicMembers []openmx.Addr
 }
 
 // NewWorld returns an empty world on the cluster.

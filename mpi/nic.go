@@ -56,11 +56,14 @@ func (r *Rank) nicColl() openmx.CollGroup {
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d endpoint (%T) does not support NIC-offloaded collectives", r.ID, r.EP))
 	}
-	members := make([]openmx.Addr, r.Size())
-	for i := range members {
-		members[i] = r.w.ranks[i].EP.Addr()
+	w := r.w
+	if w.nicMembers == nil {
+		w.nicMembers = make([]openmx.Addr, r.Size())
+		for i := range w.nicMembers {
+			w.nicMembers[i] = w.ranks[i].EP.Addr()
+		}
 	}
-	r.nicGroup = cc.CollJoin(members)
+	r.nicGroup = cc.CollJoin(w.nicMembers)
 	return r.nicGroup
 }
 

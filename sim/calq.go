@@ -13,7 +13,12 @@ package sim
 //     by (at, seq). Nearly every insert is a tail append (times are
 //     mostly nondecreasing within a bucket's 64 ns window) and every
 //     pop is a head read through a cursor, so the steady state touches
-//     no allocator at all.
+//     no allocator at all. A bucket's first slice is a cap-limited
+//     carve of a per-engine slab (bucketCarve slots, slabBuckets
+//     buckets per chunk), so a young engine too stays off the
+//     allocator: covering the whole wheel costs wheelBuckets/slabBuckets
+//     chunk allocations, not one slice per bucket. Only a bucket that
+//     outgrows its carve reallocates, through append.
 //   - Events beyond the horizon (retransmit timers, experiment
 //     deadlines) go to a local min-heap ordered by the same (at, seq)
 //     key. As the wheel base advances, newly covered far events
@@ -37,6 +42,8 @@ const (
 	bucketWidth  = Time(1) << wheelShift
 	wheelHorizon = Time(wheelBuckets) << wheelShift // ≈262 µs of coverage
 	eventChunk   = 256                              // events allocated per slab
+	bucketCarve  = 4                                // slots in a bucket's first slice
+	slabBuckets  = 256                              // bucket carves per slab chunk
 )
 
 // event is a scheduled callback or process step. fn, argFn and proc
@@ -96,6 +103,7 @@ type calq struct {
 	wheelN  int      // events currently in the wheel (cancelled included)
 	far     []*event // min-heap by (at, seq): everything ≥ base+wheelHorizon
 	free    *event   // recycled-event freelist
+	slab    []*event // uncarved rest of the current bucket slab chunk
 }
 
 // alloc hands out a pooled event, growing the slab only when the
@@ -194,6 +202,9 @@ func (q *calq) settle(now Time) {
 func (q *calq) pushWheel(ev *event) {
 	idx := int(ev.at>>wheelShift) & wheelMask
 	b := &q.buckets[idx]
+	if b.evs == nil {
+		b.evs = q.carve()
+	}
 	if b.head > 0 && len(b.evs) == cap(b.evs) {
 		n := copy(b.evs, b.evs[b.head:])
 		clear(b.evs[n:])
@@ -206,6 +217,18 @@ func (q *calq) pushWheel(ev *event) {
 	}
 	q.occ[idx>>6] |= 1 << (idx & 63)
 	q.wheelN++
+}
+
+// carve hands a bucket its first, empty slice: bucketCarve slots of the
+// slab, capped so that an append past them reallocates instead of
+// running into the next bucket's slots.
+func (q *calq) carve() []*event {
+	if len(q.slab) < bucketCarve {
+		q.slab = make([]*event, slabBuckets*bucketCarve)
+	}
+	c := q.slab[:0:bucketCarve]
+	q.slab = q.slab[bucketCarve:]
+	return c
 }
 
 // pop removes and returns the earliest live event, or nil when the

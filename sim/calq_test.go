@@ -451,3 +451,58 @@ func BenchmarkEventCoreCalendar(b *testing.B) {
 	b.StopTimer()
 	e.Close()
 }
+
+// TestYoungEngineBucketAllocs files one event into every wheel bucket
+// of a fresh engine. Bucket slices are carved from per-engine slabs, so
+// covering the whole wheel costs a few chunk allocations (event slabs
+// and bucket slabs, 16 each), not one slice per bucket (4096).
+func TestYoungEngineBucketAllocs(t *testing.T) {
+	const ceiling = 64
+	fn := func() {}
+	allocs := testing.AllocsPerRun(10, func() {
+		e := New()
+		for i := 0; i < wheelBuckets; i++ {
+			e.Schedule(Duration(i)*bucketWidth, fn)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("filing one event into each of %d buckets of a fresh engine made %.0f allocations, want ≤ %d",
+			wheelBuckets, allocs, ceiling)
+	}
+}
+
+// TestBucketOutgrowsCarve files more than bucketCarve events into one
+// bucket after its slab neighbour has taken the next carve. The
+// overflowing bucket must reallocate rather than write into the
+// neighbour's slots, and every event must still fire in (at, seq)
+// order.
+func TestBucketOutgrowsCarve(t *testing.T) {
+	e := New()
+	var fired []string
+	record := func(name string) func() {
+		return func() { fired = append(fired, fmt.Sprintf("%s@%d", name, e.Now())) }
+	}
+	e.Schedule(40, record("a0"))            // bucket 0: first carve
+	e.Schedule(bucketWidth+5, record("n0")) // bucket 1: the next carve in the slab
+	e.Schedule(bucketWidth+5, record("n1")) // same instant: fires after n0
+	for i, d := range []Duration{30, 50, 10, 40, 63, 0, 20} {
+		e.Schedule(d, record(fmt.Sprintf("a%d", i+1)))
+	}
+	if c := cap(e.q.buckets[0].evs); c <= bucketCarve {
+		t.Fatalf("bucket 0 holds %d events in capacity %d", len(e.q.buckets[0].evs), c)
+	}
+	nb := e.q.buckets[1].evs
+	if len(nb) != 2 || nb[0].at != bucketWidth+5 || nb[1].at != bucketWidth+5 || nb[0].seq > nb[1].seq {
+		t.Fatalf("neighbouring bucket's carved slots were overwritten: %d events", len(nb))
+	}
+	for _, ev := range nb[:cap(nb)] {
+		if ev != nil && ev.at != bucketWidth+5 {
+			t.Fatalf("neighbouring bucket's carve holds an event at %v", ev.at)
+		}
+	}
+	e.Run()
+	want := "[a6@0 a3@10 a7@20 a1@30 a0@40 a4@40 a2@50 a5@63 n0@69 n1@69]"
+	if got := fmt.Sprint(fired); got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+}
