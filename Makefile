@@ -47,8 +47,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The CI bench job's invocation: every root benchmark (see
-# bench_test.go) once, five samples, tests skipped (compare runs with
-# benchstat old.txt new.txt).
+# bench_test.go) once, five samples, tests skipped. The job posts the
+# raw outputs of the pushed head and of its merge base side by side;
+# compare them by eye.
 bench-ci:
 	$(GO) test -bench . -benchtime 1x -count 5 -run '^$$' .
 
@@ -121,8 +122,8 @@ fattree:
 	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/FatTree' ./figures
 
 # NIC-offloaded collective battery: host≡firmware result equality
-# (odd/single-rank/zero-byte worlds), dispatcher≡pinned for the
-# offload tier, firmware loss recovery, the collective-frame drop
+# (odd/single-rank/zero-byte worlds), dispatcher≡pinned-entry for
+# the offload tier, firmware loss recovery, the collective-frame drop
 # gate on the host stack, and the nicoll figure guardrails
 # (CPU-win acceptance + parallel==serial), under the race detector.
 nicoll:

@@ -84,12 +84,12 @@
 //     Gather/Scatter, Allgather(v), Alltoall(v)), each with two
 //     algorithm variants (binomial tree / recursive doubling versus
 //     ring / Bruck / scatter-allgather) selected by message and
-//     world size through mpi.Tuning — which also resolves the
-//     execution tier per call (Tuning.Offload auto/host/nic): on a
-//     collective-capable stack, Barrier/Bcast/Allreduce/Scan can run
-//     entirely in NIC firmware, with pinned BarrierNIC/BcastNIC/
-//     AllreduceNIC/ScanNIC variants exported beside the host
-//     algorithms.
+//     world size by fixed thresholds (mpi.BcastAlg, ...), plus an
+//     execution tier resolved per call (World.Offload auto/host/nic,
+//     mpi.CollOffload): on a collective-capable stack,
+//     Barrier/Bcast/Allreduce/Scan can run entirely in NIC firmware,
+//     and the nonblocking IbarrierNIC/IbcastNIC/IallreduceNIC/IscanNIC
+//     post one without waiting.
 //   - imb — the Intel-MPI-Benchmarks patterns (the Figure 12 set
 //     plus Gather, Scatter and Barrier) with IMB timing conventions,
 //     plus imb.Sweep for sharding whole benchmark runs across a

@@ -81,7 +81,7 @@ func collTables(tests []string, sizes []int, worlds []collWorld) []*metrics.Tabl
 	return tables
 }
 
-// RenderColl formats the collective tables plus the default-tuning
+// RenderColl formats the collective tables plus mpi's
 // algorithm-selection footer, so the figure records which algorithm
 // produced each point.
 func RenderColl(tables []*metrics.Table) string {
@@ -95,31 +95,30 @@ func RenderColl(tables []*metrics.Table) string {
 }
 
 // algLine is one algorithm-selection footer line: the collective on p
-// ranks (p printed width wide) and the algorithm the default tuning
-// selects at each size.
+// ranks (p printed width wide) and the algorithm mpi's fixed
+// thresholds select at each size.
 func algLine(test string, p, width int, sizes []int) string {
-	tn := mpi.DefaultTuning()
 	out := fmt.Sprintf("%-10s %*d procs:", test, width, p)
 	for _, n := range sizes {
-		out += fmt.Sprintf(" %s=%s", sizeName(n), collAlg(tn, test, n, p))
+		out += fmt.Sprintf(" %s=%s", sizeName(n), collAlg(test, n, p))
 	}
 	return out + "\n"
 }
 
-// collAlg names the host algorithm the tuning selects for one
-// collective of n bytes on p ranks.
-func collAlg(tn mpi.Tuning, test string, n, p int) string {
+// collAlg names the host algorithm mpi selects for one collective of
+// n bytes on p ranks.
+func collAlg(test string, n, p int) string {
 	switch test {
 	case "Barrier":
-		return tn.BarrierAlg(p)
+		return mpi.BarrierAlg(p)
 	case "Bcast":
-		return tn.BcastAlg(n, p)
+		return mpi.BcastAlg(n, p)
 	case "Allreduce":
-		return tn.AllreduceAlg(n, p)
+		return mpi.AllreduceAlg(n, p)
 	case "Alltoall":
-		return tn.AlltoallAlg(n, p)
+		return mpi.AlltoallAlg(n, p)
 	case "Scan":
-		return tn.ScanAlg(n, p)
+		return mpi.ScanAlg(n, p)
 	}
 	return ""
 }

@@ -164,7 +164,7 @@ func nicollCheck(op string, p, n int, bufs []*cluster.Buffer) bool {
 func nicollRun(sr nicollSeries, op string, ranks, bytes, iters int, compute sim.Duration) (elapsed, commCPU sim.Duration, verified bool) {
 	c, w := fatTreeTestbed(sr.s, ranks/ftPpn, ftPpn)
 	defer c.Close()
-	w.Tune.Offload = sr.offload
+	w.Offload = sr.offload
 	p := w.Size()
 	alloc := max(bytes, 8)
 	sb := make([]*cluster.Buffer, p)
@@ -226,11 +226,7 @@ func nicollRun(sr nicollSeries, op string, ranks, bytes, iters int, compute sim.
 			}
 		}
 		finish(one()) // warm-up (first pin, group registration)
-		if nic {
-			r.BarrierNIC()
-		} else {
-			r.Barrier()
-		}
+		r.Barrier()
 		if r.ID == 0 {
 			// Measured phase: fresh CPU window on every host.
 			for _, h := range c.Hosts() {
@@ -308,8 +304,8 @@ func NICollSweep(ops []NICollOp, ranksList []int, iters int) []NICollPoint {
 }
 
 // RenderNIColl formats the sweep with the offload-selection footer:
-// for every (op, ranks) the host algorithm the tuning would run and
-// the tier the default tuning resolves on a collective-capable stack.
+// for every (op, ranks) the host algorithm mpi would run and the tier
+// OffloadAuto resolves on a collective-capable stack.
 func RenderNIColl(points []NICollPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# NIC-offloaded collectives: host algorithms vs MXoE firmware state machines at fat-tree scale (%d iters, %d ranks/node, %d hosts/leaf, %d spines; compute = %dx comm in >=%v quanta, <=%d/iter)\n",
@@ -321,12 +317,11 @@ func RenderNIColl(points []NICollPoint) string {
 			p.Op, p.Series, p.Ranks, sizeName(p.Bytes),
 			p.TimeUsec, p.HostCPUUsec, p.OverlapPct, p.Verified)
 	}
-	tn := mpi.DefaultTuning()
 	b.WriteString("# selection (default tuning, collective-capable stack): host algorithm / resolved tier\n")
 	for _, op := range NICollOps() {
 		fmt.Fprintf(&b, "%-10s %5s", op.Name, sizeName(op.Bytes))
 		for _, ranks := range NICollRanks() {
-			fmt.Fprintf(&b, " %dranks=%s/%s", ranks, collAlg(tn, op.Name, op.Bytes, ranks), tn.CollOffload(op.Bytes, ranks, true))
+			fmt.Fprintf(&b, " %dranks=%s/%s", ranks, collAlg(op.Name, op.Bytes, ranks), mpi.CollOffload(op.Bytes, ranks))
 		}
 		b.WriteString("\n")
 	}

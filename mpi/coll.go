@@ -1,21 +1,23 @@
 // Collective operations over the Rank point-to-point primitives.
 //
-// Every collective comes in (at least) two algorithm variants — a
+// Every collective has (at least) two host algorithms — a
 // latency-oriented tree/recursive-doubling form for small messages
 // and small worlds, and a bandwidth-oriented ring/pipelined form for
-// large messages — selected per call from the World's Tuning by
-// (message size, world size), exactly how MPICH-MX switched
-// algorithms. Both variants of every operation are also exported
-// directly (BcastBinomial, AllreduceRing, ...) so tests, ablations
-// and figures can pin an algorithm regardless of tuning.
+// large messages — and Barrier, Bcast, Allreduce and Scan also run in
+// NIC firmware (AlgNIC, see nic.go). Each operation has one unexported
+// entry that runs a named algorithm (r.bcast(alg, ...)); the public
+// dispatcher hands it the name its selector (BcastAlg, ...) picks from
+// fixed (message size, world size) thresholds, exactly how MPICH-MX
+// switched algorithms, unless World.Offload sends the call to the NIC.
 //
-// All variants are built purely on ISend/IRecv/Wait, so they run
-// unchanged over every stack (native MXoE, Open-MX, shared memory,
-// I/OAT offload on or off). Tag discipline: each collective call
+// All host algorithms are built purely on ISend/IRecv/Wait, so they
+// run unchanged over every stack (native MXoE, Open-MX, shared memory,
+// I/OAT offload on or off). Tag discipline: each host collective call
 // reserves one fresh 256-value tag block via nextCollTag (all ranks
 // call collectives in the same order, an MPI requirement, so their
 // counters agree); phases inside one call use globally unique
-// sub-channel constants below the block.
+// sub-channel constants below the block. The firmware path takes no
+// tag.
 package mpi
 
 import (
@@ -25,8 +27,8 @@ import (
 	"omxsim/openmx"
 )
 
-// Algorithm names reported by Tuning's *Alg selectors and accepted in
-// figure annotations.
+// Algorithm names returned by the *Alg selectors, accepted by the
+// operations' entries and printed in figure annotations.
 const (
 	AlgBinomial          = "binomial"
 	AlgScatterAllgather  = "scatter-allgather"
@@ -45,13 +47,12 @@ const (
 	AlgNIC = "nic"
 )
 
-// Offload tiers for Tuning.Offload: where a collective executes.
-// OffloadAuto resolves per call — the NIC when every endpoint is
-// collective-capable, the world is at least NICCollMinRanks, and the
-// payload fits NICCollMaxBytes; the host algorithms otherwise.
-// OffloadHost pins the host algorithms; OffloadNIC pins the firmware
-// path (panicking if the transport cannot offload, like calling a
-// pinned NIC variant directly).
+// Offload tiers for World.Offload: where Barrier, Bcast, Allreduce
+// and Scan execute. OffloadAuto (also the zero value "") resolves per
+// call — the NIC when every endpoint is collective-capable and
+// CollOffload picks it; the host algorithms otherwise. OffloadHost
+// pins the host algorithms; OffloadNIC pins the firmware path
+// (panicking if the transport cannot offload).
 const (
 	OffloadAuto = "auto"
 	OffloadHost = "host"
@@ -88,103 +89,64 @@ const (
 	subScan          = 24 // inclusive-scan doubling rounds
 )
 
-// Tuning holds the thresholds that pick a collective algorithm from
-// (message size, world size). The zero value is not meaningful; use
-// DefaultTuning (installed by NewWorld) and override fields as
-// needed. Each *Alg method is the single source of truth for the
-// decision, shared by the dispatchers, the tests and the figure
-// annotations.
-type Tuning struct {
-	// BcastSegMinBytes/MinRanks: at or above both, Bcast switches
-	// from the binomial tree to van de Geijn scatter + ring
-	// allgather (moves 2·n instead of n·log p per rank).
-	BcastSegMinBytes int
-	BcastSegMinRanks int
-	// AllreduceRingMinBytes: at or above, Allreduce switches from
-	// recursive doubling to ring reduce-scatter + allgather
-	// (bandwidth-optimal, each rank moves ≈2·n regardless of p).
-	AllreduceRingMinBytes int
-	// AllreduceRingMinChunkBytes additionally requires the ring's
-	// per-rank chunk (n/p) to reach this floor: on very large worlds
-	// the ring's 2(p−1) rounds of tiny chunks are latency-dominated
-	// and recursive doubling's log p rounds win even for large n.
-	AllreduceRingMinChunkBytes int
-	// ReduceRSMinBytes: at or above, Reduce switches from the
-	// binomial tree to reduce-scatter + chunk gather (Rabenseifner).
-	ReduceRSMinBytes int
-	// AllgatherRDMaxBytes: at or below this total (p·n) on a
-	// power-of-two world, Allgather uses recursive doubling (log p
-	// rounds) instead of the ring (p−1 rounds).
-	AllgatherRDMaxBytes int
-	// AlltoallBruckMaxBytes/MinRanks: at or below the per-pair size
-	// and at or above the rank count, Alltoall uses Bruck's log p
-	// rounds of aggregated blocks instead of p−1 pairwise exchanges.
-	AlltoallBruckMaxBytes int
-	AlltoallBruckMinRanks int
-	// AlltoallvPostedMaxRanks: at or below, Alltoallv posts every
-	// receive and send at once (full overlap); above, it runs the
-	// congestion-bounded pairwise schedule.
-	AlltoallvPostedMaxRanks int
-	// GatherTreeMaxBytes/MinRanks: at or below the block size and at
-	// or above the rank count, Gather and Scatter use the binomial
-	// tree (log p latency) instead of the linear root loop.
-	GatherTreeMaxBytes int
-	GatherTreeMinRanks int
-	// BarrierTreeMinRanks: at or above, Barrier uses the
-	// gather/release tree (2(p−1) messages) instead of dissemination
-	// (p·log p messages, but lower latency on small worlds).
-	BarrierTreeMinRanks int
-	// Offload selects where Barrier/Bcast/Allreduce/Scan execute:
-	// OffloadAuto (the default; also the zero value's behaviour)
-	// resolves per call, OffloadHost and OffloadNIC pin a tier. See
-	// CollOffload, the single source of truth for the decision.
-	Offload string
-	// NICCollMinRanks: under OffloadAuto, worlds below this stay on
-	// the host algorithms — on small worlds the log p hops are cheap
-	// and the host CPU saved is negligible, while the NIC's slower
-	// combining rate still applies.
-	NICCollMinRanks int
-	// NICCollMaxBytes: under OffloadAuto, payloads above this stay on
-	// the host (the firmware's segment state is bounded; bulk data
-	// prefers the bandwidth-optimal host rings anyway).
-	NICCollMaxBytes int
-}
+// MPICH-style selection thresholds, read only by the selectors below.
+const (
+	// At or above both, Bcast switches from the binomial tree to van
+	// de Geijn scatter + ring allgather (moves 2·n instead of n·log p
+	// per rank).
+	bcastSegMinBytes = 64 << 10
+	bcastSegMinRanks = 4
+	// At or above, Allreduce switches from recursive doubling to ring
+	// reduce-scatter + allgather (bandwidth-optimal, each rank moves
+	// ≈2·n regardless of p) ...
+	allreduceRingMinBytes = 32 << 10
+	// ... provided the ring's per-rank chunk (n/p) also reaches this
+	// floor: on very large worlds the ring's 2(p−1) rounds of tiny
+	// chunks are latency-dominated and recursive doubling's log p
+	// rounds win even for large n.
+	allreduceRingMinChunkBytes = 1 << 10
+	// At or above, Reduce switches from the binomial tree to
+	// reduce-scatter + chunk gather (Rabenseifner).
+	reduceRSMinBytes = 64 << 10
+	// At or below this total (p·n) on a power-of-two world, Allgather
+	// uses recursive doubling (log p rounds) instead of the ring (p−1
+	// rounds).
+	allgatherRDMaxBytes = 64 << 10
+	// At or below the per-pair size and at or above the rank count,
+	// Alltoall uses Bruck's log p rounds of aggregated blocks instead
+	// of p−1 pairwise exchanges.
+	alltoallBruckMaxBytes = 1 << 10
+	alltoallBruckMinRanks = 8
+	// At or below, Alltoallv posts every receive and send at once
+	// (full overlap); above, it runs the congestion-bounded pairwise
+	// schedule.
+	alltoallvPostedMaxRanks = 4
+	// At or below the block size and at or above the rank count,
+	// Gather and Scatter use the binomial tree (log p latency) instead
+	// of the linear root loop.
+	gatherTreeMaxBytes = 16 << 10
+	gatherTreeMinRanks = 4
+	// At or above, Barrier uses the gather/release tree (2(p−1)
+	// messages) instead of dissemination (p·log p messages, but lower
+	// latency on small worlds).
+	barrierTreeMinRanks = 16
+	// Under OffloadAuto, worlds below this stay on the host algorithms:
+	// on small worlds the log p hops are cheap and the host CPU saved
+	// is negligible, while the NIC's slower combining rate still
+	// applies.
+	nicCollMinRanks = 32
+	// Under OffloadAuto, payloads above this stay on the host (the
+	// firmware's segment state is bounded; bulk data prefers the
+	// bandwidth-optimal host rings anyway).
+	nicCollMaxBytes = 256 << 10
+)
 
-// DefaultTuning returns MPICH-style selection thresholds.
-func DefaultTuning() Tuning {
-	return Tuning{
-		BcastSegMinBytes:           64 << 10,
-		BcastSegMinRanks:           4,
-		AllreduceRingMinBytes:      32 << 10,
-		AllreduceRingMinChunkBytes: 1 << 10,
-		ReduceRSMinBytes:           64 << 10,
-		AllgatherRDMaxBytes:        64 << 10,
-		AlltoallBruckMaxBytes:      1 << 10,
-		AlltoallBruckMinRanks:      8,
-		AlltoallvPostedMaxRanks:    4,
-		GatherTreeMaxBytes:         16 << 10,
-		GatherTreeMinRanks:         4,
-		BarrierTreeMinRanks:        16,
-		Offload:                    OffloadAuto,
-		NICCollMinRanks:            32,
-		NICCollMaxBytes:            256 << 10,
-	}
-}
-
-// CollOffload resolves the offload tier for an n-byte collective on p
-// ranks: OffloadNIC when the tuning pins it, or under OffloadAuto
-// when the transport is capable (every endpoint implements
-// openmx.CollCapable and the payload fits its firmware cap) and the
-// (size, world) thresholds select the NIC. The dispatchers, tests and
-// figure footers all consult this method.
-func (t Tuning) CollOffload(n, p int, capable bool) string {
-	switch t.Offload {
-	case OffloadHost:
-		return OffloadHost
-	case OffloadNIC:
-		return OffloadNIC
-	}
-	if capable && p >= t.NICCollMinRanks && n <= t.NICCollMaxBytes {
+// CollOffload is the offload tier OffloadAuto picks for an n-byte
+// Barrier, Bcast, Allreduce or Scan on p ranks over a
+// collective-capable transport. The dispatchers (through
+// Rank.offload), the tests and the figure footers all consult it.
+func CollOffload(n, p int) string {
+	if p >= nicCollMinRanks && n <= nicCollMaxBytes {
 		return OffloadNIC
 	}
 	return OffloadHost
@@ -192,11 +154,11 @@ func (t Tuning) CollOffload(n, p int, capable bool) string {
 
 // ScanAlg selects the host scan algorithm for n bytes on p ranks
 // (one host variant exists: recursive doubling, Hillis-Steele).
-func (t Tuning) ScanAlg(n, p int) string { return AlgRecursiveDoubling }
+func ScanAlg(n, p int) string { return AlgRecursiveDoubling }
 
 // BcastAlg selects the broadcast algorithm for n bytes on p ranks.
-func (t Tuning) BcastAlg(n, p int) string {
-	if n >= t.BcastSegMinBytes && p >= t.BcastSegMinRanks {
+func BcastAlg(n, p int) string {
+	if n >= bcastSegMinBytes && p >= bcastSegMinRanks {
 		return AlgScatterAllgather
 	}
 	return AlgBinomial
@@ -205,16 +167,16 @@ func (t Tuning) BcastAlg(n, p int) string {
 // ReduceAlg selects the reduce algorithm for n bytes on p ranks.
 // The reduce-scatter path needs word-aligned chunks, so byte counts
 // that are not a multiple of 8 always reduce over the tree.
-func (t Tuning) ReduceAlg(n, p int) string {
-	if n >= t.ReduceRSMinBytes && n%8 == 0 && p > 2 {
+func ReduceAlg(n, p int) string {
+	if n >= reduceRSMinBytes && n%8 == 0 && p > 2 {
 		return AlgReduceScatter
 	}
 	return AlgBinomial
 }
 
 // AllreduceAlg selects the allreduce algorithm for n bytes on p ranks.
-func (t Tuning) AllreduceAlg(n, p int) string {
-	if n >= t.AllreduceRingMinBytes && n/p >= t.AllreduceRingMinChunkBytes && n%8 == 0 && p > 2 {
+func AllreduceAlg(n, p int) string {
+	if n >= allreduceRingMinBytes && n/p >= allreduceRingMinChunkBytes && n%8 == 0 && p > 2 {
 		return AlgRing
 	}
 	return AlgRecursiveDoubling
@@ -222,8 +184,8 @@ func (t Tuning) AllreduceAlg(n, p int) string {
 
 // AllgatherAlg selects the allgather algorithm for n bytes per rank
 // on p ranks.
-func (t Tuning) AllgatherAlg(n, p int) string {
-	if p*n <= t.AllgatherRDMaxBytes && isPow2(p) {
+func AllgatherAlg(n, p int) string {
+	if p*n <= allgatherRDMaxBytes && isPow2(p) {
 		return AlgRecursiveDoubling
 	}
 	return AlgRing
@@ -231,24 +193,24 @@ func (t Tuning) AllgatherAlg(n, p int) string {
 
 // AlltoallAlg selects the all-to-all algorithm for n bytes per pair
 // on p ranks.
-func (t Tuning) AlltoallAlg(n, p int) string {
-	if n <= t.AlltoallBruckMaxBytes && p >= t.AlltoallBruckMinRanks {
+func AlltoallAlg(n, p int) string {
+	if n <= alltoallBruckMaxBytes && p >= alltoallBruckMinRanks {
 		return AlgBruck
 	}
 	return AlgPairwise
 }
 
 // AlltoallvAlg selects the vector all-to-all schedule for p ranks.
-func (t Tuning) AlltoallvAlg(p int) string {
-	if p <= t.AlltoallvPostedMaxRanks {
+func AlltoallvAlg(p int) string {
+	if p <= alltoallvPostedMaxRanks {
 		return AlgPosted
 	}
 	return AlgPairwise
 }
 
 // GatherAlg selects the gather algorithm for n-byte blocks on p ranks.
-func (t Tuning) GatherAlg(n, p int) string {
-	if n <= t.GatherTreeMaxBytes && p >= t.GatherTreeMinRanks {
+func GatherAlg(n, p int) string {
+	if n <= gatherTreeMaxBytes && p >= gatherTreeMinRanks {
 		return AlgBinomial
 	}
 	return AlgLinear
@@ -256,17 +218,21 @@ func (t Tuning) GatherAlg(n, p int) string {
 
 // ScatterAlg selects the scatter algorithm for n-byte blocks on p
 // ranks (same trade-off as Gather).
-func (t Tuning) ScatterAlg(n, p int) string { return t.GatherAlg(n, p) }
+func ScatterAlg(n, p int) string { return GatherAlg(n, p) }
 
 // BarrierAlg selects the barrier algorithm for p ranks.
-func (t Tuning) BarrierAlg(p int) string {
-	if p >= t.BarrierTreeMinRanks {
+func BarrierAlg(p int) string {
+	if p >= barrierTreeMinRanks {
 		return AlgTree
 	}
 	return AlgDissemination
 }
 
-func (r *Rank) tune() Tuning { return r.w.Tune }
+// noAlg is the panic message of an entry handed a name it has no
+// algorithm for.
+func noAlg(op, alg string) string {
+	return fmt.Sprintf("mpi: %s has no algorithm %q", op, alg)
+}
 
 func isPow2(p int) bool { return p > 0 && p&(p-1) == 0 }
 
@@ -306,40 +272,28 @@ func vrank(v, root, p int) int { return (v + root) % p }
 
 // Barrier synchronizes all ranks. The execution tier — NIC firmware
 // or host — and the host algorithm (dissemination or gather/release
-// tree) are picked from the world's Tuning.
-func (r *Rank) Barrier() {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	if r.collOffloadNIC(0) {
-		r.BarrierNIC()
-		return
-	}
-	tag := r.nextCollTag()
-	if r.tune().BarrierAlg(p) == AlgTree {
-		r.barrierTree(tag)
-	} else {
-		r.barrierDissemination(tag)
-	}
-}
+// tree) are picked from World.Offload and BarrierAlg.
+func (r *Rank) Barrier() { r.barrier(r.offload(0, BarrierAlg(r.Size()))) }
 
-// BarrierDissemination runs the dissemination barrier (log₂ p rounds,
-// every rank active in every round) regardless of tuning.
-func (r *Rank) BarrierDissemination() {
-	if r.Size() > 1 {
+// barrier runs the named barrier algorithm.
+func (r *Rank) barrier(alg string) {
+	if r.Size() == 1 {
+		return
+	}
+	switch alg {
+	case AlgNIC:
+		r.Wait(r.IbarrierNIC())
+	case AlgDissemination:
 		r.barrierDissemination(r.nextCollTag())
-	}
-}
-
-// BarrierTree runs the gather/release tree barrier (2(p−1) messages
-// total) regardless of tuning.
-func (r *Rank) BarrierTree() {
-	if r.Size() > 1 {
+	case AlgTree:
 		r.barrierTree(r.nextCollTag())
+	default:
+		panic(noAlg("Barrier", alg))
 	}
 }
 
+// barrierDissemination: log₂ p rounds, every rank active in every
+// round.
 func (r *Rank) barrierDissemination(tag int) {
 	p := r.Size()
 	for k := 1; k < p; k <<= 1 {
@@ -371,37 +325,28 @@ func (r *Rank) barrierTree(tag int) {
 
 // Bcast broadcasts n bytes at buf[off:] from root. Small messages run
 // the binomial tree; large ones on enough ranks run van de Geijn
-// scatter + ring allgather (2·n bytes per rank instead of n·log p).
+// scatter + ring allgather (2·n bytes per rank instead of n·log p);
+// World.Offload may send the call to the NIC firmware instead.
 func (r *Rank) Bcast(root int, buf *cluster.Buffer, off, n int) {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	if r.collOffloadNIC(n) {
-		r.BcastNIC(root, buf, off, n)
-		return
-	}
-	tag := r.nextCollTag()
-	if r.tune().BcastAlg(n, p) == AlgScatterAllgather {
-		r.bcastScatterAllgather(tag, root, buf, off, n)
-	} else {
-		r.bcastBinomial(tag|subBcastTree, root, buf, off, n)
-	}
+	r.bcast(r.offload(n, BcastAlg(n, r.Size())), root, buf, off, n)
 }
 
-// BcastBinomial runs the binomial-tree broadcast regardless of tuning.
-func (r *Rank) BcastBinomial(root int, buf *cluster.Buffer, off, n int) {
-	if r.Size() > 1 {
+// bcast runs the named broadcast algorithm. On the NIC the root's
+// buffer is snapshot at post; elsewhere the tree data is
+// DMA-deposited into it.
+func (r *Rank) bcast(alg string, root int, buf *cluster.Buffer, off, n int) {
+	if r.Size() == 1 {
+		return
+	}
+	switch alg {
+	case AlgNIC:
+		r.Wait(r.IbcastNIC(root, buf, off, n))
+	case AlgBinomial:
 		r.bcastBinomial(r.nextCollTag()|subBcastTree, root, buf, off, n)
-	}
-}
-
-// BcastScatterAllgather runs the van de Geijn large-message broadcast
-// (binomial scatter of segments, then ring allgather) regardless of
-// tuning.
-func (r *Rank) BcastScatterAllgather(root int, buf *cluster.Buffer, off, n int) {
-	if r.Size() > 1 {
+	case AlgScatterAllgather:
 		r.bcastScatterAllgather(r.nextCollTag(), root, buf, off, n)
+	default:
+		panic(noAlg("Bcast", alg))
 	}
 }
 
@@ -477,24 +422,20 @@ func (r *Rank) bcastScatterAllgather(tag, root int, buf *cluster.Buffer, off, n 
 // binomial tree; large word-aligned ones run reduce-scatter followed
 // by a chunk gather to the root (Rabenseifner).
 func (r *Rank) Reduce(root int, sbuf, rbuf *cluster.Buffer, n int) {
-	tag := r.nextCollTag()
-	if r.tune().ReduceAlg(n, r.Size()) == AlgReduceScatter {
-		r.reduceRSGather(tag, root, sbuf, rbuf, n)
-	} else {
-		r.reduceBinomial(tag|subReduceTree, root, sbuf, rbuf, n)
+	r.reduce(ReduceAlg(n, r.Size()), root, sbuf, rbuf, n)
+}
+
+// reduce runs the named reduce algorithm. Both algorithms handle a
+// one-rank world themselves, so it takes no shortcut.
+func (r *Rank) reduce(alg string, root int, sbuf, rbuf *cluster.Buffer, n int) {
+	switch alg {
+	case AlgBinomial:
+		r.reduceBinomial(r.nextCollTag()|subReduceTree, root, sbuf, rbuf, n)
+	case AlgReduceScatter:
+		r.reduceRSGather(r.nextCollTag(), root, sbuf, rbuf, n)
+	default:
+		panic(noAlg("Reduce", alg))
 	}
-}
-
-// ReduceBinomial runs the binomial-tree reduce regardless of tuning.
-func (r *Rank) ReduceBinomial(root int, sbuf, rbuf *cluster.Buffer, n int) {
-	r.reduceBinomial(r.nextCollTag()|subReduceTree, root, sbuf, rbuf, n)
-}
-
-// ReduceRSGather runs the large-message reduce (ring reduce-scatter,
-// then chunk gather to root) regardless of tuning. n must be a
-// multiple of 8.
-func (r *Rank) ReduceRSGather(root int, sbuf, rbuf *cluster.Buffer, n int) {
-	r.reduceRSGather(r.nextCollTag(), root, sbuf, rbuf, n)
 }
 
 func (r *Rank) reduceBinomial(tag, root int, sbuf, rbuf *cluster.Buffer, n int) {
@@ -580,43 +521,29 @@ func (r *Rank) ringReduceScatter(tag int, acc *cluster.Buffer, n int) {
 // Allreduce sums n bytes of float64s across all ranks into every
 // rank's rbuf. Small messages run recursive doubling (with a fold to
 // the nearest power of two); large word-aligned ones run the
-// bandwidth-optimal ring (reduce-scatter + allgather).
+// bandwidth-optimal ring (reduce-scatter + allgather); World.Offload
+// may send the call to the NIC firmware instead, which combines
+// contributions segment by segment on the way up its tree.
 func (r *Rank) Allreduce(sbuf, rbuf *cluster.Buffer, n int) {
-	p := r.Size()
-	if p == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
-	}
-	if r.collOffloadNIC(n) {
-		r.AllreduceNIC(sbuf, rbuf, n)
-		return
-	}
-	tag := r.nextCollTag()
-	if r.tune().AllreduceAlg(n, p) == AlgRing {
-		r.allreduceRing(tag, sbuf, rbuf, n)
-	} else {
-		r.allreduceRD(tag, sbuf, rbuf, n)
-	}
+	r.allreduce(r.offload(n, AllreduceAlg(n, r.Size())), sbuf, rbuf, n)
 }
 
-// AllreduceRecursiveDoubling runs the recursive-doubling allreduce
-// regardless of tuning.
-func (r *Rank) AllreduceRecursiveDoubling(sbuf, rbuf *cluster.Buffer, n int) {
+// allreduce runs the named allreduce algorithm.
+func (r *Rank) allreduce(alg string, sbuf, rbuf *cluster.Buffer, n int) {
 	if r.Size() == 1 {
 		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 		return
 	}
-	r.allreduceRD(r.nextCollTag(), sbuf, rbuf, n)
-}
-
-// AllreduceRing runs the ring allreduce regardless of tuning. n must
-// be a multiple of 8.
-func (r *Rank) AllreduceRing(sbuf, rbuf *cluster.Buffer, n int) {
-	if r.Size() == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
+	switch alg {
+	case AlgNIC:
+		r.Wait(r.IallreduceNIC(sbuf, rbuf, n))
+	case AlgRecursiveDoubling:
+		r.allreduceRD(r.nextCollTag(), sbuf, rbuf, n)
+	case AlgRing:
+		r.allreduceRing(r.nextCollTag(), sbuf, rbuf, n)
+	default:
+		panic(noAlg("Allreduce", alg))
 	}
-	r.allreduceRing(r.nextCollTag(), sbuf, rbuf, n)
 }
 
 // allreduceRD: fold the ranks beyond the largest power of two into
@@ -687,28 +614,25 @@ func (r *Rank) allreduceRing(tag int, sbuf, rbuf *cluster.Buffer, n int) {
 // Scan computes the inclusive prefix sum: rank i's rbuf receives the
 // float64 sum of every rank's n-byte sbuf from ranks 0..i (MPI_Scan
 // with MPI_SUM). The execution tier — NIC firmware chain or the host
-// recursive-doubling algorithm — is picked from the world's Tuning.
+// recursive-doubling algorithm — is picked from World.Offload.
 func (r *Rank) Scan(sbuf, rbuf *cluster.Buffer, n int) {
-	p := r.Size()
-	if p == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
-	}
-	if r.collOffloadNIC(n) {
-		r.ScanNIC(sbuf, rbuf, n)
-		return
-	}
-	r.scanRD(r.nextCollTag()|subScan, sbuf, rbuf, n)
+	r.scan(r.offload(n, ScanAlg(n, r.Size())), sbuf, rbuf, n)
 }
 
-// ScanRecursiveDoubling runs the host recursive-doubling scan
-// (Hillis-Steele) regardless of tuning.
-func (r *Rank) ScanRecursiveDoubling(sbuf, rbuf *cluster.Buffer, n int) {
+// scan runs the named scan algorithm.
+func (r *Rank) scan(alg string, sbuf, rbuf *cluster.Buffer, n int) {
 	if r.Size() == 1 {
 		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 		return
 	}
-	r.scanRD(r.nextCollTag()|subScan, sbuf, rbuf, n)
+	switch alg {
+	case AlgNIC:
+		r.Wait(r.IscanNIC(sbuf, rbuf, n))
+	case AlgRecursiveDoubling:
+		r.scanRD(r.nextCollTag()|subScan, sbuf, rbuf, n)
+	default:
+		panic(noAlg("Scan", alg))
+	}
 }
 
 // scanRD: in round k (distance d = 2^k) rank i sends its running
@@ -763,31 +687,28 @@ func (r *Rank) ReduceScatter(sbuf, rbuf *cluster.Buffer, chunk int) {
 // rank i's block at offset i·n). Small totals on power-of-two worlds
 // run recursive doubling; everything else runs the ring.
 func (r *Rank) Allgather(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	p := r.Size()
-	if p > 1 && r.tune().AllgatherAlg(n, p) == AlgRecursiveDoubling {
-		r.allgatherRD(r.nextCollTag()|subAllgatherRD, sbuf, n, rbuf)
-		return
-	}
-	r.AllgatherRing(sbuf, n, rbuf)
+	r.allgather(AllgatherAlg(n, r.Size()), sbuf, n, rbuf)
 }
 
-// AllgatherRecursiveDoubling runs the recursive-doubling allgather
-// regardless of tuning; the world size must be a power of two.
-func (r *Rank) AllgatherRecursiveDoubling(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
+// allgather runs the named allgather algorithm; recursive doubling
+// needs a power-of-two world.
+func (r *Rank) allgather(alg string, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
 	if r.Size() == 1 {
 		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 		return
 	}
-	r.allgatherRD(r.nextCollTag()|subAllgatherRD, sbuf, n, rbuf)
-}
-
-// AllgatherRing runs the ring allgather regardless of tuning.
-func (r *Rank) AllgatherRing(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	sizes := make([]int, r.Size())
-	for i := range sizes {
-		sizes[i] = n
+	switch alg {
+	case AlgRecursiveDoubling:
+		r.allgatherRD(r.nextCollTag()|subAllgatherRD, sbuf, n, rbuf)
+	case AlgRing:
+		sizes := make([]int, r.Size())
+		for i := range sizes {
+			sizes[i] = n
+		}
+		r.Allgatherv(sbuf, n, rbuf, sizes)
+	default:
+		panic(noAlg("Allgather", alg))
 	}
-	r.Allgatherv(sbuf, n, rbuf, sizes)
 }
 
 func (r *Rank) allgatherRD(tag int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
@@ -840,33 +761,22 @@ func (r *Rank) Allgatherv(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer, siz
 // rank i). Small chunks on large worlds run Bruck's algorithm (log p
 // rounds of aggregated blocks); otherwise the pairwise exchange.
 func (r *Rank) Alltoall(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	p := r.Size()
+	r.alltoall(AlltoallAlg(n, r.Size()), sbuf, n, rbuf)
+}
+
+// alltoall runs the named all-to-all algorithm.
+func (r *Rank) alltoall(alg string, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
 	copy(rbuf.Bytes()[r.ID*n:(r.ID+1)*n], sbuf.Bytes()[r.ID*n:(r.ID+1)*n])
-	if p == 1 {
+	if r.Size() == 1 {
 		return
 	}
-	tag := r.nextCollTag()
-	if r.tune().AlltoallAlg(n, p) == AlgBruck {
-		r.alltoallBruck(tag|subA2ABruck, sbuf, n, rbuf)
-	} else {
-		r.alltoallPairwise(tag|subA2APairwise, sbuf, n, rbuf)
-	}
-}
-
-// AlltoallPairwise runs the pairwise-exchange all-to-all regardless
-// of tuning.
-func (r *Rank) AlltoallPairwise(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	copy(rbuf.Bytes()[r.ID*n:(r.ID+1)*n], sbuf.Bytes()[r.ID*n:(r.ID+1)*n])
-	if r.Size() > 1 {
+	switch alg {
+	case AlgPairwise:
 		r.alltoallPairwise(r.nextCollTag()|subA2APairwise, sbuf, n, rbuf)
-	}
-}
-
-// AlltoallBruck runs Bruck's all-to-all regardless of tuning.
-func (r *Rank) AlltoallBruck(sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	copy(rbuf.Bytes()[r.ID*n:(r.ID+1)*n], sbuf.Bytes()[r.ID*n:(r.ID+1)*n])
-	if r.Size() > 1 {
+	case AlgBruck:
 		r.alltoallBruck(r.nextCollTag()|subA2ABruck, sbuf, n, rbuf)
+	default:
+		panic(noAlg("Alltoall", alg))
 	}
 }
 
@@ -922,37 +832,23 @@ func (r *Rank) alltoallBruck(tag int, sbuf *cluster.Buffer, n int, rbuf *cluster
 // Small worlds post everything at once for maximal overlap; larger
 // ones run the congestion-bounded pairwise schedule.
 func (r *Rank) Alltoallv(sbuf *cluster.Buffer, soffs, scounts []int, rbuf *cluster.Buffer, roffs, rcounts []int) {
-	p := r.Size()
+	r.alltoallv(AlltoallvAlg(r.Size()), sbuf, soffs, scounts, rbuf, roffs, rcounts)
+}
+
+// alltoallv runs the named vector all-to-all schedule.
+func (r *Rank) alltoallv(alg string, sbuf *cluster.Buffer, soffs, scounts []int, rbuf *cluster.Buffer, roffs, rcounts []int) {
 	copy(rbuf.Bytes()[roffs[r.ID]:roffs[r.ID]+rcounts[r.ID]],
 		sbuf.Bytes()[soffs[r.ID]:soffs[r.ID]+scounts[r.ID]])
-	if p == 1 {
+	if r.Size() == 1 {
 		return
 	}
-	tag := r.nextCollTag()
-	if r.tune().AlltoallvAlg(p) == AlgPosted {
-		r.alltoallvPosted(tag|subA2AVPosted, sbuf, soffs, scounts, rbuf, roffs, rcounts)
-	} else {
-		r.alltoallvPairwise(tag|subA2AVPairwise, sbuf, soffs, scounts, rbuf, roffs, rcounts)
-	}
-}
-
-// AlltoallvPairwise runs the pairwise-exchange schedule regardless of
-// tuning.
-func (r *Rank) AlltoallvPairwise(sbuf *cluster.Buffer, soffs, scounts []int, rbuf *cluster.Buffer, roffs, rcounts []int) {
-	copy(rbuf.Bytes()[roffs[r.ID]:roffs[r.ID]+rcounts[r.ID]],
-		sbuf.Bytes()[soffs[r.ID]:soffs[r.ID]+scounts[r.ID]])
-	if r.Size() > 1 {
+	switch alg {
+	case AlgPairwise:
 		r.alltoallvPairwise(r.nextCollTag()|subA2AVPairwise, sbuf, soffs, scounts, rbuf, roffs, rcounts)
-	}
-}
-
-// AlltoallvPosted posts every receive and send at once regardless of
-// tuning.
-func (r *Rank) AlltoallvPosted(sbuf *cluster.Buffer, soffs, scounts []int, rbuf *cluster.Buffer, roffs, rcounts []int) {
-	copy(rbuf.Bytes()[roffs[r.ID]:roffs[r.ID]+rcounts[r.ID]],
-		sbuf.Bytes()[soffs[r.ID]:soffs[r.ID]+scounts[r.ID]])
-	if r.Size() > 1 {
+	case AlgPosted:
 		r.alltoallvPosted(r.nextCollTag()|subA2AVPosted, sbuf, soffs, scounts, rbuf, roffs, rcounts)
+	default:
+		panic(noAlg("Alltoallv", alg))
 	}
 }
 
@@ -991,35 +887,23 @@ func (r *Rank) alltoallvPosted(tag int, sbuf *cluster.Buffer, soffs, scounts []i
 // blocks on enough ranks climb the binomial tree; large ones run the
 // linear root loop.
 func (r *Rank) Gather(root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	p := r.Size()
-	if p == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
-	}
-	tag := r.nextCollTag()
-	if r.tune().GatherAlg(n, p) == AlgBinomial {
-		r.gatherBinomial(tag|subGatherTree, root, sbuf, n, rbuf)
-	} else {
-		r.gatherLinear(tag|subGatherLinear, root, sbuf, n, rbuf)
-	}
+	r.gather(GatherAlg(n, r.Size()), root, sbuf, n, rbuf)
 }
 
-// GatherLinear runs the linear gather regardless of tuning.
-func (r *Rank) GatherLinear(root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
+// gather runs the named gather algorithm.
+func (r *Rank) gather(alg string, root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
 	if r.Size() == 1 {
 		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 		return
 	}
-	r.gatherLinear(r.nextCollTag()|subGatherLinear, root, sbuf, n, rbuf)
-}
-
-// GatherBinomial runs the binomial-tree gather regardless of tuning.
-func (r *Rank) GatherBinomial(root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	if r.Size() == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
+	switch alg {
+	case AlgLinear:
+		r.gatherLinear(r.nextCollTag()|subGatherLinear, root, sbuf, n, rbuf)
+	case AlgBinomial:
+		r.gatherBinomial(r.nextCollTag()|subGatherTree, root, sbuf, n, rbuf)
+	default:
+		panic(noAlg("Gather", alg))
 	}
-	r.gatherBinomial(r.nextCollTag()|subGatherTree, root, sbuf, n, rbuf)
 }
 
 func (r *Rank) gatherLinear(tag, root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
@@ -1068,35 +952,23 @@ func (r *Rank) gatherBinomial(tag, root int, sbuf *cluster.Buffer, n int, rbuf *
 // rank i) so every rank receives its block in rbuf. Non-root ranks
 // may pass a nil sbuf. Algorithm selection mirrors Gather.
 func (r *Rank) Scatter(root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	p := r.Size()
-	if p == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
-	}
-	tag := r.nextCollTag()
-	if r.tune().ScatterAlg(n, p) == AlgBinomial {
-		r.scatterBinomial(tag|subScatterTree, root, sbuf, n, rbuf)
-	} else {
-		r.scatterLinear(tag|subScatterLinear, root, sbuf, n, rbuf)
-	}
+	r.scatter(ScatterAlg(n, r.Size()), root, sbuf, n, rbuf)
 }
 
-// ScatterLinear runs the linear scatter regardless of tuning.
-func (r *Rank) ScatterLinear(root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
+// scatter runs the named scatter algorithm.
+func (r *Rank) scatter(alg string, root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
 	if r.Size() == 1 {
 		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
 		return
 	}
-	r.scatterLinear(r.nextCollTag()|subScatterLinear, root, sbuf, n, rbuf)
-}
-
-// ScatterBinomial runs the binomial-tree scatter regardless of tuning.
-func (r *Rank) ScatterBinomial(root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {
-	if r.Size() == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
+	switch alg {
+	case AlgLinear:
+		r.scatterLinear(r.nextCollTag()|subScatterLinear, root, sbuf, n, rbuf)
+	case AlgBinomial:
+		r.scatterBinomial(r.nextCollTag()|subScatterTree, root, sbuf, n, rbuf)
+	default:
+		panic(noAlg("Scatter", alg))
 	}
-	r.scatterBinomial(r.nextCollTag()|subScatterTree, root, sbuf, n, rbuf)
 }
 
 func (r *Rank) scatterLinear(tag, root int, sbuf *cluster.Buffer, n int, rbuf *cluster.Buffer) {

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"omxsim/cluster"
@@ -91,11 +93,7 @@ func TestBcastVariantsAllWorlds(t *testing.T) {
 					if r.ID == root {
 						fillPattern(bufs[r.ID], root)
 					}
-					if alg == AlgBinomial {
-						r.BcastBinomial(root, bufs[r.ID], 0, n)
-					} else {
-						r.BcastScatterAllgather(root, bufs[r.ID], 0, n)
-					}
+					r.bcast(alg, root, bufs[r.ID], 0, n)
 				})
 				for r := 0; r < p; r++ {
 					if !cluster.Equal(bufs[root], bufs[r]) {
@@ -139,11 +137,7 @@ func TestAllreduceVariantsAllWorlds(t *testing.T) {
 				}
 				runWorld(t, c, w, func(r *Rank) {
 					putFloats(sb[r.ID], float64(r.ID+1), 10*float64(r.ID+1), 1, 1, 1, 1, 1, 1)
-					if alg == AlgRing {
-						r.AllreduceRing(sb[r.ID], rb[r.ID], n)
-					} else {
-						r.AllreduceRecursiveDoubling(sb[r.ID], rb[r.ID], n)
-					}
+					r.allreduce(alg, sb[r.ID], rb[r.ID], n)
 				})
 				for r := 0; r < p; r++ {
 					checkSumWords(t, rb[r], p, fmt.Sprintf("rank %d", r))
@@ -177,11 +171,7 @@ func TestReduceVariantsAllWorlds(t *testing.T) {
 					if r.ID == root {
 						out = rb
 					}
-					if alg == AlgReduceScatter {
-						r.ReduceRSGather(root, sb[r.ID], out, n)
-					} else {
-						r.ReduceBinomial(root, sb[r.ID], out, n)
-					}
+					r.reduce(alg, root, sb[r.ID], out, n)
 				})
 				checkSumWords(t, rb, p, "root")
 			})
@@ -210,11 +200,7 @@ func TestAlltoallVariantsAllWorlds(t *testing.T) {
 							sb[r.ID].Bytes()[dst*n+i] = byte(31*r.ID + 7*dst + i)
 						}
 					}
-					if alg == AlgBruck {
-						r.AlltoallBruck(sb[r.ID], n, rb[r.ID])
-					} else {
-						r.AlltoallPairwise(sb[r.ID], n, rb[r.ID])
-					}
+					r.alltoall(alg, sb[r.ID], n, rb[r.ID])
 				})
 				for r := 0; r < p; r++ {
 					for src := 0; src < p; src++ {
@@ -273,11 +259,7 @@ func TestAlltoallvVariants(t *testing.T) {
 					roffs[s], rcounts[s] = off, sz(s, r.ID)
 					off += rcounts[s]
 				}
-				if alg == AlgPosted {
-					r.AlltoallvPosted(sb[r.ID], soffs, scounts, rb[r.ID], roffs, rcounts)
-				} else {
-					r.AlltoallvPairwise(sb[r.ID], soffs, scounts, rb[r.ID], roffs, rcounts)
-				}
+				r.alltoallv(alg, sb[r.ID], soffs, scounts, rb[r.ID], roffs, rcounts)
 			})
 			for r := 0; r < p; r++ {
 				off := 0
@@ -319,13 +301,8 @@ func TestGatherScatterVariantsAllRoots(t *testing.T) {
 					if r.ID == root {
 						g = gb
 					}
-					if alg == AlgBinomial {
-						r.GatherBinomial(root, sb[r.ID], n, g)
-						r.ScatterBinomial(root, g, n, rb[r.ID])
-					} else {
-						r.GatherLinear(root, sb[r.ID], n, g)
-						r.ScatterLinear(root, g, n, rb[r.ID])
-					}
+					r.gather(alg, root, sb[r.ID], n, g)
+					r.scatter(alg, root, g, n, rb[r.ID])
 				})
 				for r := 0; r < p; r++ {
 					for i := 0; i < n; i++ {
@@ -360,8 +337,8 @@ func TestAllgatherRecursiveDoubling(t *testing.T) {
 	}
 	runWorld(t, c, w, func(r *Rank) {
 		fillPattern(sb[r.ID], r.ID)
-		r.AllgatherRecursiveDoubling(sb[r.ID], n, rd[r.ID])
-		r.AllgatherRing(sb[r.ID], n, ring[r.ID])
+		r.allgather(AlgRecursiveDoubling, sb[r.ID], n, rd[r.ID])
+		r.allgather(AlgRing, sb[r.ID], n, ring[r.ID])
 	})
 	for r := 0; r < p; r++ {
 		if !cluster.Equal(rd[r], ring[r]) {
@@ -388,11 +365,7 @@ func TestBarrierVariantsSynchronize(t *testing.T) {
 					r.Proc().Sleep(500 * sim.Microsecond) // straggler
 					before = r.Now()
 				}
-				if alg == AlgTree {
-					r.BarrierTree()
-				} else {
-					r.BarrierDissemination()
-				}
+				r.barrier(alg)
 				after = append(after, r.Now())
 			})
 			for _, ti := range after {
@@ -457,105 +430,367 @@ func TestSingleRankCollectives(t *testing.T) {
 	}
 }
 
-// TestDispatcherMatchesPinnedVariants forces each tuned path via
-// thresholds and checks the dispatcher's bytes equal the pinned
-// variant's on a non-power-of-two world.
-func TestDispatcherMatchesPinnedVariants(t *testing.T) {
-	const nodes, ppn = 3, 2
-	p := nodes * ppn
-	const n = 2048 // multiple of 8, bigger than the forced thresholds
-	force := func(w *World, large bool) {
-		if large {
-			// Everything takes the large-message / tree path.
-			w.Tune.BcastSegMinBytes = 1
-			w.Tune.BcastSegMinRanks = 2
-			w.Tune.AllreduceRingMinBytes = 1
-			w.Tune.ReduceRSMinBytes = 1
-			w.Tune.GatherTreeMaxBytes = 1 << 30
-			w.Tune.GatherTreeMinRanks = 2
-			w.Tune.AlltoallBruckMaxBytes = 1 << 30
-			w.Tune.AlltoallBruckMinRanks = 2
-			w.Tune.BarrierTreeMinRanks = 2
-		} else {
-			w.Tune.BcastSegMinBytes = 1 << 30
-			w.Tune.AllreduceRingMinBytes = 1 << 30
-			w.Tune.ReduceRSMinBytes = 1 << 30
-			w.Tune.GatherTreeMinRanks = 1 << 30
-			w.Tune.AlltoallBruckMaxBytes = 0
-			w.Tune.BarrierTreeMinRanks = 1 << 30
+// collSelectors lists every operation with its selector as a function
+// of (n, p) and whether World.Offload can send it to the NIC.
+var collSelectors = []struct {
+	op  string
+	sel func(n, p int) string
+	nic bool
+}{
+	{"Barrier", func(n, p int) string { return BarrierAlg(p) }, true},
+	{"Bcast", BcastAlg, true},
+	{"Reduce", ReduceAlg, false},
+	{"Allreduce", AllreduceAlg, true},
+	{"Scan", ScanAlg, true},
+	{"Allgather", AllgatherAlg, false},
+	{"Alltoall", AlltoallAlg, false},
+	{"Alltoallv", func(n, p int) string { return AlltoallvAlg(p) }, false},
+	{"Gather", GatherAlg, false},
+	{"Scatter", ScatterAlg, false},
+}
+
+// selectorNames sweeps sel over sizes and world sizes on both sides of
+// every threshold and returns the distinct names it picks, in first-
+// seen order.
+func selectorNames(sel func(n, p int) string) []string {
+	var names []string
+	for _, n := range []int{0, 8, 1 << 10, 1<<10 + 8, 4 << 10, 16 << 10, 16<<10 + 8,
+		32<<10 - 8, 32 << 10, 64<<10 - 8, 64 << 10, 256 << 10, 1 << 20, 1<<20 + 4} {
+		for p := 1; p <= 80; p++ {
+			if alg := sel(n, p); !slices.Contains(names, alg) {
+				names = append(names, alg)
+			}
 		}
 	}
-	run := func(large bool) (bcast, ar []*cluster.Buffer) {
-		c, w := worldN(t, "openmx", nodes, ppn)
-		force(w, large)
-		bcast = make([]*cluster.Buffer, p)
-		ar = make([]*cluster.Buffer, p)
-		sb := make([]*cluster.Buffer, p)
-		for r := 0; r < p; r++ {
-			bcast[r] = w.Rank(r).Host.Alloc(n)
-			ar[r] = w.Rank(r).Host.Alloc(n)
-			sb[r] = w.Rank(r).Host.Alloc(n)
+	return names
+}
+
+// collCall is one collective call of a test sequence: alg "" goes
+// through the public dispatcher, any other name through the
+// operation's entry.
+type collCall struct {
+	op, alg string
+	n       int
+}
+
+// runColl makes one collective call on rank r with root rank 1 (0 on
+// a one-rank world). sb holds the rank's input, rb (cleared first)
+// receives its output; both hold p blocks of n bytes.
+func runColl(r *Rank, cl collCall, sb, rb *cluster.Buffer) {
+	p, n, alg := r.Size(), cl.n, cl.alg
+	root := min(1, p-1)
+	clear(rb.Bytes())
+	atRoot := func(b *cluster.Buffer) *cluster.Buffer {
+		if r.ID == root {
+			return b
 		}
-		runWorld(t, c, w, func(r *Rank) {
-			if r.ID == 1 {
-				fillPattern(bcast[r.ID], 1)
-			}
-			r.Bcast(1, bcast[r.ID], 0, n)
-			// Exact small-integer words: float addition is then exact,
-			// so both algorithms must produce identical bytes despite
-			// summing in different orders.
-			vals := make([]float64, n/8)
-			for i := range vals {
-				vals[i] = float64(r.ID + i + 1)
-			}
-			putFloats(sb[r.ID], vals...)
-			r.Allreduce(sb[r.ID], ar[r.ID], n)
+		return nil
+	}
+	switch cl.op {
+	case "Barrier":
+		if alg == "" {
 			r.Barrier()
-		})
-		return bcast, ar
-	}
-	bL, arL := run(true)
-	bS, arS := run(false)
-	for r := 0; r < p; r++ {
-		if !cluster.Equal(bL[r], bS[r]) {
-			t.Errorf("rank %d: large-path bcast bytes differ from small-path", r)
+		} else {
+			r.barrier(alg)
 		}
-		if !cluster.Equal(arL[r], arS[r]) {
-			t.Errorf("rank %d: ring allreduce bytes differ from recursive doubling", r)
+	case "Bcast":
+		if r.ID == root {
+			copy(rb.Bytes()[:n], sb.Bytes()[:n])
 		}
+		if alg == "" {
+			r.Bcast(root, rb, 0, n)
+		} else {
+			r.bcast(alg, root, rb, 0, n)
+		}
+	case "Reduce":
+		if alg == "" {
+			r.Reduce(root, sb, atRoot(rb), n)
+		} else {
+			r.reduce(alg, root, sb, atRoot(rb), n)
+		}
+	case "Allreduce":
+		if alg == "" {
+			r.Allreduce(sb, rb, n)
+		} else {
+			r.allreduce(alg, sb, rb, n)
+		}
+	case "Scan":
+		if alg == "" {
+			r.Scan(sb, rb, n)
+		} else {
+			r.scan(alg, sb, rb, n)
+		}
+	case "Allgather":
+		if alg == "" {
+			r.Allgather(sb, n, rb)
+		} else {
+			r.allgather(alg, sb, n, rb)
+		}
+	case "Alltoall":
+		if alg == "" {
+			r.Alltoall(sb, n, rb)
+		} else {
+			r.alltoall(alg, sb, n, rb)
+		}
+	case "Alltoallv":
+		offs, counts := make([]int, p), make([]int, p)
+		for i := range offs {
+			offs[i], counts[i] = i*n, n
+		}
+		if alg == "" {
+			r.Alltoallv(sb, offs, counts, rb, offs, counts)
+		} else {
+			r.alltoallv(alg, sb, offs, counts, rb, offs, counts)
+		}
+	case "Gather":
+		if alg == "" {
+			r.Gather(root, sb, n, atRoot(rb))
+		} else {
+			r.gather(alg, root, sb, n, atRoot(rb))
+		}
+	case "Scatter":
+		if alg == "" {
+			r.Scatter(root, atRoot(sb), n, rb)
+		} else {
+			r.scatter(alg, root, atRoot(sb), n, rb)
+		}
+	default:
+		panic("runColl: unknown operation " + cl.op)
 	}
 }
 
-// TestTuningSelection pins the default thresholds' decisions.
+// collMark is what one rank saw of one call: the hash of its output
+// buffer and the simulated time the call returned.
+type collMark struct {
+	sum uint64
+	at  sim.Time
+}
+
+// collRun makes calls in order on every rank of w and returns the
+// marks per rank and call. Inputs are exactly representable
+// small-integer float64s, so every reduction algorithm produces the
+// same bytes whatever its combining order.
+func collRun(t *testing.T, c *cluster.Cluster, w *World, calls []collCall) [][]collMark {
+	t.Helper()
+	p := w.Size()
+	size := 8
+	for _, cl := range calls {
+		size = max(size, p*cl.n)
+	}
+	sb := make([]*cluster.Buffer, p)
+	rb := make([]*cluster.Buffer, p)
+	for r := 0; r < p; r++ {
+		sb[r] = w.Rank(r).Host.Alloc(size)
+		rb[r] = w.Rank(r).Host.Alloc(size)
+		vals := make([]float64, size/8)
+		for i := range vals {
+			vals[i] = float64(r + i%13 + 1)
+		}
+		putFloats(sb[r], vals...)
+	}
+	marks := make([][]collMark, p)
+	runWorld(t, c, w, func(r *Rank) {
+		for _, cl := range calls {
+			runColl(r, cl, sb[r.ID], rb[r.ID])
+			h := fnv.New64a()
+			h.Write(rb[r.ID].Bytes())
+			marks[r.ID] = append(marks[r.ID], collMark{h.Sum64(), r.Now()})
+		}
+	})
+	return marks
+}
+
+// TestDispatcherMatchesPinnedVariants runs every dispatcher at sizes
+// and world sizes on each side of each threshold: a 16-rank world
+// reaches the large-message, Bruck, tree-barrier and pairwise-vector
+// paths, a 3-rank world the small-world ones. Per call, the
+// dispatcher must select the expected algorithm — same bytes and same
+// return times as its entry pinned to that name — and the op's other
+// host algorithm must produce the same bytes.
+func TestDispatcherMatchesPinnedVariants(t *testing.T) {
+	type step struct {
+		op   string
+		n    int
+		want string
+	}
+	worlds := []struct {
+		nodes, ppn int
+		steps      []step
+	}{
+		{8, 2, []step{
+			{"Barrier", 0, AlgTree},
+			{"Bcast", 64<<10 - 8, AlgBinomial},
+			{"Bcast", 64 << 10, AlgScatterAllgather},
+			{"Reduce", 64<<10 - 8, AlgBinomial},
+			{"Reduce", 64 << 10, AlgReduceScatter},
+			{"Allreduce", 32<<10 - 8, AlgRecursiveDoubling},
+			{"Allreduce", 32 << 10, AlgRing},
+			{"Scan", 1 << 10, AlgRecursiveDoubling},
+			{"Allgather", 4 << 10, AlgRecursiveDoubling},
+			{"Allgather", 4<<10 + 8, AlgRing},
+			{"Alltoall", 1 << 10, AlgBruck},
+			{"Alltoall", 1<<10 + 8, AlgPairwise},
+			{"Alltoallv", 1 << 10, AlgPairwise},
+			{"Gather", 16 << 10, AlgBinomial},
+			{"Gather", 16<<10 + 8, AlgLinear},
+			{"Scatter", 16 << 10, AlgBinomial},
+			{"Scatter", 16<<10 + 8, AlgLinear},
+		}},
+		{3, 1, []step{
+			{"Barrier", 0, AlgDissemination},
+			{"Bcast", 64 << 10, AlgBinomial},
+			{"Reduce", 64 << 10, AlgReduceScatter},
+			{"Allreduce", 32 << 10, AlgRing},
+			{"Scan", 1 << 10, AlgRecursiveDoubling},
+			{"Allgather", 4 << 10, AlgRing},
+			{"Alltoall", 1 << 10, AlgPairwise},
+			{"Alltoallv", 1 << 10, AlgPosted},
+			{"Gather", 16 << 10, AlgLinear},
+			{"Scatter", 16 << 10, AlgLinear},
+		}},
+	}
+	for _, ws := range worlds {
+		p := ws.nodes * ws.ppn
+		t.Run(fmt.Sprintf("%dranks", p), func(t *testing.T) {
+			var dispatch, pinned, other []collCall
+			for _, s := range ws.steps {
+				alt := s.want
+				for _, sel := range collSelectors {
+					if sel.op != s.op {
+						continue
+					}
+					for _, alg := range selectorNames(sel.sel) {
+						// Recursive-doubling allgather needs a power-of-two world.
+						if alg != s.want && (s.op != "Allgather" || isPow2(p)) {
+							alt = alg
+						}
+					}
+				}
+				dispatch = append(dispatch, collCall{s.op, "", s.n})
+				pinned = append(pinned, collCall{s.op, s.want, s.n})
+				other = append(other, collCall{s.op, alt, s.n})
+			}
+			run := func(calls []collCall) [][]collMark {
+				c, w := worldN(t, "openmx", ws.nodes, ws.ppn)
+				return collRun(t, c, w, calls)
+			}
+			got, want, alt := run(dispatch), run(pinned), run(other)
+			for r := 0; r < p; r++ {
+				for i, s := range ws.steps {
+					if got[r][i] != want[r][i] {
+						t.Errorf("rank %d %s %d B: dispatcher %+v, pinned %s %+v", r, s.op, s.n, got[r][i], s.want, want[r][i])
+					}
+					if got[r][i].sum != alt[r][i].sum {
+						t.Errorf("rank %d %s %d B: %s bytes differ from %s", r, s.op, s.n, other[i].alg, s.want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTuningSelection pins the fixed thresholds' decisions on each
+// side of every constant.
 func TestTuningSelection(t *testing.T) {
-	tn := DefaultTuning()
 	cases := []struct{ got, want string }{
-		{tn.BcastAlg(1<<10, 8), AlgBinomial},
-		{tn.BcastAlg(1<<20, 8), AlgScatterAllgather},
-		{tn.BcastAlg(1<<20, 2), AlgBinomial},
-		{tn.AllreduceAlg(1<<10, 8), AlgRecursiveDoubling},
-		{tn.AllreduceAlg(1<<20, 8), AlgRing},
-		{tn.AllreduceAlg(1<<20, 2), AlgRecursiveDoubling},
-		{tn.AllreduceAlg(1<<20+4, 8), AlgRecursiveDoubling}, // unaligned
-		{tn.ReduceAlg(1<<20, 8), AlgReduceScatter},
-		{tn.ReduceAlg(1<<10, 8), AlgBinomial},
-		{tn.AlltoallAlg(256, 16), AlgBruck},
-		{tn.AlltoallAlg(1<<20, 16), AlgPairwise},
-		{tn.AlltoallAlg(256, 4), AlgPairwise},
-		{tn.AlltoallvAlg(4), AlgPosted},
-		{tn.AlltoallvAlg(8), AlgPairwise},
-		{tn.AllgatherAlg(64, 8), AlgRecursiveDoubling},
-		{tn.AllgatherAlg(64, 6), AlgRing}, // not a power of two
-		{tn.AllgatherAlg(1<<20, 8), AlgRing},
-		{tn.GatherAlg(1<<10, 8), AlgBinomial},
-		{tn.GatherAlg(1<<20, 8), AlgLinear},
-		{tn.ScatterAlg(1<<10, 2), AlgLinear},
-		{tn.BarrierAlg(4), AlgDissemination},
-		{tn.BarrierAlg(16), AlgTree},
+		{BcastAlg(1<<10, 8), AlgBinomial},
+		{BcastAlg(64<<10-8, 8), AlgBinomial},
+		{BcastAlg(64<<10, 8), AlgScatterAllgather},
+		{BcastAlg(1<<20, 4), AlgScatterAllgather},
+		{BcastAlg(1<<20, 3), AlgBinomial},
+		{BcastAlg(1<<20, 2), AlgBinomial},
+		{AllreduceAlg(1<<10, 8), AlgRecursiveDoubling},
+		{AllreduceAlg(32<<10-8, 8), AlgRecursiveDoubling},
+		{AllreduceAlg(32<<10, 8), AlgRing},
+		{AllreduceAlg(1<<20, 8), AlgRing},
+		{AllreduceAlg(1<<20, 2), AlgRecursiveDoubling},
+		{AllreduceAlg(1<<20+4, 8), AlgRecursiveDoubling}, // unaligned
+		{AllreduceAlg(32<<10, 32), AlgRing},              // 1 KiB chunks
+		{AllreduceAlg(32<<10, 33), AlgRecursiveDoubling}, // chunks under 1 KiB
+		{ReduceAlg(1<<20, 8), AlgReduceScatter},
+		{ReduceAlg(64<<10, 8), AlgReduceScatter},
+		{ReduceAlg(64<<10-8, 8), AlgBinomial},
+		{ReduceAlg(1<<10, 8), AlgBinomial},
+		{ReduceAlg(1<<20+4, 8), AlgBinomial}, // unaligned
+		{AlltoallAlg(256, 16), AlgBruck},
+		{AlltoallAlg(1<<10, 8), AlgBruck},
+		{AlltoallAlg(1<<10+8, 8), AlgPairwise},
+		{AlltoallAlg(1<<20, 16), AlgPairwise},
+		{AlltoallAlg(256, 7), AlgPairwise},
+		{AlltoallAlg(256, 4), AlgPairwise},
+		{AlltoallvAlg(4), AlgPosted},
+		{AlltoallvAlg(5), AlgPairwise},
+		{AlltoallvAlg(8), AlgPairwise},
+		{AllgatherAlg(64, 8), AlgRecursiveDoubling},
+		{AllgatherAlg(8<<10, 8), AlgRecursiveDoubling}, // 64 KiB total
+		{AllgatherAlg(8<<10+8, 8), AlgRing},
+		{AllgatherAlg(64, 6), AlgRing}, // not a power of two
+		{AllgatherAlg(1<<20, 8), AlgRing},
+		{GatherAlg(1<<10, 8), AlgBinomial},
+		{GatherAlg(16<<10, 4), AlgBinomial},
+		{GatherAlg(16<<10+8, 4), AlgLinear},
+		{GatherAlg(1<<10, 3), AlgLinear},
+		{GatherAlg(1<<20, 8), AlgLinear},
+		{ScatterAlg(1<<10, 2), AlgLinear},
+		{ScatterAlg(1<<10, 4), AlgBinomial},
+		{BarrierAlg(4), AlgDissemination},
+		{BarrierAlg(15), AlgDissemination},
+		{BarrierAlg(16), AlgTree},
+		{ScanAlg(1<<20, 64), AlgRecursiveDoubling},
 	}
 	for i, c := range cases {
 		if c.got != c.want {
 			t.Errorf("case %d: selected %q, want %q", i, c.got, c.want)
+		}
+	}
+}
+
+// TestCollEntriesAcceptSelectorNames runs every name each selector can
+// return — and AlgNIC for the four offloadable operations — through
+// its operation's entry on a 4-rank MXoE world; all names of one
+// operation must produce the same bytes. An unknown name must panic
+// with the operation and the name.
+func TestCollEntriesAcceptSelectorNames(t *testing.T) {
+	const n = 64
+	var calls []collCall
+	for _, s := range collSelectors {
+		names := selectorNames(s.sel)
+		if s.nic {
+			names = append(names, AlgNIC)
+		}
+		if len(names) < 2 {
+			t.Fatalf("%s: entry reachable by only %v", s.op, names)
+		}
+		for _, alg := range names {
+			calls = append(calls, collCall{s.op, alg, n})
+		}
+	}
+	c, w := worldN(t, "mxoe", 2, 2)
+	p := w.Size()
+	marks := collRun(t, c, w, calls)
+	for r := 0; r < p; r++ {
+		for i, cl := range calls {
+			if first := slices.IndexFunc(calls, func(o collCall) bool { return o.op == cl.op }); marks[r][i].sum != marks[r][first].sum {
+				t.Errorf("rank %d %s: %s bytes differ from %s", r, cl.op, cl.alg, calls[first].alg)
+			}
+		}
+	}
+
+	c, w = worldN(t, "mxoe", 2, 2)
+	got := make([][]any, p)
+	runWorld(t, c, w, func(r *Rank) {
+		for _, s := range collSelectors {
+			func() {
+				defer func() { got[r.ID] = append(got[r.ID], recover()) }()
+				runColl(r, collCall{s.op, "bogus", 0}, r.scratch, r.scratch)
+			}()
+		}
+	})
+	for r := 0; r < p; r++ {
+		for i, s := range collSelectors {
+			if want := fmt.Sprintf("mpi: %s has no algorithm %q", s.op, "bogus"); got[r][i] != want {
+				t.Errorf("rank %d %s(\"bogus\") panicked with %v, want %q", r, s.op, got[r][i], want)
+			}
 		}
 	}
 }

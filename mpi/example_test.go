@@ -14,7 +14,7 @@ import (
 // Allreduce on real float64 payloads: each rank contributes its rank
 // number plus one, so the sum every rank receives is 1+2 = 3. The
 // collective algorithm is picked per call by message and world size
-// through mpi.Tuning.
+// from fixed thresholds (mpi.AllreduceAlg).
 func ExampleWorld() {
 	c := cluster.New(nil)
 	defer c.Close()

@@ -2,7 +2,7 @@
 // paper benchmarks through (MPICH-MX in the original): ranks,
 // tag/source matching, blocking and nonblocking point-to-point, and
 // the collective operations the Intel MPI Benchmarks exercise (see
-// coll.go for the collective algorithms and their tuning).
+// coll.go for the collective algorithms and their selection).
 //
 // It is transport-neutral: a World is built from openmx.Endpoint
 // values, which both the Open-MX stack and the native MXoE baseline
@@ -34,11 +34,11 @@ const collTagBase = 0x4000_0000
 // World is a set of communicating ranks.
 type World struct {
 	C *cluster.Cluster
-	// Tune selects collective algorithms by message and world size
-	// (see Tuning). NewWorld installs DefaultTuning; override fields
-	// before Spawn to pin or shift the selection.
-	Tune  Tuning
-	ranks []*Rank
+	// Offload selects where Barrier, Bcast, Allreduce and Scan
+	// execute: OffloadAuto (the default) resolves per call,
+	// OffloadHost and OffloadNIC pin a tier. Set it before Spawn.
+	Offload string
+	ranks   []*Rank
 
 	// Cached NIC-collective capability: whether every rank's endpoint
 	// implements openmx.CollCapable, and the smallest firmware payload
@@ -53,7 +53,7 @@ type World struct {
 
 // NewWorld returns an empty world on the cluster.
 func NewWorld(c *cluster.Cluster) *World {
-	return &World{C: c, Tune: DefaultTuning()}
+	return &World{C: c}
 }
 
 // AddRank registers the next rank (IDs are assigned in call order),

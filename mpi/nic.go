@@ -1,10 +1,11 @@
-// NIC-offloaded collective variants: the firmware execution tier
-// behind Tuning.CollOffload. Each variant posts one descriptor to the
-// rank's collective-capable endpoint (openmx.CollCapable) and waits
-// for the single completion event; every tree hop, combine and
-// retransmission in between runs in NIC firmware and charges no host
-// CPU. The nonblocking Ib* forms expose the post/poll split the
-// overlap figures measure.
+// NIC-offloaded collectives: the firmware execution tier (AlgNIC)
+// that World.Offload and CollOffload select for Barrier, Bcast,
+// Allreduce and Scan. Each call posts one descriptor to the rank's
+// collective-capable endpoint (openmx.CollCapable) and waits for the
+// single completion event; every tree hop, combine and retransmission
+// in between runs in NIC firmware and charges no host CPU. The
+// nonblocking I*NIC forms expose the post/poll split the overlap
+// figures measure.
 package mpi
 
 import (
@@ -37,17 +38,29 @@ func (w *World) nicCollCapable(n int) bool {
 	return *w.nicCap && n <= w.nicMax
 }
 
-// collOffloadNIC resolves the offload tier for an n-byte collective
-// call. Every rank evaluates the same inputs (size, world, tuning,
-// capability), so the decision is identical everywhere — the MPI
-// requirement that all ranks run the same collective path.
-func (r *Rank) collOffloadNIC(n int) bool {
-	return r.tune().CollOffload(n, r.Size(), r.w.nicCollCapable(n)) == OffloadNIC
+// offload resolves the execution tier of an n-byte Barrier, Bcast,
+// Allreduce or Scan: AlgNIC when World.Offload pins the NIC, or under
+// OffloadAuto when CollOffload picks it and the transport can run it;
+// host, the host algorithm's name, otherwise. Every rank evaluates the
+// same inputs (size, world, setting, capability), so the decision is
+// identical everywhere — the MPI requirement that all ranks run the
+// same collective path.
+func (r *Rank) offload(n int, host string) string {
+	switch r.w.Offload {
+	case OffloadNIC:
+		return AlgNIC
+	case OffloadHost:
+		return host
+	}
+	if CollOffload(n, r.Size()) == OffloadNIC && r.w.nicCollCapable(n) {
+		return AlgNIC
+	}
+	return host
 }
 
 // nicColl returns the rank's firmware collective group, registering
 // it with the NIC on first use. It panics if the endpoint cannot
-// offload — pinned NIC variants fail loudly on a host-only transport.
+// offload — OffloadNIC fails loudly on a host-only transport.
 func (r *Rank) nicColl() openmx.CollGroup {
 	if r.nicGroup != nil {
 		return r.nicGroup
@@ -67,29 +80,10 @@ func (r *Rank) nicColl() openmx.CollGroup {
 	return r.nicGroup
 }
 
-// BarrierNIC runs the firmware-offloaded barrier regardless of
-// tuning: one descriptor post, one completion event.
-func (r *Rank) BarrierNIC() {
-	if r.Size() == 1 {
-		return
-	}
-	r.Wait(r.IbarrierNIC())
-}
-
 // IbarrierNIC posts the firmware barrier descriptor and returns its
 // request without waiting (poll with Test, finish with Wait).
 func (r *Rank) IbarrierNIC() openmx.Request {
 	return r.nicColl().PostBarrier(r.p)
-}
-
-// BcastNIC runs the firmware-offloaded broadcast regardless of
-// tuning. On the root the buffer is snapshot at post; elsewhere the
-// tree data is DMA-deposited into it.
-func (r *Rank) BcastNIC(root int, buf *cluster.Buffer, off, n int) {
-	if r.Size() == 1 {
-		return
-	}
-	r.Wait(r.IbcastNIC(root, buf, off, n))
 }
 
 // IbcastNIC posts the firmware broadcast descriptor without waiting.
@@ -97,32 +91,10 @@ func (r *Rank) IbcastNIC(root int, buf *cluster.Buffer, off, n int) openmx.Reque
 	return r.nicColl().PostBcast(r.p, root, buf, off, n)
 }
 
-// AllreduceNIC runs the firmware-offloaded allreduce regardless of
-// tuning: contributions combine segment by segment in firmware on the
-// way up the tree, and the result fans out into every rank's rbuf.
-func (r *Rank) AllreduceNIC(sbuf, rbuf *cluster.Buffer, n int) {
-	if r.Size() == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
-	}
-	r.Wait(r.IallreduceNIC(sbuf, rbuf, n))
-}
-
 // IallreduceNIC posts the firmware allreduce descriptor without
 // waiting.
 func (r *Rank) IallreduceNIC(sbuf, rbuf *cluster.Buffer, n int) openmx.Request {
 	return r.nicColl().PostAllreduce(r.p, sbuf, rbuf, n)
-}
-
-// ScanNIC runs the firmware-offloaded inclusive scan regardless of
-// tuning: each NIC adds its contribution to the incoming prefix and
-// forwards its result down the rank chain.
-func (r *Rank) ScanNIC(sbuf, rbuf *cluster.Buffer, n int) {
-	if r.Size() == 1 {
-		copy(rbuf.Bytes()[:n], sbuf.Bytes()[:n])
-		return
-	}
-	r.Wait(r.IscanNIC(sbuf, rbuf, n))
 }
 
 // IscanNIC posts the firmware scan descriptor without waiting.

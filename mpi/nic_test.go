@@ -57,13 +57,13 @@ func TestNICollHostFirmwareEquality(t *testing.T) {
 					fillPattern(bcH[r.ID], root)
 					fillPattern(bcN[r.ID], root)
 				}
-				r.BcastBinomial(root, bcH[r.ID], 0, n)
-				r.BcastNIC(root, bcN[r.ID], 0, n)
-				r.AllreduceRecursiveDoubling(sb[r.ID], arH[r.ID], n)
-				r.AllreduceNIC(sb[r.ID], arN[r.ID], n)
-				r.ScanRecursiveDoubling(sb[r.ID], scH[r.ID], n)
-				r.ScanNIC(sb[r.ID], scN[r.ID], n)
-				r.BarrierNIC()
+				r.bcast(AlgBinomial, root, bcH[r.ID], 0, n)
+				r.bcast(AlgNIC, root, bcN[r.ID], 0, n)
+				r.allreduce(AlgRecursiveDoubling, sb[r.ID], arH[r.ID], n)
+				r.allreduce(AlgNIC, sb[r.ID], arN[r.ID], n)
+				r.scan(AlgRecursiveDoubling, sb[r.ID], scH[r.ID], n)
+				r.scan(AlgNIC, sb[r.ID], scN[r.ID], n)
+				r.barrier(AlgNIC)
 			})
 			for r := 0; r < p; r++ {
 				if !cluster.Equal(bcH[r], bcN[r]) {
@@ -80,79 +80,53 @@ func TestNICollHostFirmwareEquality(t *testing.T) {
 	}
 }
 
-// TestNICollDispatcherMatchesPinned pins the offload tier both ways —
-// Offload=nic vs the pinned NIC variants, and Offload=host vs the
-// host variants — and requires the dispatcher's bytes to match the
-// pinned path's on an odd world with co-hosted ranks.
+// TestNICollDispatcherMatchesPinned runs Bcast, Allreduce, Scan and
+// Barrier on a 32-rank MXoE world, where OffloadAuto (the zero value)
+// sends a 2 KiB call to the NIC, through the dispatchers under each
+// offload setting and through the entries pinned to AlgNIC and to the
+// host algorithms. Every mode must produce the pinned NIC path's
+// bytes; the NIC-resolving dispatchers must also return when the
+// pinned NIC calls do, and OffloadHost when the pinned host calls do.
 func TestNICollDispatcherMatchesPinned(t *testing.T) {
-	const nodes, ppn = 3, 2
+	const nodes, ppn = 16, 2
 	p := nodes * ppn
 	const n = 2048
-	type result struct{ bc, ar, sc []*cluster.Buffer }
-	run := func(mode string) result {
-		c, w := worldN(t, "mxoe", nodes, ppn)
-		switch mode {
-		case "dispatch-nic":
-			w.Tune.Offload = OffloadNIC
-		case "dispatch-auto":
-			// Auto must resolve to the NIC once the world and payload
-			// thresholds admit it.
-			w.Tune.Offload = OffloadAuto
-			w.Tune.NICCollMinRanks = 2
-		case "pinned-nic", "pinned-host":
-			w.Tune.Offload = OffloadHost
-		}
-		res := result{}
-		alloc := func() []*cluster.Buffer {
-			bs := make([]*cluster.Buffer, p)
-			for r := range bs {
-				bs[r] = w.Rank(r).Host.Alloc(n)
-			}
-			return bs
-		}
-		res.bc, res.ar, res.sc = alloc(), alloc(), alloc()
-		sb := alloc()
-		runWorld(t, c, w, func(r *Rank) {
-			vals := make([]float64, n/8)
-			for i := range vals {
-				vals[i] = float64(r.ID + i + 1)
-			}
-			putFloats(sb[r.ID], vals...)
-			if r.ID == 1 {
-				fillPattern(res.bc[r.ID], 1)
-			}
-			switch mode {
-			case "pinned-nic":
-				r.BcastNIC(1, res.bc[r.ID], 0, n)
-				r.AllreduceNIC(sb[r.ID], res.ar[r.ID], n)
-				r.ScanNIC(sb[r.ID], res.sc[r.ID], n)
-				r.BarrierNIC()
-			case "pinned-host":
-				r.BcastBinomial(1, res.bc[r.ID], 0, n)
-				r.AllreduceRecursiveDoubling(sb[r.ID], res.ar[r.ID], n)
-				r.ScanRecursiveDoubling(sb[r.ID], res.sc[r.ID], n)
-				r.BarrierTree()
-			default:
-				r.Bcast(1, res.bc[r.ID], 0, n)
-				r.Allreduce(sb[r.ID], res.ar[r.ID], n)
-				r.Scan(sb[r.ID], res.sc[r.ID], n)
-				r.Barrier()
-			}
-		})
-		return res
+	if CollOffload(n, p) != OffloadNIC {
+		t.Fatalf("auto does not offload %d B on %d ranks", n, p)
 	}
-	want := run("pinned-nic")
-	for _, mode := range []string{"dispatch-nic", "dispatch-auto", "pinned-host"} {
-		got := run(mode)
+	ops := []string{"Bcast", "Allreduce", "Scan", "Barrier"}
+	run := func(offload string, algs ...string) [][]collMark {
+		c, w := worldN(t, "mxoe", nodes, ppn)
+		w.Offload = offload
+		calls := make([]collCall, len(ops))
+		for i, op := range ops {
+			calls[i] = collCall{op: op, n: n}
+			if algs != nil {
+				calls[i].alg = algs[i]
+			}
+		}
+		return collRun(t, c, w, calls)
+	}
+	pinnedNIC := run("", AlgNIC, AlgNIC, AlgNIC, AlgNIC)
+	pinnedHost := run("", AlgBinomial, AlgRecursiveDoubling, AlgRecursiveDoubling, AlgTree)
+	for _, m := range []struct {
+		name string
+		got  [][]collMark
+		same [][]collMark // the pinned run it must match call for call
+	}{
+		{"dispatch-auto", run(""), pinnedNIC},
+		{"dispatch-nic", run(OffloadNIC), pinnedNIC},
+		{"dispatch-host", run(OffloadHost), pinnedHost},
+		{"pinned-host", pinnedHost, pinnedHost},
+	} {
 		for r := 0; r < p; r++ {
-			if !cluster.Equal(want.bc[r], got.bc[r]) {
-				t.Errorf("%s rank %d: bcast bytes differ from pinned NIC", mode, r)
-			}
-			if !cluster.Equal(want.ar[r], got.ar[r]) {
-				t.Errorf("%s rank %d: allreduce bytes differ from pinned NIC", mode, r)
-			}
-			if !cluster.Equal(want.sc[r], got.sc[r]) {
-				t.Errorf("%s rank %d: scan bytes differ from pinned NIC", mode, r)
+			for i, op := range ops {
+				if m.got[r][i].sum != pinnedNIC[r][i].sum {
+					t.Errorf("%s rank %d: %s bytes differ from pinned NIC", m.name, r, op)
+				}
+				if m.got[r][i] != m.same[r][i] {
+					t.Errorf("%s rank %d: %s returned at %v, its pinned path at %v", m.name, r, op, m.got[r][i].at, m.same[r][i].at)
+				}
 			}
 		}
 	}
@@ -174,10 +148,10 @@ func TestNICollZeroByte(t *testing.T) {
 				fillPattern(wide[r], r)
 			}
 			runWorld(t, c, w, func(r *Rank) {
-				r.BcastNIC(0, bufs[r.ID], 0, 0)
-				r.AllreduceNIC(bufs[r.ID], wide[r.ID], 0)
-				r.ScanNIC(bufs[r.ID], wide[r.ID], 0)
-				r.BarrierNIC()
+				r.bcast(AlgNIC, 0, bufs[r.ID], 0, 0)
+				r.allreduce(AlgNIC, bufs[r.ID], wide[r.ID], 0)
+				r.scan(AlgNIC, bufs[r.ID], wide[r.ID], 0)
+				r.barrier(AlgNIC)
 			})
 			for r := 0; r < p; r++ {
 				for i, b := range wide[r].Bytes() {
@@ -190,54 +164,78 @@ func TestNICollZeroByte(t *testing.T) {
 	}
 }
 
-// TestNICollTuningSelection pins the offload tier's decisions.
+// TestNICollTuningSelection pins the offload tier's decisions: the
+// fixed thresholds on each side, and how World.Offload and the
+// transport's capability resolve a call.
 func TestNICollTuningSelection(t *testing.T) {
-	tn := DefaultTuning()
 	cases := []struct {
 		got, want string
 	}{
-		{tn.CollOffload(4<<10, 64, true), OffloadNIC},
-		{tn.CollOffload(4<<10, 64, false), OffloadHost}, // incapable stack
-		{tn.CollOffload(4<<10, 16, true), OffloadHost},  // below rank floor
-		{tn.CollOffload(1<<20, 64, true), OffloadHost},  // above byte cap
-		{tn.CollOffload(0, 256, true), OffloadNIC},      // barrier at scale
+		{CollOffload(4<<10, 64), OffloadNIC},
+		{CollOffload(4<<10, 32), OffloadNIC},
+		{CollOffload(4<<10, 31), OffloadHost}, // below rank floor
+		{CollOffload(4<<10, 16), OffloadHost},
+		{CollOffload(256<<10, 64), OffloadNIC},
+		{CollOffload(256<<10+8, 64), OffloadHost}, // above byte cap
+		{CollOffload(1<<20, 64), OffloadHost},
+		{CollOffload(0, 256), OffloadNIC}, // barrier at scale
 	}
 	for i, c := range cases {
 		if c.got != c.want {
 			t.Errorf("case %d: resolved %q, want %q", i, c.got, c.want)
 		}
 	}
-	tn.Offload = OffloadHost
-	if got := tn.CollOffload(4<<10, 64, true); got != OffloadHost {
-		t.Errorf("pinned host resolved %q", got)
-	}
-	tn.Offload = OffloadNIC
-	if got := tn.CollOffload(1<<20, 2, false); got != OffloadNIC {
-		t.Errorf("pinned nic resolved %q", got)
+	_, mx := world(t, "mxoe", 1)
+	_, omx := world(t, "openmx", 1)
+	for i, c := range []struct {
+		w       *World
+		offload string
+		n       int
+		want    string
+	}{
+		{mx, "", 4 << 10, "host"},           // 2 ranks: below the rank floor
+		{mx, OffloadAuto, 4 << 10, "host"},  // explicit auto
+		{mx, OffloadNIC, 1 << 20, AlgNIC},   // pinned past both thresholds
+		{omx, OffloadNIC, 0, AlgNIC},        // pinned on an incapable stack
+		{mx, OffloadHost, 0, "host"},        // pinned host
+		{omx, OffloadAuto, 4 << 10, "host"}, // incapable stack
+	} {
+		c.w.Offload = c.offload
+		if got := c.w.Rank(0).offload(c.n, "host"); got != c.want {
+			t.Errorf("tier case %d: resolved %q, want %q", i, got, c.want)
+		}
 	}
 }
 
 // TestNICollOffloadIgnoredOnHostTransport: over Open-MX (no firmware
-// collectives) the auto tier must fall back to the host algorithms
-// even when the thresholds would pick the NIC.
+// collectives) the auto tier must fall back to the host algorithms on
+// a 32-rank world, where the thresholds pick the NIC.
 func TestNICollOffloadIgnoredOnHostTransport(t *testing.T) {
-	const nodes, ppn = 4, 2
+	const nodes, ppn = 16, 2
 	p := nodes * ppn
 	const n = 256
+	if CollOffload(n, p) != OffloadNIC {
+		t.Fatalf("auto does not offload %d B on %d ranks", n, p)
+	}
 	c, w := worldN(t, "openmx", nodes, ppn)
-	w.Tune.NICCollMinRanks = 2 // auto would offload if it could
 	sb := make([]*cluster.Buffer, p)
-	rb := make([]*cluster.Buffer, p)
+	ar := make([]*cluster.Buffer, p)
+	sc := make([]*cluster.Buffer, p)
 	for r := range sb {
 		sb[r] = w.Rank(r).Host.Alloc(n)
-		rb[r] = w.Rank(r).Host.Alloc(n)
+		ar[r] = w.Rank(r).Host.Alloc(n)
+		sc[r] = w.Rank(r).Host.Alloc(n)
 	}
 	runWorld(t, c, w, func(r *Rank) {
 		putFloats(sb[r.ID], float64(r.ID+1), 10*float64(r.ID+1))
-		r.Allreduce(sb[r.ID], rb[r.ID], n)
-		r.Scan(sb[r.ID], rb[r.ID], n)
+		r.Allreduce(sb[r.ID], ar[r.ID], n)
+		r.Scan(sb[r.ID], sc[r.ID], n)
 		r.Barrier()
 	})
+	for r := 0; r < p; r++ {
+		checkSumWords(t, ar[r], p, fmt.Sprintf("allreduce rank %d", r))
+		checkSumWords(t, sc[r], r+1, fmt.Sprintf("scan rank %d", r))
+	}
 }
 
 // TestNICollLossRecovery drives every firmware collective across a
@@ -285,10 +283,10 @@ func TestNICollLossRecovery(t *testing.T) {
 					fillPattern(bc[0], 0)
 				}
 				for iter := 0; iter < 3; iter++ {
-					r.BarrierNIC()
-					r.BcastNIC(0, bc[r.ID], 0, n)
-					r.AllreduceNIC(sb[r.ID], ar[r.ID], n)
-					r.ScanNIC(sb[r.ID], sc[r.ID], n)
+					r.barrier(AlgNIC)
+					r.bcast(AlgNIC, 0, bc[r.ID], 0, n)
+					r.allreduce(AlgNIC, sb[r.ID], ar[r.ID], n)
+					r.scan(AlgNIC, sb[r.ID], sc[r.ID], n)
 				}
 			})
 			c.Run()
@@ -369,9 +367,9 @@ func TestNICollStatsAndHostCPU(t *testing.T) {
 		w.Spawn(func(r *Rank) {
 			for i := 0; i < 10; i++ {
 				if pinNIC {
-					r.BarrierNIC()
+					r.barrier(AlgNIC)
 				} else {
-					r.BarrierTree()
+					r.barrier(AlgTree)
 				}
 			}
 		})
@@ -379,7 +377,7 @@ func TestNICollStatsAndHostCPU(t *testing.T) {
 		var busy sim.Duration
 		for _, s := range stacks {
 			st := s.CPUStats()
-			busy += st.Busy() - st.Busy(mxoe.CPUAppCompute)
+			busy += st.Busy() - st.Busy(openmx.CPUAppCompute)
 		}
 		if pinNIC {
 			var posts int64

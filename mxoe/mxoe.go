@@ -7,10 +7,8 @@ package mxoe
 
 import (
 	"omxsim/cluster"
-	"omxsim/internal/cpu"
 	"omxsim/internal/hostmem"
 	"omxsim/internal/mxoe"
-	"omxsim/internal/proto"
 	"omxsim/openmx"
 	"omxsim/sim"
 )
@@ -60,26 +58,9 @@ func (s *Stack) RegStats() hostmem.RegStats { return s.s.RegStats() }
 // (see openmx.CPUStats). Native MX leaves the receive path to NIC
 // firmware, so its snapshots show essentially only user-library and
 // application-compute time — the baseline the paper's availability
-// argument is measured against.
+// argument is measured against. Its categories are openmx's
+// (openmx.CPUUserLib, ...).
 type CPUStats = openmx.CPUStats
-
-// CPUCategory labels one busy-time ledger (see CPUCategories).
-type CPUCategory = cpu.Category
-
-// The accounting categories, mirrored here so mxoe-only consumers
-// can interpret CPUStats without importing openmx.
-const (
-	CPUUserLib    = cpu.UserLib
-	CPUDriver     = cpu.DriverCmd
-	CPUBHProc     = cpu.BHProc
-	CPUBHCopy     = cpu.BHCopy
-	CPUIOATSubmit = cpu.IOATSubmit
-	CPUAppCompute = cpu.AppCompute
-	CPUOther      = cpu.Other
-)
-
-// CPUCategories returns every accounting category in ledger order.
-func CPUCategories() []CPUCategory { return cpu.Categories() }
 
 // CPUStats snapshots the host's CPU accounting since the last
 // ResetCPUStats (or the start of the run).
@@ -109,20 +90,15 @@ type request struct {
 	r *mxoe.Request
 }
 
-func (r request) Done() bool { return r.r.Done() }
-func (r request) Len() int   { return r.r.Len }
-func (r request) Sender() openmx.Addr {
-	return openmx.Addr{Host: r.r.SenderAddr.Host, EP: r.r.SenderAddr.EP}
-}
-func (r request) Match() uint64 { return r.r.MatchInfo }
+func (r request) Done() bool          { return r.r.Done() }
+func (r request) Len() int            { return r.r.Len }
+func (r request) Sender() openmx.Addr { return r.r.SenderAddr }
+func (r request) Match() uint64       { return r.r.MatchInfo }
 
-func (e *endpoint) Addr() openmx.Addr {
-	a := e.ep.Addr()
-	return openmx.Addr{Host: a.Host, EP: a.EP}
-}
+func (e *endpoint) Addr() openmx.Addr { return e.ep.Addr() }
 
 func (e *endpoint) ISend(p *sim.Proc, dst openmx.Addr, match uint64, buf *cluster.Buffer, off, n int) openmx.Request {
-	return request{e.ep.ISend(p, proto.Addr{Host: dst.Host, EP: dst.EP}, match, buf.Raw(), off, n)}
+	return request{e.ep.ISend(p, dst, match, buf.Raw(), off, n)}
 }
 
 func (e *endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *cluster.Buffer, off, n int) openmx.Request {
@@ -139,12 +115,9 @@ func (e *endpoint) Progress(p *sim.Proc) bool { return e.ep.Progress(p) }
 // endpoint's membership in the collective group defined by members
 // (every rank's endpoint address, in rank order) and returns the
 // descriptor-post API backed by the NIC's firmware state machines.
+// The group keeps members rather than copying it.
 func (e *endpoint) CollJoin(members []openmx.Addr) openmx.CollGroup {
-	ms := make([]proto.Addr, len(members))
-	for i, m := range members {
-		ms[i] = proto.Addr{Host: m.Host, EP: m.EP}
-	}
-	return collGroup{g: e.ep.CollJoin(ms)}
+	return collGroup{g: e.ep.CollJoin(members)}
 }
 
 // CollMaxBytes implements openmx.CollCapable.

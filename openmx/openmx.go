@@ -34,13 +34,7 @@ import (
 )
 
 // Addr identifies an endpoint: host name plus endpoint index.
-type Addr struct {
-	Host string
-	EP   int
-}
-
-func (a Addr) internal() proto.Addr  { return proto.Addr{Host: a.Host, EP: a.EP} }
-func fromInternal(a proto.Addr) Addr { return Addr{Host: a.Host, EP: a.EP} }
+type Addr = proto.Addr
 
 // Config selects the stack's optimizations and thresholds; it is the
 // Open-MX configuration from the paper (see internal/core.Config for
@@ -138,9 +132,10 @@ type CollGroup interface {
 // offloaded collectives (the native MXoE stack). CollJoin registers a
 // group from the full member list — every participant's endpoint
 // address in rank order; all members derive the same group identity
-// locally, with no wire traffic. Callers select offload by
-// type-asserting this interface (mpi.Tuning's Offload dimension does
-// exactly that).
+// locally, with no wire traffic, and the group keeps members: callers
+// must not modify the slice afterwards. Callers select offload by
+// type-asserting this interface (mpi's World.Offload tier does exactly
+// that).
 type CollCapable interface {
 	CollJoin(members []Addr) CollGroup
 	// CollMaxBytes is the largest payload the firmware accepts per
@@ -231,13 +226,13 @@ type request struct {
 
 func (r request) Done() bool    { return r.r.Done() }
 func (r request) Len() int      { return r.r.Len }
-func (r request) Sender() Addr  { return fromInternal(r.r.SenderAddr) }
+func (r request) Sender() Addr  { return r.r.SenderAddr }
 func (r request) Match() uint64 { return r.r.MatchInfo }
 
-func (e *endpoint) Addr() Addr { return fromInternal(e.ep.Addr()) }
+func (e *endpoint) Addr() Addr { return e.ep.Addr() }
 
 func (e *endpoint) ISend(p *sim.Proc, dst Addr, match uint64, buf *cluster.Buffer, off, n int) Request {
-	return request{e.ep.ISend(p, dst.internal(), match, buf.Raw(), off, n)}
+	return request{e.ep.ISend(p, dst, match, buf.Raw(), off, n)}
 }
 
 func (e *endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *cluster.Buffer, off, n int) Request {
