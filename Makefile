@@ -90,7 +90,9 @@ digests-full-check:
 
 # Long-run reliability battery: seeded message storms under network
 # impairment across all three stack pairings, plus the interop and
-# firmware loss tests, under the race detector. STRESS_SEEDS widens
+# firmware loss tests and the fuzz corpora of the shared protocol
+# (internal/proto: reliability window, stripe reassembly, adaptive
+# window), under the race detector. STRESS_SEEDS widens
 # the sweep (the full CI job runs the tests' default seed count).
 STRESS_SEEDS ?= 20
 stress:
@@ -102,9 +104,10 @@ stress:
 
 # Multi-NIC striping battery: the striped storms under per-lane
 # impairment and cross-NIC skew (all three stack pairings), the
-# stripe-reassembly fuzz corpus, per-NIC drop-attribution tests, the
-# multinic figure guardrails and the 1-NIC ≡ legacy-path proof, under
-# the race detector. STRESS_SEEDS widens the storm sweep.
+# stripe-reassembly fuzz corpus (internal/proto), per-NIC
+# drop-attribution tests, the multinic figure guardrails and the
+# 1-NIC ≡ legacy-path proof, under the race detector. STRESS_SEEDS
+# widens the storm sweep.
 multinic:
 	OMXSIM_STRESS_SEEDS=$(STRESS_SEEDS) $(GO) test -race -count=1 \
 		-run 'Striping|StripedLoss|StripeReassembly|MultiNIC|RingDropAttributed|1NICMatchesLegacy' \

@@ -16,9 +16,9 @@
 //   - a cleanup routine bounds the pool of skbuffs queued behind
 //     pending copies, invoked whenever a new pull block is requested
 //     and on retransmission timeouts (Section III-B);
-//   - small and medium fragments may optionally be offloaded
-//     synchronously (Config.IOATSyncMedium; the paper measured this to
-//     be a loss, which the model reproduces);
+//   - small and medium fragments are always copied by memcpy: each
+//     raises its own event, so an offload of theirs would have to be
+//     synchronous (Section III-C);
 //   - local (intra-node) messages use a one-copy transfer inside a
 //     system call, performed by memcpy or, beyond a threshold, by a
 //     blocking I/OAT copy (Config.IOATShm, Section III-C, Figure 10).
@@ -41,10 +41,6 @@ import (
 type Config struct {
 	// IOAT offloads large-message receive copies asynchronously.
 	IOAT bool
-	// IOATSyncMedium also offloads medium-fragment copies,
-	// synchronously (the paper's Section IV-C experiment — a
-	// measured regression, reproduced here).
-	IOATSyncMedium bool
 	// IOATShm offloads the one-copy local communication beyond
 	// ShmIOATThreshold, busy-polling completion.
 	IOATShm bool

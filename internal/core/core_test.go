@@ -117,15 +117,6 @@ func TestSkipBHCopyStillDeliversBytes(t *testing.T) {
 	sendRecv(t, pr, 1<<20)
 }
 
-func TestIOATSyncMediumPath(t *testing.T) {
-	cfg := Config{IOATSyncMedium: true}
-	pr := newPair(t, cfg, cfg)
-	sendRecv(t, pr, 16*1024)
-	if pr.sb.Stats.IOATSubmits == 0 {
-		t.Fatal("medium fragments not offloaded")
-	}
-}
-
 func TestUnexpectedEagerThenRecv(t *testing.T) {
 	pr := newPair(t, Config{}, Config{})
 	n := 8192
@@ -552,10 +543,8 @@ func TestPropertyAnySizeIntegrity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(1 << 19)
-		cfg := Config{
-			IOAT:           rng.Intn(2) == 0,
-			IOATSyncMedium: rng.Intn(2) == 0,
-		}
+		cfg := Config{IOAT: rng.Intn(2) == 0}
+		rng.Intn(2) // once drew a since-deleted option; kept so every later draw is unchanged
 		e := sim.New()
 		defer e.Close()
 		p := platform.Clovertown()

@@ -111,34 +111,27 @@ type uxMsg struct {
 	lm     *localMsg
 }
 
-// rxChan is the receive-side state from one remote endpoint:
-// reassembly, cumulative-ack tracking and the deferred-ack timer.
+// rxChan is the receive-side state from one remote endpoint: the
+// shared channel (window and fragment dedup), into which the bottom
+// half accepts fragments and in which the library completes messages;
+// the library's reassemblies; and the deferred-ack state.
 type rxChan struct {
-	src proto.Addr
-	// win is the shared cumulative completion window (the wire
-	// semantics both stacks must agree on live in internal/proto).
-	win proto.Window
-	asm map[uint32]*assembly
-	// fragSeen is the driver-side per-message fragment bitmap:
-	// retransmitted duplicates of individual fragments are dropped in
-	// the bottom half, before they can consume a ring slot or queue
-	// an event the library might never process (entries retire when
-	// the message completes and win.IsDup takes over).
-	fragSeen    map[uint32]uint64
+	proto.RxChan
+	src         proto.Addr
+	asm         map[uint32]*assembly
 	lastAckSent uint32
 	ackTimer    sim.Timer
 }
 
+// assembly is the library's reassembly of one eager message.
 type assembly struct {
-	src     proto.Addr
-	seq     uint32
-	match   uint64
-	msgLen  int
-	fragCnt int
-	got     uint64
-	arrived int
-	dst     *Request        // matched posted receive, nil if unexpected
-	tmp     *hostmem.Buffer // unexpected storage
+	proto.Reassembly
+	src    proto.Addr
+	seq    uint32
+	match  uint64
+	msgLen int
+	dst    *Request        // matched posted receive, nil if unexpected
+	tmp    *hostmem.Buffer // unexpected storage
 }
 
 // OpenEndpoint creates endpoint id bound to the given core. Endpoint
@@ -197,10 +190,9 @@ func (ep *Endpoint) rxChan(src proto.Addr) *rxChan {
 	c := ep.rxChans[src]
 	if c == nil {
 		c = &rxChan{
-			src:      src,
-			win:      proto.NewWindow(),
-			asm:      make(map[uint32]*assembly),
-			fragSeen: make(map[uint32]uint64),
+			RxChan: proto.RxChan{Window: proto.NewWindow()},
+			src:    src,
+			asm:    make(map[uint32]*assembly),
 		}
 		ep.rxChans[src] = c
 	}
@@ -223,8 +215,8 @@ func (ep *Endpoint) takeAck(dst proto.Addr) uint32 {
 	}
 	c.ackTimer.Stop()
 	c.ackTimer = sim.Timer{}
-	c.lastAckSent = c.win.Edge()
-	return c.win.Edge()
+	c.lastAckSent = c.Edge()
+	return c.Edge()
 }
 
 // ---------------------------------------------------------------------
@@ -293,8 +285,8 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	}
 	if claim != nil {
 		claim.dst = r
-		if claim.arrived > 0 && claim.tmp != nil {
-			ep.claimArrived(p, r, claim.got, claim.arrived, claim.msgLen, claim.tmp)
+		if claim.Arrived > 0 && claim.tmp != nil {
+			ep.claimArrived(p, r, claim)
 		}
 		claim.tmp = nil
 		return r
@@ -311,10 +303,10 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 // cross-NIC skew still in flight — each arrived fragment is copied at
 // its own offset, because a prefix copy would silently drop data that
 // arrived beyond the first hole and will never be retransmitted.
-func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, got uint64, arrived, msgLen int, tmp *hostmem.Buffer) {
-	limit := min(msgLen, r.n)
-	for _, run := range proto.CopyPlan(got, arrived, proto.MediumFragSize, limit, true) {
-		d := ep.S.H.Copy.Memcpy(r.buf, r.off+run.Off, tmp, run.Off, run.N, ep.Core)
+func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, a *assembly) {
+	limit := min(a.msgLen, r.n)
+	for _, run := range proto.CopyPlan(a.Got, a.Arrived, proto.MediumFragSize, limit, true) {
+		d := ep.S.H.Copy.Memcpy(r.buf, r.off+run.Off, a.tmp, run.Off, run.N, ep.Core)
 		ep.core().RunOn(p, cpu.UserLib, d)
 	}
 }
@@ -385,7 +377,7 @@ func (ep *Endpoint) handleEvent(p *sim.Proc, ev *event) {
 // Figure 2), reassemble, complete.
 func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	c := ep.rxChan(ev.src)
-	if c.win.IsDup(ev.seq) {
+	if c.IsDup(ev.seq) {
 		// Duplicate of a fully received message that slipped past the
 		// driver check (completed between BH and library processing):
 		// drop payload, make sure an ack goes out.
@@ -396,7 +388,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	}
 	a := c.asm[ev.seq]
 	if a == nil {
-		a = &assembly{src: ev.src, seq: ev.seq, match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
+		a = &assembly{Reassembly: proto.Reassembly{Frags: ev.fragCnt}, src: ev.src, seq: ev.seq, match: ev.match, msgLen: ev.msgLen}
 		// Match against posted receives at first sight of the message.
 		for i, r := range ep.posted {
 			if proto.Matches(r.match, r.mask, ev.match) {
@@ -410,14 +402,11 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		}
 		c.asm[ev.seq] = a
 	}
-	bit := uint64(1) << ev.fragID
-	if a.got&bit != 0 {
+	if !a.Mark(ev.fragID) {
 		ep.releaseSlot(ev)
 		ep.S.Stats.DupFrags++
 		return
 	}
-	a.got |= bit
-	a.arrived++
 
 	// Copy the payload to its destination (user buffer if matched,
 	// temporary storage otherwise).
@@ -444,9 +433,9 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	}
 	ep.releaseSlot(ev)
 
-	if a.arrived == a.fragCnt {
+	if a.Done() {
 		delete(c.asm, ev.seq)
-		c.markComplete(ev.seq)
+		c.Complete(ev.seq)
 		if a.dst != nil {
 			ep.completeRecv(a.dst, a.src, a.match, min(a.msgLen, a.dst.n))
 		} else {
@@ -474,10 +463,10 @@ func (ep *Endpoint) completeRecv(r *Request, src proto.Addr, match uint64, n int
 // reliability), then match or queue it.
 func (ep *Endpoint) handleRndv(p *sim.Proc, ev *event) {
 	c := ep.rxChan(ev.src)
-	if c.win.IsDup(ev.seq) {
+	if c.IsDup(ev.seq) {
 		return // duplicate
 	}
-	c.markComplete(ev.seq)
+	c.Complete(ev.seq)
 	ep.scheduleAck(c)
 	u := &uxMsg{kind: uxRndv, src: ev.src, match: ev.match, seq: ev.seq, msgLen: ev.msgLen, handle: ev.handle}
 	for i, r := range ep.posted {
@@ -526,11 +515,7 @@ func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, r *Request) {
 	frags := proto.MediumFragsOf(r.n)
 	ack := ep.takeAck(dst)
 	for f := 0; f < frags; f++ {
-		fo := f * proto.MediumFragSize
-		fl := min(proto.MediumFragSize, r.n-fo)
-		if r.n <= proto.SmallMax {
-			fl = r.n
-		}
+		fo, fl := proto.MediumFrag(r.n, f)
 		var payload []byte
 		if fl > 0 {
 			payload = make([]byte, fl)

@@ -83,9 +83,8 @@ func (s *Stack) applyAck(p *sim.Proc, core *cpu.Core, epID int, from proto.Addr,
 }
 
 // rxEager handles a tiny/small/medium fragment: copy it into the
-// endpoint's statically pinned receive ring (first copy of Figure 2) —
-// by memcpy, or synchronously through I/OAT when IOATSyncMedium is set
-// (the paper's measured regression) — then report a per-fragment event.
+// endpoint's statically pinned receive ring by memcpy (first copy of
+// Figure 2), then report a per-fragment event.
 func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eager) {
 	defer skb.Free()
 	s.applyAck(p, core, m.Dst.EP, m.Src, m.AckSeq)
@@ -99,12 +98,12 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 	// never saw it. This must not depend on the application calling
 	// into the library: acks are a transport responsibility.
 	ch := ep.rxChan(m.Src)
-	if ch.win.IsDup(m.Seq) {
+	if ch.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		ep.forceAck(ch)
 		return
 	}
-	if ch.fragSeenBefore(m.Seq, m.FragID) {
+	if ch.FragSeen(m.Seq, m.FragID) {
 		// A retransmitted fragment of a message still assembling:
 		// the original already holds a ring slot and queued its
 		// event, so this copy must not consume either.
@@ -121,7 +120,7 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 	case m.MsgLen <= proto.TinyMax && m.FragCount == 1:
 		// Tiny: payload rides inline in the event; the copy is the
 		// event write itself.
-		ch.markFrag(m.Seq, m.FragID)
+		ch.Accept(m.Seq, m.FragID, m.FragCount)
 		if n > 0 {
 			ev.inline = make([]byte, n)
 			skb.Buf.ReadAt(ev.inline, 0)
@@ -135,19 +134,12 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 			s.Stats.RingDrops++
 			return // dropped (and not recorded); retransmission recovers
 		}
-		ch.markFrag(m.Seq, m.FragID)
+		ch.Accept(m.Seq, m.FragID, m.FragCount)
 		ev.slot = slot
 		off := ep.slotOff(slot)
-		switch {
-		case s.Cfg.SkipBHCopy:
+		if s.Cfg.SkipBHCopy {
 			hostmem.Copy(ep.ring, off, skb.Buf, 0, n)
-		case s.Cfg.IOATSyncMedium && n >= s.Cfg.IOATMinFrag:
-			// Synchronous offload: submit, then busy-poll completion.
-			// All fragment copies of small/medium messages must be
-			// synchronous because each fragment raises its own event
-			// (Section III-C).
-			s.ioatSyncCopy(p, core, cpu.BHCopy, ep, slot, skb, n)
-		default:
+		} else {
 			d := s.H.Copy.Memcpy(ep.ring, off, skb.Buf, 0, n, core.ID)
 			core.RunOn(p, cpu.BHCopy, d)
 		}
@@ -160,21 +152,6 @@ func (s *Stack) rxEager(p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *proto.Eage
 // (cold memcpy with the DMA snoop penalty).
 func bhTinyRate(s *Stack) platform.Rate {
 	return platform.Rate(float64(s.H.P.MemcpyColdRate) * s.H.P.DMAColdPenalty)
-}
-
-// ioatSyncCopy performs one synchronous (blocking) I/OAT copy of a
-// fragment into a receive-ring slot: submission cost, then the CPU
-// busy-polls until the engine retires the descriptors.
-func (s *Stack) ioatSyncCopy(p *sim.Proc, core *cpu.Core, cat cpu.Category, ep *Endpoint, slot int, skb *nic.Skb, n int) {
-	off := ep.slotOff(slot)
-	ndesc := s.H.IOAT.PageDescs(off, n)
-	ch := s.H.IOAT.PickChannel()
-	core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(ndesc))
-	s.Stats.IOATSubmits += int64(ndesc)
-	seq := ch.SubmitPages(ep.ring, off, skb.Buf, 0, n, nil)
-	core.RunOnDyn(p, cat, func(finish func(extra sim.Duration)) {
-		ch.NotifyAt(seq, func() { finish(s.H.IOAT.PollCost()) })
-	})
 }
 
 // rxRndv handles a rendezvous request: deduplicate, then report it to
@@ -470,7 +447,7 @@ func (lp *largePull) retryBlock(blk *proto.PullBlock) {
 // (piggybacking on reverse traffic usually wins the race and disarms
 // it via takeAck).
 func (ep *Endpoint) scheduleAck(c *rxChan) {
-	if c.win.Edge() == c.lastAckSent || c.ackTimer.Pending() {
+	if c.Edge() == c.lastAckSent || c.ackTimer.Pending() {
 		return
 	}
 	ep.armAckTimer(c, false)
@@ -489,11 +466,11 @@ func (ep *Endpoint) armAckTimer(c *rxChan, force bool) {
 	s := ep.S
 	c.ackTimer = s.H.E.Schedule(deferredAckDelay, func() {
 		c.ackTimer = sim.Timer{}
-		if !force && c.win.Edge() == c.lastAckSent {
+		if !force && c.Edge() == c.lastAckSent {
 			return
 		}
-		c.lastAckSent = c.win.Edge()
-		s.Transmit(c.src, &proto.Ack{Src: c.src, Dst: ep.Addr(), AckSeq: c.win.Edge()}, nil)
+		c.lastAckSent = c.Edge()
+		s.Transmit(c.src, &proto.Ack{Src: c.src, Dst: ep.Addr(), AckSeq: c.Edge()}, nil)
 		s.Stats.AcksSent++
 	})
 }

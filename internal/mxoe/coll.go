@@ -293,9 +293,9 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 			return req
 		}
 		// Deposit whatever arrived before the post.
-		if c.down.cnt != 0 {
+		if c.down.Frags != 0 {
 			for fid := 0; fid < c.frags; fid++ {
-				if c.down.got&(uint64(1)<<uint(fid)) != 0 {
+				if c.down.Got&(uint64(1)<<uint(fid)) != 0 {
 					s.collDeposit(c, fid, fragOf(c.down.data, c.n, fid))
 				}
 			}
@@ -369,31 +369,17 @@ type collLand struct {
 }
 
 // collVec assembles one fragmented tree payload (a child contribution
-// or the down data), with the duplicate-suppression bitmap. The zero
-// value is a vector the call has not opened yet.
+// or the down data); the embedded bitmap suppresses duplicates. The
+// zero value, with Frags 0, is a vector the call has not opened yet.
 type collVec struct {
-	data    []byte // the payload's n bytes, from the group's pool
-	got     uint64
-	arrived int
-	cnt     int // fragments expected, 0 until opened
+	proto.Reassembly
+	data []byte // the payload's n bytes, from the group's pool
 }
 
 // open starts assembling cnt fragments into data.
 func (v *collVec) open(cnt int, data []byte) {
-	*v = collVec{data: data, cnt: cnt}
+	*v = collVec{Reassembly: proto.Reassembly{Frags: cnt}, data: data}
 }
-
-func (v *collVec) mark(frag int) bool {
-	bit := uint64(1) << uint(frag)
-	if v.got&bit != 0 {
-		return false
-	}
-	v.got |= bit
-	v.arrived++
-	return true
-}
-
-func (v *collVec) done() bool { return v.arrived == v.cnt }
 
 // stash copies an arrived fragment into the vector's buffer.
 func (v *collVec) stash(off int, data []byte) {
@@ -404,11 +390,10 @@ func (v *collVec) stash(off int, data []byte) {
 // The view is cap-limited: nothing can append into the next fragment
 // through it.
 func fragOf(b []byte, n, fid int) []byte {
-	ln := collFragLen(n, fid)
-	if ln == 0 {
+	off, ln := proto.MediumFrag(n, fid)
+	if ln <= 0 {
 		return nil
 	}
-	off := fid * proto.MediumFragSize
 	return b[off : off+ln : off+ln]
 }
 
@@ -498,7 +483,7 @@ func (g *CollGroup) newCall(seq uint32, op proto.CollOp, root, n int) *collCall 
 		c = &collCall{g: g, outs: make(map[collOutKey]*collOut)}
 	}
 	c.seq, c.op, c.root, c.n = seq, op, root, n
-	c.frags = proto.CollFragsOf(n)
+	c.frags = proto.MediumFragsOf(n)
 	c.parent = -1
 	c.startedAt = g.ep.S.H.E.Now()
 	c.initTree()
@@ -550,16 +535,6 @@ func (c *collCall) initTree() {
 		}
 	}
 	c.upv = fit(c.upv, len(c.children))
-}
-
-// collFragLen is the payload length of fragment fid of an n-byte
-// collective payload.
-func collFragLen(n, fid int) int {
-	off := fid * proto.MediumFragSize
-	if n <= off {
-		return 0
-	}
-	return min(proto.MediumFragSize, n-off)
 }
 
 // combineDelay is the firmware time to sum bytes of reduction input
@@ -631,15 +606,15 @@ func (s *Stack) fwCollUp(c *collCall, m *proto.CollData, data []byte) {
 		return // not a child in this call's tree: nothing to combine
 	}
 	v := &c.upv[i]
-	if v.cnt == 0 {
+	if v.Frags == 0 {
 		v.open(m.FragCount, c.g.take(c.n))
 	}
-	if !v.mark(m.FragID) {
+	if !v.Mark(m.FragID) {
 		s.Stats.Coll.DupFrags++
 		return
 	}
 	v.stash(m.Offset, data)
-	if !v.done() {
+	if !v.Done() {
 		return
 	}
 	c.haveUp++
@@ -652,10 +627,10 @@ func (s *Stack) fwCollUp(c *collCall, m *proto.CollData, data []byte) {
 // (store-and-forward pipelining, no wait for the local post) and
 // DMA-deposited into the posted destination.
 func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
-	if c.down.cnt == 0 {
+	if c.down.Frags == 0 {
 		c.down.open(c.frags, c.g.take(c.n))
 	}
-	if !c.down.mark(m.FragID) {
+	if !c.down.Mark(m.FragID) {
 		s.Stats.Coll.DupFrags++
 		return
 	}
@@ -668,7 +643,7 @@ func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
 		// forwarding, no deposit — advance runs the combine when both
 		// the prefix and the local post are in.
 		c.down.stash(m.Offset, data)
-		if c.down.done() {
+		if c.down.Done() {
 			c.haveDown = true
 			s.collAdvance(c)
 		}
@@ -679,7 +654,7 @@ func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
 		if c.posted {
 			s.collDeposit(c, m.FragID, frag)
 		}
-		if c.down.done() {
+		if c.down.Done() {
 			c.haveDown = true
 		}
 	}

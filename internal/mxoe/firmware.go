@@ -83,10 +83,12 @@ func (s *Stack) fwAck(m *proto.Ack) {
 
 // fwEager deposits an eager fragment into the endpoint's receive
 // queue by DMA and raises a completion event; the library does the
-// single copy to the destination after matching. The firmware window
-// suppresses duplicates (re-acking completed messages, since a
-// duplicate proves the sender missed the ack) and tracks per-message
-// fragment bitmaps so retransmissions never double-deliver.
+// single copy to the destination after matching. The firmware's
+// receive channel suppresses duplicates (re-acking completed messages,
+// since a duplicate proves the sender missed the ack) and tracks
+// per-message fragment bitmaps so retransmissions never
+// double-deliver; the firmware completes a message in it as soon as
+// its last fragment has a queue slot.
 func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	ep := s.endpoints[m.Dst.EP]
 	if ep == nil {
@@ -96,19 +98,13 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
 	}
 	ch := ep.mxRx(m.Src)
-	if ch.win.IsDup(m.Seq) {
+	if ch.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		// The sender clearly lost our ack: refresh it immediately.
-		s.Transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.win.Edge()}, nil)
+		s.Transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.Edge()}, nil)
 		return
 	}
-	a := ch.asm[m.Seq]
-	if a == nil {
-		a = &fwAsm{cnt: m.FragCount}
-		ch.asm[m.Seq] = a
-	}
-	bit := uint64(1) << uint(m.FragID)
-	if a.got&bit != 0 {
+	if ch.FragSeen(m.Seq, m.FragID) {
 		s.Stats.DupFrags++
 		return
 	}
@@ -118,11 +114,8 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.Stats.QueueDrops++
 		return
 	}
-	a.got |= bit
-	a.arrived++
-	if a.arrived == a.cnt {
-		delete(ch.asm, m.Seq)
-		ch.win.MarkComplete(m.Seq)
+	if ch.Accept(m.Seq, m.FragID, m.FragCount) {
+		ch.Complete(m.Seq)
 	}
 	slot := ep.freeSlots[len(ep.freeSlots)-1]
 	ep.freeSlots = ep.freeSlots[:len(ep.freeSlots)-1]
@@ -157,7 +150,7 @@ func (s *Stack) fwRndv(m *proto.RndvRequest) {
 	}
 	// A rendezvous consumes a sequence number on the eager channel so
 	// cumulative acks can advance across it.
-	ep.mxRx(m.Src).win.MarkComplete(m.Seq)
+	ep.mxRx(m.Src).MarkComplete(m.Seq)
 	s.H.E.Schedule(sim.Duration(s.H.P.MXFirmwareMatchCost), func() {
 		ep.pushEvent(&event{kind: evRndv, src: m.Src, match: m.Match, seq: m.Seq,
 			msgLen: m.MsgLen, handle: m.SenderHandle})
@@ -248,14 +241,14 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 		dstOff := lp.Off + m.Offset
 		lp.Buf.WriteAt(f.Data, dstOff)
 		s.deposit(lp.ep, lp.Buf, n)
-		lp.arrived++
+		lp.deposited++
 		// When another block's worth of fragments has landed, ask for
 		// the next outstanding block (two are pipelined). Adaptive
 		// transfers refill at block completion instead (above).
-		if lp.AW == nil && lp.arrived%mxBlockFrags == 0 && lp.More() {
+		if lp.AW == nil && lp.deposited%mxBlockFrags == 0 && lp.More() {
 			s.PullNext(&lp.RndvPull)
 		}
-		if lp.arrived == lp.Frags {
+		if lp.deposited == lp.Frags {
 			delete(s.pulls, lp.Handle)
 			lp.req.Len = lp.N
 			s.FinishPull(&lp.RndvPull)

@@ -153,7 +153,7 @@ type Endpoint struct {
 
 	// Firmware reliability state, per peer.
 	tx map[proto.Addr]*proto.TxChan[eagerFrames]
-	rx map[proto.Addr]*mxRxChan
+	rx map[proto.Addr]*proto.RxChan
 }
 
 // Request is an in-flight MX operation.
@@ -224,14 +224,13 @@ type asmKey struct {
 	seq uint32
 }
 
+// assembly is the library's reassembly of one eager message.
 type assembly struct {
-	match   uint64
-	msgLen  int
-	fragCnt int
-	got     uint64
-	arrived int
-	dst     *Request
-	tmp     *hostmem.Buffer
+	proto.Reassembly
+	match  uint64
+	msgLen int
+	dst    *Request
+	tmp    *hostmem.Buffer
 }
 
 // mxSend is the sender side of a rendezvous: the shared state
@@ -246,9 +245,9 @@ type mxSend struct {
 // plus the count of fragments the NIC has deposited.
 type mxPull struct {
 	proto.RndvPull
-	ep      *Endpoint
-	req     *Request
-	arrived int
+	ep        *Endpoint
+	req       *Request
+	deposited int
 }
 
 // OpenEndpoint creates endpoint id bound to a core.
@@ -262,7 +261,7 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		evSig: sim.NewSignal(),
 		asm:   make(map[asmKey]*assembly),
 		tx:    make(map[proto.Addr]*proto.TxChan[eagerFrames]),
-		rx:    make(map[proto.Addr]*mxRxChan),
+		rx:    make(map[proto.Addr]*proto.RxChan),
 	}
 	ep.freeSlots = make([]int, proto.RingSlots)
 	for i := range ep.freeSlots {
@@ -310,11 +309,7 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 	frags := proto.MediumFragsOf(n)
 	var u eagerFrames
 	for f := 0; f < frags; f++ {
-		fo := f * proto.MediumFragSize
-		fl := min(proto.MediumFragSize, n-fo)
-		if n <= proto.SmallMax {
-			fl = n
-		}
+		fo, fl := proto.MediumFrag(n, f)
 		var payload []byte
 		if fl > 0 {
 			payload = make([]byte, fl)
@@ -376,8 +371,8 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 	}
 	if claim != nil {
 		claim.dst = r
-		if claim.arrived > 0 && claim.tmp != nil {
-			ep.claimArrived(p, r, claim.got, claim.msgLen, claim.tmp)
+		if claim.Arrived > 0 && claim.tmp != nil {
+			ep.claimArrived(p, r, claim)
 		}
 		claim.tmp = nil
 		return r
@@ -391,10 +386,10 @@ func (ep *Endpoint) IRecv(p *sim.Proc, match, mask uint64, buf *hostmem.Buffer, 
 // proto.CopyPlan (arrivals need not be contiguous once retransmission
 // or cross-NIC striping is involved; this library always copies
 // per fragment, unlike Open-MX's merged-prefix fast path).
-func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, got uint64, msgLen int, tmp *hostmem.Buffer) {
-	limit := min(msgLen, r.n)
-	for _, run := range proto.CopyPlan(got, 0, proto.MediumFragSize, limit, false) {
-		d := ep.S.H.Copy.Memcpy(r.buf, r.off+run.Off, tmp, run.Off, run.N, ep.Core)
+func (ep *Endpoint) claimArrived(p *sim.Proc, r *Request, a *assembly) {
+	limit := min(a.msgLen, r.n)
+	for _, run := range proto.CopyPlan(a.Got, a.Arrived, proto.MediumFragSize, limit, false) {
+		d := ep.S.H.Copy.Memcpy(r.buf, r.off+run.Off, a.tmp, run.Off, run.N, ep.Core)
 		ep.core().RunOn(p, cpu.UserLib, d)
 	}
 }
@@ -482,7 +477,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	key := asmKey{src: ev.src, seq: ev.seq}
 	a := ep.asm[key]
 	if a == nil {
-		a = &assembly{match: ev.match, msgLen: ev.msgLen, fragCnt: ev.fragCnt}
+		a = &assembly{Reassembly: proto.Reassembly{Frags: ev.fragCnt}, match: ev.match, msgLen: ev.msgLen}
 		for i, r := range ep.posted {
 			if proto.Matches(r.match, r.mask, ev.match) {
 				ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
@@ -495,10 +490,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		}
 		ep.asm[key] = a
 	}
-	bit := uint64(1) << ev.fragID
-	if a.got&bit == 0 {
-		a.got |= bit
-		a.arrived++
+	if a.Mark(ev.fragID) {
 		dstBuf, dstOff, limit := a.tmp, ev.offset, ev.msgLen
 		if a.dst != nil {
 			dstBuf, dstOff = a.dst.buf, a.dst.off+ev.offset
@@ -516,7 +508,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 	if ev.slot >= 0 {
 		ep.freeSlots = append(ep.freeSlots, ev.slot)
 	}
-	if a.arrived == a.fragCnt {
+	if a.Done() {
 		delete(ep.asm, key)
 		if a.dst != nil {
 			a.dst.Len = min(a.msgLen, a.dst.n)
@@ -532,7 +524,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		// covers ev.seq (and anything completed before it).
 		ack := ev.seq
 		if ch := ep.rx[ev.src]; ch != nil {
-			ack = ch.win.Edge()
+			ack = ch.Edge()
 		}
 		ep.S.Transmit(ev.src, &proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack}, nil)
 	}

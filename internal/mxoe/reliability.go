@@ -36,22 +36,6 @@ type eagerFrames struct {
 	loads [][]byte
 }
 
-// mxRxChan is the firmware's per-(endpoint, peer) receive window:
-// the shared cumulative completion window plus per-message fragment
-// bitmaps for duplicate suppression.
-type mxRxChan struct {
-	win proto.Window
-	asm map[uint32]*fwAsm
-}
-
-// fwAsm tracks which fragments of one in-flight eager message the
-// firmware has accepted.
-type fwAsm struct {
-	got     uint64
-	arrived int
-	cnt     int
-}
-
 // mxTx returns (creating on demand) the firmware tx channel to dst.
 func (ep *Endpoint) mxTx(dst proto.Addr) *proto.TxChan[eagerFrames] {
 	tc := ep.tx[dst]
@@ -62,11 +46,12 @@ func (ep *Endpoint) mxTx(dst proto.Addr) *proto.TxChan[eagerFrames] {
 	return tc
 }
 
-// mxRx returns (creating on demand) the firmware rx window from src.
-func (ep *Endpoint) mxRx(src proto.Addr) *mxRxChan {
+// mxRx returns (creating on demand) the firmware receive channel from
+// src: the shared window and fragment dedup.
+func (ep *Endpoint) mxRx(src proto.Addr) *proto.RxChan {
 	c := ep.rx[src]
 	if c == nil {
-		c = &mxRxChan{win: proto.NewWindow(), asm: make(map[uint32]*fwAsm)}
+		c = &proto.RxChan{Window: proto.NewWindow()}
 		ep.rx[src] = c
 	}
 	return c

@@ -191,24 +191,6 @@ func TestMxTxChanCumulativeAckWraparound(t *testing.T) {
 	}
 }
 
-func TestMxRxChanWindowWraparound(t *testing.T) {
-	c := &mxRxChan{win: proto.NewWindowAt(^uint32(0) - 1), asm: make(map[uint32]*fwAsm)}
-	c.win.MarkComplete(^uint32(0)) // wraps past 0 → edge must land on last pre-wrap seq
-	if c.win.Edge() != ^uint32(0) {
-		t.Fatalf("edge %d, want %d", c.win.Edge(), ^uint32(0))
-	}
-	if c.win.IsDup(1) {
-		t.Fatal("first post-wrap seq wrongly flagged dup")
-	}
-	c.win.MarkComplete(1)
-	if c.win.Edge() != 1 {
-		t.Fatalf("edge %d after wrap, want 1 (skipping sentinel 0)", c.win.Edge())
-	}
-	if !c.win.IsDup(^uint32(0)) || !c.win.IsDup(1) {
-		t.Fatal("completed seqs not flagged dup after wrap")
-	}
-}
-
 // TestManyPeersIndependentWindows: channels are per (endpoint, peer);
 // a storm from several peers must not cross-contaminate windows.
 func TestManyPeersIndependentWindows(t *testing.T) {

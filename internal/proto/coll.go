@@ -73,13 +73,3 @@ type CollAck struct {
 	SrcRank  int
 	FragID   int
 }
-
-// CollFragsOf reports how many fragments an n-byte collective payload
-// needs (at least one: barriers and zero-byte payloads still take one
-// control frame per hop).
-func CollFragsOf(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return (n + MediumFragSize - 1) / MediumFragSize
-}

@@ -14,6 +14,9 @@
 //   - the eager transmit channel (TxChan, txchan.go): sequence
 //     issue, the unacked list, cumulative-ack processing with Karn's
 //     rule, and the backed-off retransmission timer;
+//   - the eager receive channel (RxChan, rxchan.go): the cumulative
+//     window plus the fragment bitmaps of the messages still
+//     assembling — window and fragment duplicate suppression;
 //   - the rendezvous state machines (rndv.go): the sender's request
 //     watchdog and first-pull RTT sample, and the receiver's pull
 //     blocks — fragment accept, block timers, block completion and
@@ -140,11 +143,17 @@ func FragsOf(n int) int {
 	return (n + LargeFragSize - 1) / LargeFragSize
 }
 
-// MediumFragsOf reports how many fragments an eager message of n bytes
-// needs (at least one, even for zero-byte messages).
+// MediumFragsOf reports how many fragments an eager message or a
+// collective payload of n bytes needs (at least one: zero-byte
+// messages and barriers still take one frame).
 func MediumFragsOf(n int) int {
-	if n <= SmallMax {
-		return 1
-	}
-	return (n + MediumFragSize - 1) / MediumFragSize
+	return max(1, (n+MediumFragSize-1)/MediumFragSize)
+}
+
+// MediumFrag reports the payload offset and length of fragment f of
+// an n-byte eager message or collective payload: every fragment but
+// the last carries MediumFragSize bytes.
+func MediumFrag(n, f int) (off, ln int) {
+	off = f * MediumFragSize
+	return off, min(MediumFragSize, n-off)
 }

@@ -8,11 +8,14 @@ import "fmt"
 // arrive arbitrarily interleaved: lanes queue independently, one lane
 // may be impaired while another is clean, and retransmissions overtake
 // fresh data. Reassembly therefore cannot assume contiguous arrival
-// anywhere — the bitmap below is the single bookkeeping primitive both
-// stacks (eager assembly, pull blocks) use, and CopyPlan turns an
-// arbitrary arrival bitmap into the exact set of copies needed to move
-// what arrived, holes and all. FuzzStripeReassembly drives these
-// against a shadow model over adversarial cross-lane interleavings.
+// anywhere — the bitmap below is the single bookkeeping primitive
+// behind every per-message fragment set in both stacks: the eager
+// receive channel's dedup bitmaps (RxChan), both libraries' eager
+// assemblies, the pull blocks (PullBlock) and MXoE's collective
+// payload vectors. CopyPlan turns an arbitrary arrival bitmap into the
+// exact set of copies needed to move what arrived, holes and all.
+// FuzzStripeReassembly drives these against a shadow model over
+// adversarial cross-lane interleavings.
 
 // Reassembly tracks which fragments of one message (or one pull
 // block) have been accepted. Fragment identifiers are 0-based and

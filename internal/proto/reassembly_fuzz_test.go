@@ -1,13 +1,9 @@
-package core
+package proto
 
-import (
-	"testing"
-
-	"omxsim/internal/proto"
-)
+import "testing"
 
 // FuzzStripeReassembly drives the shared reassembly primitives
-// (proto.Reassembly, proto.CopyPlan) with adversarial cross-NIC
+// (Reassembly, CopyPlan) with adversarial cross-NIC
 // fragment interleavings against a shadow model. The input program
 // picks a lane count and fragment count, assigns fragments to lanes
 // round-robin exactly like the striping transmit path, then replays
@@ -65,7 +61,7 @@ func FuzzStripeReassembly(f *testing.F) {
 			queues[frag%lanes] = append(queues[frag%lanes], frag)
 		}
 
-		r := proto.NewReassembly(frags)
+		r := NewReassembly(frags)
 		shadow := make(map[int]bool)
 
 		deliver := func(frag int) {
@@ -123,7 +119,7 @@ func FuzzStripeReassembly(f *testing.F) {
 		}
 		for _, merge := range []bool{true, false} {
 			covered := make([]bool, frags*fragSize)
-			for _, run := range proto.CopyPlan(r.Got, r.Arrived, fragSize, limit, merge) {
+			for _, run := range CopyPlan(r.Got, r.Arrived, fragSize, limit, merge) {
 				if run.N <= 0 || run.Off < 0 || run.Off+run.N > limit {
 					t.Fatalf("merge=%v: run %+v outside destination limit %d", merge, run, limit)
 				}

@@ -1,16 +1,11 @@
-package core
+package proto
 
-import (
-	"testing"
-
-	"omxsim/internal/proto"
-)
+import "testing"
 
 // FuzzReliabilityWindow drives the receive window and the transmit
-// channel both stacks share (proto.Window, proto.TxChan) with an
-// arbitrary operation
-// program, starting just below the 32-bit sequence wraparound so
-// every run crosses it. Operations: issue a new sequence, deliver an
+// channel both stacks share (Window, TxChan) with an arbitrary
+// operation program, starting just below the 32-bit sequence
+// wraparound so every run crosses it. Operations: issue a new sequence, deliver an
 // issued sequence (possibly again — a retransmission), apply the
 // receiver's current cumulative ack, and replay an arbitrary stale
 // ack. A shadow model checks the invariants the protocol relies on:
@@ -29,6 +24,10 @@ import (
 // The committed seed corpus (testdata/fuzz/FuzzReliabilityWindow)
 // runs as plain tests in the fast CI job.
 func FuzzReliabilityWindow(f *testing.F) {
+	// sendID names one issued send: the channel's payload, which the
+	// shadow model checks is completed exactly once.
+	type sendID int
+
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 2, 0})
 	// Issue a window's worth, deliver out of order, ack mid-stream.
@@ -43,12 +42,12 @@ func FuzzReliabilityWindow(f *testing.F) {
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const base = uint32(0xFFFFFF80) // 128 sequences before wrap
-		win := proto.NewWindowAt(base)
-		tx := proto.NewTxChanAt[*Request](nil, proto.Addr{}, nil, base)
+		win := NewWindowAt(base)
+		tx := NewTxChanAt[sendID](nil, Addr{}, nil, base)
 		acked := base // the model's cumulative ack edge
 
 		delivered := make(map[uint32]bool)
-		ackedReq := make(map[*Request]bool)
+		ackedSend := make(map[sendID]bool)
 		var issued []uint32
 		var ackValues []uint32 // cumulative edges seen, for stale replay
 
@@ -60,7 +59,7 @@ func FuzzReliabilityWindow(f *testing.F) {
 				if seq == 0 {
 					t.Fatal("sequence 0 issued")
 				}
-				tx.Unacked = append(tx.Unacked, &proto.Unacked[*Request]{Seq: seq, Data: &Request{}})
+				tx.Unacked = append(tx.Unacked, &Unacked[sendID]{Seq: seq, Data: sendID(len(issued))})
 				issued = append(issued, seq)
 			case 1: // deliver an issued sequence (dup if re-delivered)
 				if len(issued) == 0 {
@@ -81,14 +80,14 @@ func FuzzReliabilityWindow(f *testing.F) {
 			case 2: // receiver acks its current cumulative edge
 				edge := win.Edge()
 				ackValues = append(ackValues, edge)
-				fresh := proto.SeqAfter(edge, acked)
+				fresh := SeqAfter(edge, acked)
 				done := tx.ApplyCumulative(edge)
 				for _, u := range done {
-					if ackedReq[u.Data] {
+					if ackedSend[u.Data] {
 						t.Fatal("request completed twice")
 					}
-					ackedReq[u.Data] = true
-					if proto.SeqAfter(u.Seq, edge) {
+					ackedSend[u.Data] = true
+					if SeqAfter(u.Seq, edge) {
 						t.Fatalf("ack %d completed later seq %d", edge, u.Seq)
 					}
 				}
@@ -102,7 +101,7 @@ func FuzzReliabilityWindow(f *testing.F) {
 					continue
 				}
 				old := ackValues[int(arg)%len(ackValues)]
-				if !proto.SeqAfter(old, acked) {
+				if !SeqAfter(old, acked) {
 					if done := tx.ApplyCumulative(old); done != nil {
 						t.Fatalf("stale ack %d (edge %d) completed %d sends", old, acked, len(done))
 					}
@@ -113,7 +112,7 @@ func FuzzReliabilityWindow(f *testing.F) {
 				t.Fatalf("channel acked edge %d, model says %d", tx.Edge(), acked)
 			}
 			for _, u := range tx.Unacked {
-				if !proto.SeqAfter(u.Seq, acked) {
+				if !SeqAfter(u.Seq, acked) {
 					t.Fatalf("unacked seq %d not after acked edge %d", u.Seq, acked)
 				}
 			}
