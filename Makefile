@@ -127,11 +127,15 @@ fattree:
 # NIC-offloaded collective battery: host≡firmware result equality
 # (odd/single-rank/zero-byte worlds), dispatcher≡pinned-entry for
 # the offload tier, firmware loss recovery, the collective-frame drop
-# gate on the host stack, and the nicoll figure guardrails
-# (CPU-win acceptance + parallel==serial), under the race detector.
+# gate on the host stack, the firmware's recycling guards (payload
+# buffer and hop/ack record poison stress tests, the warm-Allreduce
+# allocation bound, the bounded done window) and the nicoll figure
+# guardrails (CPU-win acceptance + parallel==serial), under the race
+# detector.
 nicoll:
-	$(GO) test -race -count=1 -run 'NIColl|Nicoll|CollDrop' \
-		./mpi ./internal/core ./internal/mxoe ./figures
+	$(GO) test -race -count=1 \
+		-run 'NIColl|Nicoll|CollDrop|CollRecyclePoison|CollRecordPoison|FirmwareCollAlloc|CollDoneWindow' \
+		./mpi ./internal/mxoe ./figures
 	$(GO) test -race -count=1 -run 'ParallelMatchesSerial/NIColl' ./figures
 
 # Adaptive-transport battery: the adaptive-vs-static acceptance tests

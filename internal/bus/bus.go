@@ -11,9 +11,10 @@
 // The arbiter allocates nothing in steady state: Begin runs a flow the
 // caller owns (an I/OAT channel embeds the one flow of the descriptor
 // it is processing), the progressive filling and the completion sweep
-// reuse scratch slices, and the completion event is a method value
-// bound once in New. Flows are filtered in place with their order
-// kept, so every floating-point sum runs in the same order.
+// reuse scratch slices, and the completion event and a flow's onDone
+// are static functions that take their receiver as the event
+// argument. Flows are filtered in place with their order kept, so
+// every floating-point sum runs in the same order.
 package bus
 
 import (
@@ -28,7 +29,8 @@ type Flow struct {
 	remaining float64 // bytes left
 	limit     float64 // own rate cap (bytes/ns), 0 = unlimited
 	rate      float64 // current allocated rate
-	onDone    func()
+	onDone    func(any)
+	arg       any // onDone's argument
 	done      bool
 }
 
@@ -55,15 +57,12 @@ type Arbiter struct {
 	// the list being walked.
 	unassigned []*Flow
 	finished   []*Flow
-	completeFn func() // a.complete, bound once
 }
 
 // New returns an arbiter with the given total capacity in bytes/ns.
 // A capacity of 0 means unlimited (flows only see their own caps).
 func New(e *sim.Engine, capacity float64) *Arbiter {
-	a := &Arbiter{e: e, capacity: capacity, lastAt: e.Now()}
-	a.completeFn = a.complete
-	return a
+	return &Arbiter{e: e, capacity: capacity, lastAt: e.Now()}
 }
 
 // TotalMoved reports the total bytes delivered by completed and partial
@@ -79,22 +78,30 @@ func (a *Arbiter) Active() int { return len(a.flows) }
 // zero-byte flow completes after one scheduling round trip.
 func (a *Arbiter) Start(bytes float64, limit float64, onDone func()) *Flow {
 	f := new(Flow)
-	a.Begin(f, bytes, limit, onDone)
+	if onDone == nil {
+		a.Begin(f, bytes, limit, nil, nil)
+	} else {
+		a.Begin(f, bytes, limit, callFunc, onDone)
+	}
 	return f
 }
+
+// callFunc runs a func() carried as an onDone argument.
+func callFunc(fn any) { fn.(func())() }
 
 // Begin is Start on a flow the caller owns: f is reset and runs as a
 // new flow. f must not be running (a zero Flow, or one whose onDone
 // has been reached); a caller that runs one transfer at a time reuses
-// one Flow and allocates nothing.
-func (a *Arbiter) Begin(f *Flow, bytes float64, limit float64, onDone func()) {
+// one Flow and allocates nothing. onDone(arg) runs when the last byte
+// transfers; a static onDone with its receiver as arg builds nothing.
+func (a *Arbiter) Begin(f *Flow, bytes float64, limit float64, onDone func(any), arg any) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("bus: negative flow size %v", bytes))
 	}
 	if f.arb != nil && !f.done {
 		panic("bus: Begin on a running flow")
 	}
-	*f = Flow{arb: a, remaining: bytes, limit: limit, onDone: onDone}
+	*f = Flow{arb: a, remaining: bytes, limit: limit, onDone: onDone, arg: arg}
 	a.advance()
 	a.flows = append(a.flows, f)
 	a.reschedule()
@@ -195,8 +202,12 @@ func (a *Arbiter) reschedule() {
 		// impossible by construction; treat as immediate completion).
 		first = 0
 	}
-	a.timer = a.e.Schedule(first, a.completeFn)
+	a.timer = a.e.ScheduleArg(first, arbiterComplete, a)
 }
+
+// arbiterComplete is the completion event, with the arbiter as its
+// argument.
+func arbiterComplete(arg any) { arg.(*Arbiter).complete() }
 
 // complete banks progress and retires every finished flow.
 func (a *Arbiter) complete() {
@@ -220,7 +231,7 @@ func (a *Arbiter) complete() {
 	a.reschedule()
 	for _, f := range finished {
 		if f.onDone != nil {
-			f.onDone()
+			f.onDone(f.arg)
 		}
 	}
 	clear(finished)

@@ -240,23 +240,23 @@ func TestBeginReusesCallerFlow(t *testing.T) {
 	a := New(e, 2.0)
 	var f Flow
 	left := 3
-	var onDone func()
-	onDone = func() {
+	var onDone func(any)
+	onDone = func(any) {
 		if !f.Done() || f.Remaining() != 0 {
 			t.Fatalf("onDone with done=%v remaining=%v", f.Done(), f.Remaining())
 		}
 		if left--; left > 0 {
-			a.Begin(&f, 1000, 0, onDone)
+			a.Begin(&f, 1000, 0, onDone, nil)
 		}
 	}
-	a.Begin(&f, 1000, 0, onDone)
+	a.Begin(&f, 1000, 0, onDone, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("Begin on a running flow did not panic")
 			}
 		}()
-		a.Begin(&f, 1, 0, nil)
+		a.Begin(&f, 1, 0, nil, nil)
 	}()
 	e.Run()
 	if left != 0 || e.Now() < 1500 || e.Now() > 1503 {

@@ -193,6 +193,8 @@ type Stack struct {
 	proto.Transport
 	Cfg Config
 
+	// Maps are made on first insert: a stack that never sends a large
+	// message never makes its rendezvous maps.
 	endpoints map[int]*Endpoint
 
 	// Driver-side large message state.
@@ -232,9 +234,6 @@ func Attach(h *host.Host, cfg Config) *Stack {
 	cfg.fillDefaults()
 	s := &Stack{
 		Cfg:         cfg,
-		endpoints:   make(map[int]*Endpoint),
-		sends:       make(map[int]*largeSend),
-		pulls:       make(map[int]*largePull),
 		adaptiveWin: adaptiveWin,
 	}
 	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{

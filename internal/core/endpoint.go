@@ -20,8 +20,8 @@ type Endpoint struct {
 
 	// Receive ring: statically pinned kernel pages the bottom half
 	// copies eager payloads into, one 4 kiB slot per fragment.
-	ring      *hostmem.Buffer
-	freeSlots []int
+	ring  *hostmem.Buffer
+	slots proto.Slots
 
 	// Event queue from driver to library.
 	evq   []*event
@@ -141,19 +141,14 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 		panic(fmt.Sprintf("openmx: endpoint %d already open on %s", id, s.H.Name))
 	}
 	ep := &Endpoint{
-		S:       s,
-		ID:      id,
-		Core:    coreID,
-		ring:    s.H.Alloc(proto.RingSlots * proto.MediumFragSize),
-		evSig:   sim.NewSignal(),
-		txChans: make(map[proto.Addr]*proto.TxChan[*Request]),
-		rxChans: make(map[proto.Addr]*rxChan),
+		S:     s,
+		ID:    id,
+		Core:  coreID,
+		ring:  s.H.Alloc(proto.RingSlots * proto.MediumFragSize),
+		slots: proto.NewSlots(proto.RingSlots),
+		evSig: sim.NewSignal(),
 	}
-	ep.freeSlots = make([]int, proto.RingSlots)
-	for i := range ep.freeSlots {
-		ep.freeSlots[i] = proto.RingSlots - 1 - i
-	}
-	s.endpoints[id] = ep
+	proto.Insert(&s.endpoints, id, ep)
 	return ep
 }
 
@@ -164,16 +159,9 @@ func (ep *Endpoint) core() *cpu.Core { return ep.S.H.Sys.Core(ep.Core) }
 
 // allocSlot takes a receive-ring slot, or -1 when the ring is full
 // (the frame is dropped and retransmission recovers).
-func (ep *Endpoint) allocSlot() int {
-	if len(ep.freeSlots) == 0 {
-		return -1
-	}
-	s := ep.freeSlots[len(ep.freeSlots)-1]
-	ep.freeSlots = ep.freeSlots[:len(ep.freeSlots)-1]
-	return s
-}
+func (ep *Endpoint) allocSlot() int { return ep.slots.Take() }
 
-func (ep *Endpoint) freeSlot(i int) { ep.freeSlots = append(ep.freeSlots, i) }
+func (ep *Endpoint) freeSlot(i int) { ep.slots.Put(i) }
 
 func (ep *Endpoint) slotOff(i int) int { return i * proto.MediumFragSize }
 
@@ -181,7 +169,7 @@ func (ep *Endpoint) txChan(dst proto.Addr) *proto.TxChan[*Request] {
 	c := ep.txChans[dst]
 	if c == nil {
 		c = proto.NewTxChan(&ep.S.Transport, dst, ep.resendEager)
-		ep.txChans[dst] = c
+		proto.Insert(&ep.txChans, dst, c)
 	}
 	return c
 }
@@ -192,9 +180,8 @@ func (ep *Endpoint) rxChan(src proto.Addr) *rxChan {
 		c = &rxChan{
 			RxChan: proto.RxChan{Window: proto.NewWindow()},
 			src:    src,
-			asm:    make(map[uint32]*assembly),
 		}
-		ep.rxChans[src] = c
+		proto.Insert(&ep.rxChans, src, c)
 	}
 	return c
 }
@@ -400,7 +387,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		if a.dst == nil && ev.msgLen > 0 {
 			a.tmp = ep.S.H.Alloc(ev.msgLen)
 		}
-		c.asm[ev.seq] = a
+		proto.Insert(&c.asm, ev.seq, a)
 	}
 	if !a.Mark(ev.fragID) {
 		ep.releaseSlot(ev)
@@ -568,7 +555,7 @@ func (ep *Endpoint) rndvSend(p *sim.Proc, r *Request) {
 	ls := &largeSend{ep: ep, req: r, RndvSend: proto.RndvSend{
 		Handle: s.nextHandle, Dst: r.dst, Seq: r.seq, Buf: r.buf, Off: r.off, N: r.n,
 	}}
-	s.sends[ls.Handle] = ls
+	proto.Insert(&s.sends, ls.Handle, ls)
 	s.StartRndv(&ls.RndvSend, ls.transmitRequest)
 }
 
@@ -613,7 +600,7 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	lp.lastWin = lp.Window()
 	r.MatchInfo = u.match
 	r.SenderAddr = u.src
-	s.pulls[lp.Handle] = lp
+	proto.Insert(&s.pulls, lp.Handle, lp)
 
 	for b := 0; b < lp.Window() && lp.More(); b++ {
 		s.pullNext(lp)

@@ -45,17 +45,17 @@ func TestRetransmittedFragmentTakesNoSlot(t *testing.T) {
 	})
 	// Well inside the retransmission timeout: only the originals flew.
 	pr.e.RunUntil(pr.e.Now() + 500*sim.Microsecond)
-	if frag0 == nil || len(pr.epB.evq) != 1 || len(pr.epB.freeSlots) != proto.RingSlots-1 {
+	if frag0 == nil || len(pr.epB.evq) != 1 || pr.epB.slots.Free() != proto.RingSlots-1 {
 		t.Fatalf("after the original: captured %v, %d events, %d free slots; want a frame, 1, %d",
-			frag0 != nil, len(pr.epB.evq), len(pr.epB.freeSlots), proto.RingSlots-1)
+			frag0 != nil, len(pr.epB.evq), pr.epB.slots.Free(), proto.RingSlots-1)
 	}
 	dups := pr.sb.Stats.DupFrags
 
 	pr.sb.H.NIC.Arrive(frag0) // the retransmission
 	pr.e.RunUntil(pr.e.Now() + 500*sim.Microsecond)
-	if len(pr.epB.evq) != 1 || len(pr.epB.freeSlots) != proto.RingSlots-1 {
+	if len(pr.epB.evq) != 1 || pr.epB.slots.Free() != proto.RingSlots-1 {
 		t.Fatalf("the duplicate reached the ring: %d events, %d free slots; want 1, %d",
-			len(pr.epB.evq), len(pr.epB.freeSlots), proto.RingSlots-1)
+			len(pr.epB.evq), pr.epB.slots.Free(), proto.RingSlots-1)
 	}
 	if got := pr.sb.Stats.DupFrags - dups; got != 1 {
 		t.Fatalf("DupFrags rose by %d, want 1", got)

@@ -96,9 +96,9 @@ func propertyStressRun(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: leaked skbuffs %d/%d", seed, pr.sa.H.NIC.SkbsLive(), pr.sb.H.NIC.SkbsLive())
 		return false
 	}
-	if len(pr.epA.freeSlots) != proto.RingSlots || len(pr.epB.freeSlots) != proto.RingSlots {
+	if pr.epA.slots.Free() != proto.RingSlots || pr.epB.slots.Free() != proto.RingSlots {
 		t.Logf("seed %d: leaked ring slots A=%d/%d B=%d/%d evqA=%d evqB=%d uxA=%d uxB=%d",
-			seed, len(pr.epA.freeSlots), proto.RingSlots, len(pr.epB.freeSlots), proto.RingSlots,
+			seed, pr.epA.slots.Free(), proto.RingSlots, pr.epB.slots.Free(), proto.RingSlots,
 			len(pr.epA.evq), len(pr.epB.evq), len(pr.epA.ux), len(pr.epB.ux))
 		for _, c := range pr.epB.rxChans {
 			t.Logf("  B rxChan complete=%d pending=%d asm=%d", c.Edge(), c.Pending(), len(c.asm))

@@ -91,7 +91,7 @@ type task struct {
 	dyn func(finish func(extra sim.Duration))
 	p   *sim.Proc // RunOn/RunOnDyn caller, unparked when the work completes
 	// done is the finish callback handed to dyn: t.finishDyn, bound
-	// once when the task is first built.
+	// the first time the task runs dynamic work.
 	done     func(extra sim.Duration)
 	finished bool  // dyn: done was called since the last dispatch
 	next     *task // free-list link
@@ -108,9 +108,6 @@ type Core struct {
 	started sim.Time // start of current task, for dyn accounting
 	cur     *task    // the executing task (a core runs one at a time)
 	free    *task    // retired tasks, reused by newTask
-	// finishCur is c.finish bound once in NewSystem: the event every
-	// task retires through.
-	finishCur func()
 }
 
 // System is the set of cores of one host.
@@ -124,13 +121,15 @@ type System struct {
 	resetAt sim.Time
 }
 
-// NewSystem builds the core set described by p.
+// NewSystem builds the core set described by p. The cores are one
+// slab, so a host's cores cost one allocation.
 func NewSystem(e *sim.Engine, p *platform.Platform) *System {
-	s := &System{E: e, P: p}
-	for i := 0; i < p.NumCores(); i++ {
-		c := &Core{sys: s, ID: i}
-		c.finishCur = c.finish
-		s.Cores = append(s.Cores, c)
+	n := p.NumCores()
+	s := &System{E: e, P: p, Cores: make([]*Core, n)}
+	slab := make([]Core, n)
+	for i := range slab {
+		slab[i] = Core{sys: s, ID: i}
+		s.Cores[i] = &slab[i]
 	}
 	return s
 }
@@ -296,9 +295,7 @@ func (c *Core) Exec(cat Category, d sim.Duration, fn func()) {
 // wall time plus extra is accounted to cat. This models busy-polling a
 // completion whose arrival time depends on other simulated hardware.
 func (c *Core) ExecDyn(cat Category, run func(finish func(extra sim.Duration))) {
-	t := c.newTask(cat)
-	t.dyn = run
-	c.enqueue(t)
+	c.enqueue(c.dynTask(cat, run))
 }
 
 // newTask takes a task from the core's free list, or builds one.
@@ -306,12 +303,21 @@ func (c *Core) newTask(cat Category) *task {
 	t := c.free
 	if t == nil {
 		t = &task{c: c}
-		t.done = t.finishDyn
 	} else {
 		c.free = t.next
 		t.next = nil
 	}
 	t.cat = cat
+	return t
+}
+
+// dynTask is newTask for dynamic work.
+func (c *Core) dynTask(cat Category, run func(finish func(extra sim.Duration))) *task {
+	t := c.newTask(cat)
+	t.dyn = run
+	if t.done == nil {
+		t.done = t.finishDyn
+	}
 	return t
 }
 
@@ -357,7 +363,7 @@ func (c *Core) dispatch() {
 		t.dyn(t.done)
 		return
 	}
-	c.sys.E.Schedule(t.dur, c.finishCur)
+	c.sys.E.ScheduleArg(t.dur, coreFinish, c)
 }
 
 // finishDyn is the finish callback of a dynamic task: the core retires
@@ -372,7 +378,7 @@ func (t *task) finishDyn(extra sim.Duration) {
 	c, p := t.c, t.p
 	t.p = nil
 	if extra > 0 {
-		c.sys.E.Schedule(extra, c.finishCur)
+		c.sys.E.ScheduleArg(extra, coreFinish, c)
 	} else {
 		c.finish()
 	}
@@ -380,6 +386,11 @@ func (t *task) finishDyn(extra sim.Duration) {
 		p.UnparkAfter(extra)
 	}
 }
+
+// coreFinish is the event every task retires through: a static
+// function with the core as its argument, so scheduling it builds
+// nothing.
+func coreFinish(arg any) { arg.(*Core).finish() }
 
 // finish retires the current task: it accounts the busy time, runs the
 // completion callback, unparks a RunOn caller, recycles the task and
@@ -420,8 +431,7 @@ func (c *Core) RunOn(p *sim.Proc, cat Category, d sim.Duration) {
 // process busy-polling some hardware condition: the core is occupied
 // (and accounted) for the full duration.
 func (c *Core) RunOnDyn(p *sim.Proc, cat Category, run func(finish func(extra sim.Duration))) {
-	t := c.newTask(cat)
-	t.dyn = run
+	t := c.dynTask(cat, run)
 	t.p = p
 	c.enqueue(t)
 	p.Park()

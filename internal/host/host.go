@@ -52,7 +52,7 @@ func NewMulti(e *sim.Engine, p *platform.Platform, name string, nics int, irqCor
 	if nics < 1 {
 		panic(fmt.Sprintf("host: NIC count %d out of range", nics))
 	}
-	h := &Host{E: e, P: p, Name: name}
+	h := &Host{E: e, P: p, Name: name, NICs: make([]*nic.NIC, 0, nics)}
 	h.Sys = cpu.NewSystem(e, p)
 	h.Mem = hostmem.New(p)
 	h.Copy = memmodel.New(p)

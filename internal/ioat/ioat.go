@@ -24,8 +24,9 @@
 // channel keeps its descriptors by value in a head-cursor queue (the
 // ring a real channel owns), runs the head descriptor as the one
 // bus.Flow it embeds, and schedules its start and retirement through
-// method values bound once in NewEngine; SubmitPages splits a copy at
-// destination page boundaries without building a request slice.
+// static functions that take the channel as their argument;
+// SubmitPages splits a copy at destination page boundaries without
+// building a request slice. An engine's channels are one slab.
 package ioat
 
 import (
@@ -58,7 +59,7 @@ type Engine struct {
 	P *platform.Platform
 
 	arb      *bus.Arbiter
-	channels []*Channel
+	channels []Channel
 	rr       int
 
 	// Totals for diagnostics.
@@ -73,10 +74,9 @@ func NewEngine(e *sim.Engine, p *platform.Platform) *Engine {
 		P:   p,
 		arb: bus.New(e, float64(p.IOATAggregateRate)),
 	}
-	for i := 0; i < p.IOATChannels; i++ {
-		c := &Channel{eng: eng, id: i}
-		c.startFn, c.beginFn, c.retireFn = c.startHead, c.begin, c.retire
-		eng.channels = append(eng.channels, c)
+	eng.channels = make([]Channel, p.IOATChannels)
+	for i := range eng.channels {
+		eng.channels[i] = Channel{eng: eng, id: i}
 	}
 	return eng
 }
@@ -85,13 +85,13 @@ func NewEngine(e *sim.Engine, p *platform.Platform) *Engine {
 func (eng *Engine) Channels() int { return len(eng.channels) }
 
 // Channel returns channel i.
-func (eng *Engine) Channel(i int) *Channel { return eng.channels[i] }
+func (eng *Engine) Channel(i int) *Channel { return &eng.channels[i] }
 
 // PickChannel returns the next channel round-robin. The Open-MX driver
 // assigns one channel per message and relies on multiple outstanding
 // messages to use all channels, exactly as described in Section V.
 func (eng *Engine) PickChannel() *Channel {
-	ch := eng.channels[eng.rr]
+	ch := &eng.channels[eng.rr]
 	eng.rr = (eng.rr + 1) % len(eng.channels)
 	return ch
 }
@@ -140,9 +140,6 @@ type Channel struct {
 	// engine's arbiter (one descriptor at a time per channel).
 	rate float64
 	flow bus.Flow
-
-	// Bound once in NewEngine, so scheduling them allocates nothing.
-	startFn, beginFn, retireFn func()
 
 	// watchers is filtered in place; firing is the reused list of the
 	// watchers being run (nil while they run).
@@ -221,9 +218,15 @@ func (c *Channel) add(r CopyReq) {
 		c.active = true
 		// Idle channel: the engine needs StartLatency after the
 		// doorbell before the first descriptor is processed.
-		c.eng.E.Schedule(sim.Duration(c.eng.P.IOATStartLatency), c.startFn)
+		c.eng.E.ScheduleArg(sim.Duration(c.eng.P.IOATStartLatency), channelStart, c)
 	}
 }
+
+// The channel's events: static functions with the channel as their
+// argument, so scheduling them allocates nothing.
+func channelStart(arg any)  { arg.(*Channel).startHead() }
+func channelBegin(arg any)  { arg.(*Channel).begin() }
+func channelRetire(arg any) { arg.(*Channel).retire() }
 
 // startHead begins processing the descriptor at the head of the queue.
 func (c *Channel) startHead() {
@@ -241,13 +244,13 @@ func (c *Channel) startHead() {
 	home := d.req.Dst.HomeSocket()
 	setup := sim.Duration(p.IOATDescSetup + p.RemoteDMADescCost(home))
 	c.rate = float64(p.IOATEngineRate) / p.RemoteDMAFactor(home)
-	c.eng.E.Schedule(setup, c.beginFn)
+	c.eng.E.ScheduleArg(setup, channelBegin, c)
 }
 
 // begin puts the head descriptor's bytes on the engine's shared
 // bandwidth once its setup is over.
 func (c *Channel) begin() {
-	c.eng.arb.Begin(&c.flow, float64(c.queue[c.head].req.N), c.rate, c.retireFn)
+	c.eng.arb.Begin(&c.flow, float64(c.queue[c.head].req.N), c.rate, channelRetire, c)
 }
 
 // retire completes the head descriptor: move the bytes, update

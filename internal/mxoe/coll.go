@@ -39,7 +39,7 @@ import (
 //
 // Collective state is NIC-resident and reused, the way a firmware sizes
 // its collective tables once. A call's bytes live in payload buffers
-// from its group's pool, and every hop it sends is a view of them,
+// from its stack's pool, and every hop it sends is a view of them,
 // never a copy:
 //   - contrib is the NIC's snapshot of the local contribution. A
 //     reduction combines into it in place (own contribution first,
@@ -66,6 +66,29 @@ import (
 // call's bytes. A retired call goes on its group's free list, and the
 // next call reuses its outs map and its child, vector and landing
 // lists (recycle).
+//
+// The records that carry hops and acks are reused too, from free
+// lists on the stack. Each record holds the one wire.Frame every
+// transmission of its message shares, so a record may go back only
+// once no delivery of that frame is pending: not a retransmission in
+// a queue, not a duplicate an impaired link made, not a same-host
+// loopback, not a frame parked for a later CollJoin. The wire counts
+// those deliveries (wire.Frame.Hold, Release) and tells the record
+// when the last one ends, whether a receiver handled it or a link
+// dropped it.
+//   - A hop record (collOut) goes back once its call has retired and
+//     its frame's last delivery has ended, whichever comes last.
+//     Retirement also ends its ack lookups and its timer: the call's
+//     outs map is cleared, and every hop is acked, so its
+//     retransmission timer is stopped. Releasing at call completion
+//     instead would let a late ack or a retransmission act on a
+//     record another call now uses.
+//   - An ack record (collAck) goes back once its one delivery ends:
+//     after the receiving firmware has handled it, or where the ack
+//     was dropped.
+//
+// collPoisonRecycled also poisons released records, and the firmware
+// panics when it reads one or reuses one with a delivery pending.
 
 // CollMaxBytes bounds an offloaded payload: fragment bitmaps are one
 // 64-bit word (proto.CollMaxFrags eager fragments). The mpi layer's
@@ -119,10 +142,8 @@ type CollGroup struct {
 
 	nextSeq uint32
 	calls   map[uint32]*collCall
-	done    map[uint32]bool
-	doneQ   []uint32
-	free    *collCall // retired calls, linked by next, reused by newCall
-	bufs    [][]byte  // released payload buffers (take, give)
+	done    proto.EvictRing[uint32] // the last collDoneWindow retired sequences
+	free    *collCall               // retired calls, linked by next, reused by newCall
 }
 
 // CollJoin registers (or returns) this endpoint's membership in the
@@ -151,13 +172,11 @@ func (ep *Endpoint) CollJoin(members []proto.Addr) *CollGroup {
 	g := &CollGroup{
 		ep: ep, id: key.id, members: members, me: me,
 		calls: make(map[uint32]*collCall),
-		done:  make(map[uint32]bool),
 	}
-	s.collGroups[key] = g
+	proto.Insert(&s.collGroups, key, g)
 	for _, f := range s.collPending[key] {
-		if m, ok := f.Msg.(*proto.CollData); ok {
-			s.fwCollData(f, m)
-		}
+		s.fwCollData(f, f.Msg.(*proto.CollData))
+		f.Release()
 	}
 	delete(s.collPending, key)
 	return g
@@ -275,10 +294,10 @@ func (g *CollGroup) post(p *sim.Proc, op proto.CollOp, root int, sbuf *hostmem.B
 	case sbuf != nil:
 		// NIC snapshot of the contribution (like an eager send: the
 		// host buffer is immediately reusable).
-		c.contrib = g.take(n)
+		c.contrib = s.take(n)
 		sbuf.ReadAt(c.contrib, soff)
 	case op == proto.CollAllreduce || op == proto.CollScan:
-		c.contrib = g.take(n)
+		c.contrib = s.take(n)
 		clear(c.contrib)
 	}
 	if op == proto.CollBcast {
@@ -373,7 +392,7 @@ type collLand struct {
 // zero value, with Frags 0, is a vector the call has not opened yet.
 type collVec struct {
 	proto.Reassembly
-	data []byte // the payload's n bytes, from the group's pool
+	data []byte // the payload's n bytes, from the stack's pool
 }
 
 // open starts assembling cnt fragments into data.
@@ -414,25 +433,28 @@ var collPoisonRecycled bool
 const collPoison = 0xdb
 
 // take hands out an n-byte payload buffer (nil for n 0), reusing a
-// released one when there is one. The contents are unspecified.
-func (g *CollGroup) take(n int) []byte {
+// released one when there is one. The contents are unspecified. The
+// pool is the NIC's: every group of every endpoint on the stack draws
+// from it, so a buffer one group releases serves the next group that
+// needs one.
+func (s *Stack) take(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	k := len(g.bufs)
+	k := len(s.collBufs)
 	if k == 0 {
 		return make([]byte, n)
 	}
-	b := g.bufs[k-1]
-	g.bufs[k-1] = nil
-	g.bufs = g.bufs[:k-1]
+	b := s.collBufs[k-1]
+	s.collBufs[k-1] = nil
+	s.collBufs = s.collBufs[:k-1]
 	return fit(b, n)
 }
 
-// give releases a payload buffer to the group's pool. The caller
+// give releases a payload buffer to the stack's pool. The caller
 // guarantees nothing reads it again (see the package comment on
 // collective state).
-func (g *CollGroup) give(b []byte) {
+func (s *Stack) give(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
@@ -442,7 +464,7 @@ func (g *CollGroup) give(b []byte) {
 			b[i] = collPoison
 		}
 	}
-	g.bufs = append(g.bufs, b)
+	s.collBufs = append(s.collBufs, b)
 }
 
 // collOutKey identifies one outgoing fragment hop: destination member,
@@ -453,26 +475,131 @@ type collOutKey struct {
 	frag int
 }
 
+// collFrame is the part of a hop or ack record that goes on the wire:
+// the one frame every transmission of the message shares, and the
+// stack and lane that send it.
+type collFrame struct {
+	s     *Stack
+	lane  int
+	frame wire.Frame
+}
+
 // collOut is a fragment awaiting its hop ack, with the firmware
-// retransmission timer: one allocation per hop. Every transmission of
-// the hop, retransmissions included, sends frame, whose Msg is msg and
-// whose Data views the call's buffer; duplicate deliveries share one
-// Frame on the wire too. A collOut is never reused, since a stale
-// copy of its frame may still be on the wire.
+// retransmission timer. Every transmission of the hop, retransmissions
+// included, sends frame, whose Msg is msg and whose Data views the
+// call's buffer; duplicate deliveries share one Frame on the wire too.
+// It goes back on its stack's free list once its call has retired and
+// no delivery of its frame is pending (see the package comment).
 type collOut struct {
+	collFrame
 	msg      proto.CollData
-	frame    wire.Frame
-	lane     int
 	timer    sim.Timer
 	attempts int
 	acked    bool
+	retired  bool     // the call has retired; free at the last release
+	next     *collOut // free-list link
 }
 
-// collAckFrame is a hop ack and the frame that carries it, in one
-// allocation.
-type collAckFrame struct {
-	m proto.CollAck
-	f wire.Frame
+// collAck is a hop ack and the frame that carries it. It goes back on
+// its stack's free list when the frame's one delivery ends.
+type collAck struct {
+	collFrame
+	m    proto.CollAck
+	next *collAck // free-list link
+}
+
+// collPoisonGroup marks a released record's message when
+// collPoisonRecycled is set: no member list hashes to it in practice.
+const collPoisonGroup = 0xdbdbdbdbdbdbdbdb
+
+// collCheckLive panics if a poisoned record's message is being read.
+func collCheckLive(group uint64) {
+	if collPoisonRecycled && group == collPoisonGroup {
+		panic("mxoe: a released collective hop or ack record was read")
+	}
+}
+
+// collCheckIdle panics if a record leaves the free list while a
+// delivery of its frame is still pending.
+func collCheckIdle(f *wire.Frame) {
+	if collPoisonRecycled && f.Copies() != 0 {
+		panic(fmt.Sprintf("mxoe: a collective record was reused with %d deliveries of its frame pending", f.Copies()))
+	}
+}
+
+// newOut takes a hop record from the free list, or makes one.
+func (s *Stack) newOut() *collOut {
+	o := s.outFree
+	if o == nil {
+		s.outsMade++
+		o = &collOut{collFrame: collFrame{s: s}}
+		o.frame.Owner = o
+		return o
+	}
+	collCheckIdle(&o.frame)
+	s.outFree, o.next = o.next, nil
+	return o
+}
+
+// retireOut marks a hop record of a retired call, and frees it now if
+// no delivery of its frame is pending.
+func (o *collOut) retireOut() {
+	o.retired = true
+	if o.frame.Copies() == 0 {
+		o.free()
+		return
+	}
+	o.s.outsHeld++
+}
+
+// FrameReleased frees the hop record once its call has retired.
+func (o *collOut) FrameReleased(*wire.Frame) {
+	if o.retired {
+		o.free()
+	}
+}
+
+// free puts the hop record on its stack's free list, poisoned when
+// collPoisonRecycled is set.
+func (o *collOut) free() {
+	s := o.s
+	*o = collOut{
+		collFrame: collFrame{s: s, frame: wire.Frame{Owner: o}},
+		next:      s.outFree,
+	}
+	if collPoisonRecycled {
+		o.msg.Group = collPoisonGroup
+		o.frame.Msg = &o.msg
+	}
+	s.outFree = o
+}
+
+// newAck takes an ack record from the free list, or makes one.
+func (s *Stack) newAck() *collAck {
+	a := s.ackFree
+	if a == nil {
+		s.acksMade++
+		a = &collAck{collFrame: collFrame{s: s}}
+		a.frame.Owner = a
+		return a
+	}
+	collCheckIdle(&a.frame)
+	s.ackFree, a.next = a.next, nil
+	return a
+}
+
+// FrameReleased frees the ack record: its one delivery has ended.
+func (a *collAck) FrameReleased(*wire.Frame) {
+	s := a.s
+	*a = collAck{
+		collFrame: collFrame{s: s, frame: wire.Frame{Owner: a}},
+		next:      s.ackFree,
+	}
+	if collPoisonRecycled {
+		a.m.Group = collPoisonGroup
+		a.frame.Msg = &a.m
+	}
+	s.ackFree = a
 }
 
 func (g *CollGroup) newCall(seq uint32, op proto.CollOp, root, n int) *collCall {
@@ -496,10 +623,14 @@ func (g *CollGroup) newCall(seq uint32, op proto.CollOp, root, n int) *collCall 
 // collective state). The outs map is cleared, not re-made, and the
 // child, vector and landing lists keep their backing arrays.
 func (g *CollGroup) recycle(c *collCall) {
-	g.give(c.contrib)
-	g.give(c.down.data)
+	s := g.ep.S
+	s.give(c.contrib)
+	s.give(c.down.data)
 	for i := range c.upv {
-		g.give(c.upv[i].data)
+		s.give(c.upv[i].data)
+	}
+	for _, o := range c.outs {
+		o.retireOut()
 	}
 	clear(c.upv)
 	clear(c.lands)
@@ -563,32 +694,40 @@ func collSumInto(dst, src []byte) {
 // ---------------------------------------------------------------
 
 // fwCollData handles one collective tree fragment in firmware: ack
-// the hop, deduplicate, and feed the call's state machine. Frames for
-// groups not yet joined locally wait for the join.
-func (s *Stack) fwCollData(f *wire.Frame, m *proto.CollData) {
+// the hop, deduplicate, and feed the call's state machine. A frame for
+// a group not yet joined locally is parked for the join, and
+// fwCollData reports that it kept the frame.
+func (s *Stack) fwCollData(f *wire.Frame, m *proto.CollData) (parked bool) {
+	collCheckLive(m.Group)
 	key := collKey{id: m.Group, ep: m.Dst.EP}
 	g := s.collGroups[key]
 	if g == nil {
 		if len(s.collPending[key]) < collPendingCap {
-			s.collPending[key] = append(s.collPending[key], f)
+			proto.Insert(&s.collPending, key, append(s.collPending[key], f))
+			return true
 		}
-		return
+		return false
 	}
 	// Hop-level ack, duplicates included: a duplicate proves the
 	// sender missed the previous ack.
 	s.Stats.Coll.Acks++
-	a := &collAckFrame{m: proto.CollAck{
+	a := s.newAck()
+	a.lane = s.LaneOf(m.Seq, m.FragID)
+	a.m = proto.CollAck{
 		Src: proto.Addr{Host: s.H.Name, EP: m.Dst.EP}, Dst: m.Src,
 		Group: m.Group, Seq: m.Seq, Down: m.Down, SrcRank: g.me, FragID: m.FragID,
-	}}
-	a.f.Msg = &a.m
-	s.collEmit(s.LaneOf(m.Seq, m.FragID), m.Src, &a.f)
-	if g.done[m.Seq] {
-		s.Stats.Coll.DupFrags++
-		return
 	}
+	a.frame.Msg = &a.m
+	s.collEmit(&a.collFrame, m.Src)
+	// A live call is never in the done set (a call retires only after
+	// its local post, and posts issue fresh sequences), so only a
+	// frame with no live call needs the done lookup.
 	c := g.calls[m.Seq]
 	if c == nil {
+		if g.done.Contains(m.Seq) {
+			s.Stats.Coll.DupFrags++
+			return false
+		}
 		c = g.newCall(m.Seq, m.Op, m.Root, m.MsgLen)
 	}
 	if m.Down {
@@ -596,6 +735,7 @@ func (s *Stack) fwCollData(f *wire.Frame, m *proto.CollData) {
 	} else {
 		s.fwCollUp(c, m, f.Data)
 	}
+	return false
 }
 
 // fwCollUp assembles a child's fan-in contribution; when complete it
@@ -607,7 +747,7 @@ func (s *Stack) fwCollUp(c *collCall, m *proto.CollData, data []byte) {
 	}
 	v := &c.upv[i]
 	if v.Frags == 0 {
-		v.open(m.FragCount, c.g.take(c.n))
+		v.open(m.FragCount, s.take(c.n))
 	}
 	if !v.Mark(m.FragID) {
 		s.Stats.Coll.DupFrags++
@@ -628,7 +768,7 @@ func (s *Stack) fwCollUp(c *collCall, m *proto.CollData, data []byte) {
 // DMA-deposited into the posted destination.
 func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
 	if c.down.Frags == 0 {
-		c.down.open(c.frags, c.g.take(c.n))
+		c.down.open(c.frags, s.take(c.n))
 	}
 	if !c.down.Mark(m.FragID) {
 		s.Stats.Coll.DupFrags++
@@ -662,6 +802,7 @@ func (s *Stack) fwCollDown(c *collCall, m *proto.CollData, data []byte) {
 
 // fwCollAck retires one outstanding hop fragment.
 func (s *Stack) fwCollAck(m *proto.CollAck) {
+	collCheckLive(m.Group)
 	g := s.collGroups[collKey{id: m.Group, ep: m.Dst.EP}]
 	if g == nil {
 		return
@@ -671,7 +812,11 @@ func (s *Stack) fwCollAck(m *proto.CollAck) {
 		return // call already retired
 	}
 	o := c.outs[collOutKey{dst: m.SrcRank, down: m.Down, frag: m.FragID}]
-	if o == nil || o.acked {
+	if o == nil {
+		return
+	}
+	collCheckLive(o.msg.Group)
+	if o.acked {
 		return
 	}
 	o.acked = true
@@ -716,7 +861,7 @@ func (s *Stack) advBarrier(c *collCall) {
 	}
 	if c.haveDown && c.posted && !c.finishing {
 		c.finishing = true
-		s.H.E.ScheduleArg(s.dmaDelay(0), s.collStepFn, c)
+		s.H.E.ScheduleArg(s.dmaDelay(0), collStep, c)
 	}
 }
 
@@ -736,20 +881,21 @@ func (s *Stack) advAllreduce(c *collCall) {
 		// duplicate fails mark before its stash): release it now.
 		v := &c.upv[i]
 		collSumInto(c.contrib, v.data)
-		c.g.give(v.data)
+		s.give(v.data)
 		v.data = nil
 		combined += c.n
 	}
 	s.Stats.Coll.CombinedBytes += int64(combined)
 	d := sim.Duration(s.H.P.MXFirmwareMatchCost) + s.combineDelay(combined)
-	s.H.E.ScheduleArg(d, s.collStepFn, c)
+	s.H.E.ScheduleArg(d, collStep, c)
 }
 
 // collStep runs the one step a call schedules for itself: a barrier's
 // completion after the release's DMA, or the send that follows an
 // allreduce's or a scan's combine.
-func (s *Stack) collStep(arg any) {
+func collStep(arg any) {
 	c := arg.(*collCall)
+	s := c.g.ep.S
 	switch c.op {
 	case proto.CollBarrier:
 		s.collFinish(c)
@@ -787,7 +933,7 @@ func (s *Stack) advScan(c *collCall) {
 	}
 	s.Stats.Coll.CombinedBytes += int64(combined)
 	d := sim.Duration(s.H.P.MXFirmwareMatchCost) + s.combineDelay(combined)
-	s.H.E.ScheduleArg(d, s.collStepFn, c)
+	s.H.E.ScheduleArg(d, collStep, c)
 }
 
 // scanSend forwards a scan member's result to the next member and
@@ -808,13 +954,14 @@ func (s *Stack) collDeposit(c *collCall, fid int, data []byte) {
 	}
 	l := &c.lands[fid]
 	l.c, l.off, l.data = c, fid*proto.MediumFragSize, data
-	s.H.E.ScheduleArg(s.dmaDelay(len(data)), s.collLandFn, l)
+	s.H.E.ScheduleArg(s.dmaDelay(len(data)), collLanded, l)
 }
 
-// collLand completes one result fragment's DMA.
-func (s *Stack) collLand(arg any) {
+// collLanded completes one result fragment's DMA.
+func collLanded(arg any) {
 	l := arg.(*collLand)
 	c := l.c
+	s := c.g.ep.S
 	if len(l.data) > 0 && c.rbuf != nil {
 		c.rbuf.WriteAt(l.data, c.roff+l.off)
 		c.rbuf.WrittenByDMA()
@@ -865,8 +1012,7 @@ func (s *Stack) collMaybeRetire(c *collCall) {
 		return
 	}
 	delete(g.calls, c.seq)
-	g.done[c.seq] = true
-	g.doneQ = proto.EvictOldest(g.done, g.doneQ, c.seq, collDoneWindow)
+	g.done.Push(c.seq, collDoneWindow)
 	g.recycle(c)
 }
 
@@ -920,8 +1066,9 @@ func (s *Stack) collOutSend(c *collCall, key collOutKey, m proto.CollData, paylo
 	if c.outs[key] != nil {
 		return
 	}
-	o := &collOut{msg: m, lane: s.LaneOf(m.Seq, m.FragID)}
-	o.frame = wire.Frame{Data: payload, Msg: &o.msg}
+	o := s.newOut()
+	o.msg, o.lane = m, s.LaneOf(m.Seq, m.FragID)
+	o.frame.Data, o.frame.Msg = payload, &o.msg
 	c.outs[key] = o
 	c.unacked++
 	if m.Down {
@@ -929,37 +1076,48 @@ func (s *Stack) collOutSend(c *collCall, key collOutKey, m proto.CollData, paylo
 	} else {
 		s.Stats.Coll.UpFrames++
 	}
-	s.collEmit(o.lane, m.Dst, &o.frame)
+	s.collEmit(&o.collFrame, m.Dst)
 	s.armCollRtx(o)
 }
 
 // armCollRtx (re)arms one hop fragment's retransmission timer with
 // the firmware's standard backoff.
 func (s *Stack) armCollRtx(o *collOut) {
-	o.timer = s.H.E.ScheduleArg(s.RtxTimeout(o.msg.Dst, o.attempts), s.collRtxFn, o)
+	o.timer = s.H.E.ScheduleArg(s.RtxTimeout(o.msg.Dst, o.attempts), collRtx, o)
 }
 
 // collRtx is a hop fragment's retransmission timeout.
-func (s *Stack) collRtx(arg any) {
+func collRtx(arg any) {
 	o := arg.(*collOut)
+	collCheckLive(o.msg.Group)
 	if o.acked {
 		return
 	}
+	s := o.s
 	o.attempts++
 	s.Stats.Coll.Retransmits++
 	s.TraceRetransmit(o.msg.Seq, o.msg.FragID, o.lane)
-	s.collEmit(o.lane, o.msg.Dst, &o.frame)
+	s.collEmit(&o.collFrame, o.msg.Dst)
 	s.armCollRtx(o)
 }
 
-// collEmit puts one collective frame (Data and Msg set) on the wire —
-// or, between endpoints of the same host, through the NIC's internal
-// loopback (fixed NIC latency, no wire).
-func (s *Stack) collEmit(lane int, dst proto.Addr, f *wire.Frame) {
+// collEmit puts a record's frame (Data and Msg set) on the wire on the
+// record's lane — or, between endpoints of the same host, through the
+// NIC's internal loopback (fixed NIC latency, no wire), which holds a
+// delivery of its own.
+func (s *Stack) collEmit(r *collFrame, dst proto.Addr) {
 	if dst.Host == s.H.Name {
-		f.WireLen = len(f.Data) + s.H.P.OMXHeaderBytes
-		s.H.E.ScheduleArg(sim.Duration(s.H.P.NICFixedLatency), s.loopbackFns[lane], f)
+		r.frame.WireLen = len(r.frame.Data) + s.H.P.OMXHeaderBytes
+		r.frame.Hold()
+		s.H.E.ScheduleArg(sim.Duration(s.H.P.NICFixedLatency), collLoopback, r)
 		return
 	}
-	s.TransmitFrameOn(lane, dst, f)
+	s.TransmitFrameOn(r.lane, dst, &r.frame)
+}
+
+// collLoopback delivers a looped-back record's frame to the firmware
+// of the lane that sent it.
+func collLoopback(arg any) {
+	r := arg.(*collFrame)
+	r.s.FirmwareRx(r.lane, &r.frame)
 }

@@ -105,24 +105,17 @@ func contribution(r, k, words int) []float64 {
 	return v
 }
 
-// TestCollRecyclePoisonStress runs back-to-back firmware Allreduce,
-// Bcast, Scan and Barrier calls under loss, duplication and reordering
-// while every released collective buffer is overwritten with a poison
-// pattern. A call whose buffers were released while a retransmission,
-// a forward or a deposit could still read them delivers poison instead
-// of the exact result.
-func TestCollRecyclePoisonStress(t *testing.T) {
-	collPoisonRecycled = true
-	t.Cleanup(func() { collPoisonRecycled = false })
-	const (
-		rounds = 10
-		words  = (2*proto.MediumFragSize + 808) / 8 // three fragments
-		n      = 8 * words
-	)
-	w := newCollWorld(t, 5, 2, rtxCfg(), wire.Impairment{
-		Seed: 23, LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.1,
-	})
+// poisonRounds runs rounds of firmware Allreduce, Bcast, Scan and
+// Barrier calls of n bytes on every rank of w and returns the wrong
+// results. Set collPoisonRecycled first: a call whose buffers were
+// released while something could still read them delivers poison
+// instead of the exact result, and reading a released hop or ack
+// record panics.
+func poisonRounds(t *testing.T, w *collWorld, rounds, n int) []string {
+	t.Helper()
+	words := n / 8
 	size := len(w.eps)
+	ppn := size / len(w.hosts)
 	var bad []string
 	check := func(op string, r, k int, got, want []float64) {
 		for j := range want {
@@ -134,7 +127,7 @@ func TestCollRecyclePoisonStress(t *testing.T) {
 	}
 	w.run(t, func(r int, p *sim.Proc) {
 		ep, g := w.eps[r], w.gs[r]
-		h := w.hosts[r/2]
+		h := w.hosts[r/ppn]
 		sbuf, rbuf := h.Alloc(n), h.Alloc(n)
 		for k := range rounds {
 			// Allreduce: the sum over every rank.
@@ -172,7 +165,23 @@ func TestCollRecyclePoisonStress(t *testing.T) {
 			ep.Wait(p, g.PostBarrier(p))
 		}
 	})
-	if len(bad) > 0 {
+	return bad
+}
+
+// TestCollRecyclePoisonStress runs back-to-back firmware Allreduce,
+// Bcast, Scan and Barrier calls under loss, duplication and reordering
+// while every released collective buffer is overwritten with a poison
+// pattern. A call whose buffers were released while a retransmission,
+// a forward or a deposit could still read them delivers poison instead
+// of the exact result.
+func TestCollRecyclePoisonStress(t *testing.T) {
+	collPoisonRecycled = true
+	t.Cleanup(func() { collPoisonRecycled = false })
+	const n = 2*proto.MediumFragSize + 808 // three fragments
+	w := newCollWorld(t, 5, 2, rtxCfg(), wire.Impairment{
+		Seed: 23, LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.1,
+	})
+	if bad := poisonRounds(t, w, 10, n); len(bad) > 0 {
 		t.Fatalf("%d wrong results, first: %s", len(bad), bad[0])
 	}
 	var rtx, dups int64
@@ -186,19 +195,67 @@ func TestCollRecyclePoisonStress(t *testing.T) {
 	t.Logf("%d retransmits, %d duplicate fragments", rtx, dups)
 }
 
+// TestCollRecordPoisonStress recycles hop and ack records under heavy
+// duplication and long reordering, so that a duplicate often arrives
+// after its call has retired, with every released record poisoned:
+// reading one, or reusing one while a delivery of its frame is
+// pending, panics. Same-host ranks exercise the loopback. Afterwards
+// every record must be back on its stack's free list, and the stacks
+// must have made far fewer records than they sent hops and acks.
+func TestCollRecordPoisonStress(t *testing.T) {
+	collPoisonRecycled = true
+	t.Cleanup(func() { collPoisonRecycled = false })
+	const n = proto.MediumFragSize + 808 // two fragments
+	w := newCollWorld(t, 4, 2, rtxCfg(), wire.Impairment{
+		Seed: 5, LossRate: 0.03, DupRate: 0.3, ReorderRate: 0.3, ReorderDelay: 300 * sim.Microsecond,
+	})
+	if bad := poisonRounds(t, w, 12, n); len(bad) > 0 {
+		t.Fatalf("%d wrong results, first: %s", len(bad), bad[0])
+	}
+	var hops, acks, outsMade, acksMade, held int64
+	for i, s := range w.stacks {
+		var outsFree, acksFree int
+		for o := s.outFree; o != nil; o = o.next {
+			outsFree++
+		}
+		for a := s.ackFree; a != nil; a = a.next {
+			acksFree++
+		}
+		if outsFree != s.outsMade || acksFree != s.acksMade {
+			t.Fatalf("stack %d: %d of %d hop records and %d of %d ack records are back on the free lists",
+				i, outsFree, s.outsMade, acksFree, s.acksMade)
+		}
+		hops += s.Stats.Coll.UpFrames + s.Stats.Coll.DownFrames
+		acks += s.Stats.Coll.Acks
+		outsMade += int64(s.outsMade)
+		acksMade += int64(s.acksMade)
+		held += int64(s.outsHeld)
+	}
+	if outsMade*4 > hops || acksMade*4 > acks {
+		t.Fatalf("records made: %d for %d hops, %d for %d acks; want at most a quarter", outsMade, hops, acksMade, acks)
+	}
+	if held == 0 {
+		t.Fatal("no hop record outlived its call: no duplicate was pending at retirement")
+	}
+	t.Logf("%d hop records for %d hops, %d ack records for %d acks, %d held past retirement", outsMade, hops, acksMade, acks, held)
+}
+
 // TestFirmwareCollAllocBound bounds the heap objects one warm 8-rank
 // 4 kB firmware Allreduce makes in the whole world: hop payloads are
-// views of NIC-resident buffers, retired calls are recycled, and timers
-// are bound callbacks, so what is left is about one object per hop and
-// per ack plus each rank's request. Copying payloads, re-making calls
-// and building a closure per timer cost about 290 objects per call.
+// views of NIC-resident buffers, retired calls and hop and ack records
+// are recycled, timers and loopbacks are static callbacks, and the
+// done window is a ring, so what is left is each rank's request plus
+// slack for the rings still growing and the test's own procs.
+// Copying payloads, re-making calls and building a closure per timer
+// cost about 290 objects per call; a hop and an ack record each, about
+// 30 more.
 func TestFirmwareCollAllocBound(t *testing.T) {
 	const (
 		ranks   = 8
 		n       = 4 << 10
 		warm    = 4
 		calls   = 50
-		ceiling = 64
+		ceiling = 10
 	)
 	w := newCollWorld(t, ranks, 1, Config{}, wire.Impairment{})
 	sbufs, rbufs := make([]*hostmem.Buffer, ranks), make([]*hostmem.Buffer, ranks)
@@ -239,8 +296,8 @@ func TestFirmwareCollAllocBound(t *testing.T) {
 }
 
 // TestCollDoneWindowBounded runs collDoneWindow+k barriers: each
-// member's done set then holds exactly the last collDoneWindow
-// sequences.
+// member's done ring then holds exactly the last collDoneWindow
+// sequences, oldest evicted first.
 func TestCollDoneWindowBounded(t *testing.T) {
 	const k = 5
 	w := newCollWorld(t, 2, 1, Config{}, wire.Impairment{})
@@ -250,13 +307,13 @@ func TestCollDoneWindowBounded(t *testing.T) {
 		}
 	})
 	for r, g := range w.gs {
-		if len(g.done) != collDoneWindow || len(g.doneQ) != collDoneWindow || len(g.calls) != 0 {
-			t.Fatalf("rank %d: done set %d, done queue %d, live calls %d; want %d, %d, 0",
-				r, len(g.done), len(g.doneQ), len(g.calls), collDoneWindow, collDoneWindow)
+		if g.done.Len() != collDoneWindow || len(g.calls) != 0 {
+			t.Fatalf("rank %d: done ring %d, live calls %d; want %d, 0",
+				r, g.done.Len(), len(g.calls), collDoneWindow)
 		}
-		for seq := uint32(k + 1); seq <= collDoneWindow+k; seq++ {
-			if !g.done[seq] {
-				t.Fatalf("rank %d: sequence %d missing from the done set", r, seq)
+		for seq := uint32(1); seq <= collDoneWindow+k; seq++ {
+			if want := seq > k; g.done.Contains(seq) != want {
+				t.Fatalf("rank %d: sequence %d in the done ring = %v, want %v", r, seq, !want, want)
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // kept outstanding like the host stack).
 const mxBlockFrags = 32
 
-// firmwareRx handles every incoming frame in NIC firmware: no
+// FirmwareRx handles every incoming frame in NIC firmware: no
 // interrupt, no bottom half, no host CPU. Data movement happens by NIC
 // DMA whose latency is modelled; everything else is "free" for the
 // host, which is exactly what makes native MX the paper's baseline.
@@ -20,8 +20,11 @@ const mxBlockFrags = 32
 // — also lives here, below the host's sight, as on real Myri-10G
 // boards. lane is the NIC the frame arrived on: pull requests are
 // answered on it, so the requester's block striping decides which
-// lanes of an aggregated link carry the bulk data.
-func (s *Stack) firmwareRx(lane int, f *wire.Frame) {
+// lanes of an aggregated link carry the bulk data. The firmware
+// releases the frame's delivery once it has handled the frame, except
+// a collective frame parked for a later CollJoin, which the join
+// releases.
+func (s *Stack) FirmwareRx(lane int, f *wire.Frame) {
 	switch m := f.Msg.(type) {
 	case *proto.Eager:
 		s.fwEager(f, m)
@@ -36,10 +39,13 @@ func (s *Stack) firmwareRx(lane int, f *wire.Frame) {
 	case *proto.RndvAck:
 		s.fwRndvAck(m)
 	case *proto.CollData:
-		s.fwCollData(f, m)
+		if s.fwCollData(f, m) {
+			return
+		}
 	case *proto.CollAck:
 		s.fwCollAck(m)
 	}
+	f.Release()
 }
 
 // dmaDelay is the NIC-to-host deposit time for n payload bytes.
@@ -108,7 +114,8 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 		s.Stats.DupFrags++
 		return
 	}
-	if len(ep.freeSlots) == 0 {
+	slot := ep.slots.Take()
+	if slot < 0 {
 		// Queue overrun: drop without recording the fragment; the
 		// sender's retransmission timer recovers it.
 		s.Stats.QueueDrops++
@@ -117,13 +124,12 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	if ch.Accept(m.Seq, m.FragID, m.FragCount) {
 		ch.Complete(m.Seq)
 	}
-	slot := ep.freeSlots[len(ep.freeSlots)-1]
-	ep.freeSlots = ep.freeSlots[:len(ep.freeSlots)-1]
-	n := len(f.Data)
+	data := f.Data // the DMA outlives the frame's delivery
+	n := len(data)
 	firmwareMatch := sim.Duration(s.H.P.MXFirmwareMatchCost)
 	s.H.E.Schedule(firmwareMatch+s.dmaDelayTo(ep.ring, n), func() {
 		off := ep.slotOff(slot)
-		ep.ring.WriteAt(f.Data, off)
+		ep.ring.WriteAt(data, off)
 		s.deposit(ep, ep.ring, n)
 		ep.pushEvent(&event{
 			kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
@@ -236,10 +242,11 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 		}
 		s.TraceCounter("pull-queue", float64(len(lp.Blocks)))
 	}
-	n := len(f.Data)
+	data := f.Data // the DMA outlives the frame's delivery
+	n := len(data)
 	s.H.E.Schedule(s.dmaDelayTo(lp.Buf, n), func() {
 		dstOff := lp.Off + m.Offset
-		lp.Buf.WriteAt(f.Data, dstOff)
+		lp.Buf.WriteAt(data, dstOff)
 		s.deposit(lp.ep, lp.Buf, n)
 		lp.deposited++
 		// When another block's worth of fragments has landed, ask for

@@ -98,38 +98,28 @@ type Stack struct {
 	collGroups  map[collKey]*CollGroup
 	collPending map[collKey][]*wire.Frame
 
-	// Firmware callbacks bound once, so scheduling them through
-	// Engine.ScheduleArg builds no closure: hop retransmission, a
-	// call's own step, result DMA, and the same-host loopback into
-	// each NIC lane's firmware.
-	collRtxFn   func(any)
-	collStepFn  func(any)
-	collLandFn  func(any)
-	loopbackFns []func(any) // per NIC lane
+	// The firmware's pool of collective payload buffers, and its
+	// released hop and ack records (coll.go), with how many of each
+	// record the stack has made and how many hop records outlived
+	// their call's retirement, waiting for a delivery of their frame.
+	collBufs           [][]byte
+	outFree            *collOut
+	ackFree            *collAck
+	outsMade, acksMade int
+	outsHeld           int
 
 	Stats Stats
 }
 
 // Attach builds a native MX stack on h, switching the NIC to firmware
-// mode.
+// mode. The stack's maps are made on first insert.
 func Attach(h *host.Host, cfg Config) *Stack {
-	s := &Stack{
-		Cfg:       cfg,
-		endpoints: make(map[int]*Endpoint),
-		sends:     make(map[int]*mxSend),
-		pulls:     make(map[int]*mxPull),
-
-		collGroups:  make(map[collKey]*CollGroup),
-		collPending: make(map[collKey][]*wire.Frame),
-	}
+	s := &Stack{Cfg: cfg}
 	s.Transport = proto.NewTransport(h, &s.Stats.Counters, proto.TransportConfig{
 		RegCache: cfg.RegCache, RetransmitTimeout: cfg.RetransmitTimeout, Adaptive: cfg.Adaptive,
 	})
-	s.collRtxFn, s.collStepFn, s.collLandFn = s.collRtx, s.collStep, s.collLand
-	for i, n := range h.NICs {
-		lane := i
-		n.SetFirmware(func(f *wire.Frame) { s.firmwareRx(lane, f) })
-		s.loopbackFns = append(s.loopbackFns, func(f any) { s.firmwareRx(lane, f.(*wire.Frame)) })
+	for _, n := range h.NICs {
+		n.SetFirmware(s)
 	}
 	return s
 }
@@ -140,8 +130,8 @@ type Endpoint struct {
 	ID   int
 	Core int
 
-	ring      *hostmem.Buffer
-	freeSlots []int
+	ring  *hostmem.Buffer
+	slots proto.Slots
 
 	evq    []*event // evq[evHead:] are pending
 	evHead int
@@ -258,16 +248,10 @@ func (s *Stack) OpenEndpoint(id, coreID int) *Endpoint {
 	ep := &Endpoint{
 		S: s, ID: id, Core: coreID,
 		ring:  s.H.Alloc(proto.RingSlots * proto.MediumFragSize),
+		slots: proto.NewSlots(proto.RingSlots),
 		evSig: sim.NewSignal(),
-		asm:   make(map[asmKey]*assembly),
-		tx:    make(map[proto.Addr]*proto.TxChan[eagerFrames]),
-		rx:    make(map[proto.Addr]*proto.RxChan),
 	}
-	ep.freeSlots = make([]int, proto.RingSlots)
-	for i := range ep.freeSlots {
-		ep.freeSlots[i] = proto.RingSlots - 1 - i
-	}
-	s.endpoints[id] = ep
+	proto.Insert(&s.endpoints, id, ep)
 	return ep
 }
 
@@ -301,7 +285,7 @@ func (ep *Endpoint) ISend(p *sim.Proc, dst proto.Addr, match uint64, buf *hostme
 		ms := &mxSend{ep: ep, req: r, RndvSend: proto.RndvSend{
 			Handle: s.nextHandle, Dst: dst, Seq: seq, Buf: buf, Off: off, N: n,
 		}}
-		s.sends[ms.Handle] = ms
+		proto.Insert(&s.sends, ms.Handle, ms)
 		s.StartRndv(&ms.RndvSend, ms.transmitRequest)
 		return r
 	}
@@ -488,7 +472,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		if a.dst == nil && ev.msgLen > 0 {
 			a.tmp = ep.S.H.Alloc(ev.msgLen)
 		}
-		ep.asm[key] = a
+		proto.Insert(&ep.asm, key, a)
 	}
 	if a.Mark(ev.fragID) {
 		dstBuf, dstOff, limit := a.tmp, ev.offset, ev.msgLen
@@ -506,7 +490,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		}
 	}
 	if ev.slot >= 0 {
-		ep.freeSlots = append(ep.freeSlots, ev.slot)
+		ep.slots.Put(ev.slot)
 	}
 	if a.Done() {
 		delete(ep.asm, key)
@@ -553,7 +537,7 @@ func (ep *Endpoint) startPull(p *sim.Proc, r *Request, u *uxMsg) {
 	// transfer instead starts at the AIMD controller's minimum and
 	// grows as clean block round trips accumulate.
 	s.StartPull(&lp.RndvPull, mxBlockFrags, 2*s.Lanes, s.Cfg.Adaptive, lp.retryBlock)
-	s.pulls[lp.Handle] = lp
+	proto.Insert(&s.pulls, lp.Handle, lp)
 	for i := 0; i < lp.Window() && lp.More(); i++ {
 		s.PullNext(&lp.RndvPull)
 	}

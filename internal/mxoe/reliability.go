@@ -41,7 +41,7 @@ func (ep *Endpoint) mxTx(dst proto.Addr) *proto.TxChan[eagerFrames] {
 	tc := ep.tx[dst]
 	if tc == nil {
 		tc = proto.NewTxChan(&ep.S.Transport, dst, ep.S.resendEager)
-		ep.tx[dst] = tc
+		proto.Insert(&ep.tx, dst, tc)
 	}
 	return tc
 }
@@ -52,7 +52,7 @@ func (ep *Endpoint) mxRx(src proto.Addr) *proto.RxChan {
 	c := ep.rx[src]
 	if c == nil {
 		c = &proto.RxChan{Window: proto.NewWindow()}
-		ep.rx[src] = c
+		proto.Insert(&ep.rx, src, c)
 	}
 	return c
 }

@@ -128,8 +128,8 @@ func TestCleanPathSendsNoExtraFrames(t *testing.T) {
 // firmware drops; sender retransmission must still deliver everything.
 func TestQueueOverrunRecovers(t *testing.T) {
 	pr := newPair(t, rtxCfg())
-	// Leave the receiver only its last four free slots (0–3).
-	pr.epB.freeSlots = pr.epB.freeSlots[len(pr.epB.freeSlots)-4:]
+	// Give the receiver a four-slot queue (slots 0–3).
+	pr.epB.slots = proto.NewSlots(4)
 	exchange(t, pr, 10, 16*1024)
 	if pr.sb.Stats.QueueDrops == 0 {
 		t.Fatalf("queue never overran; stats: %+v", pr.sb.Stats)

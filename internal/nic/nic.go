@@ -39,14 +39,16 @@ type Skb struct {
 // Len reports the payload length.
 func (s *Skb) Len() int { return s.Buf.Size() }
 
-// Free releases the skbuff. Freeing twice panics (use-after-free guard
-// for the driver's resource tracking).
+// Free releases the skbuff, and with it the frame's delivery (see
+// wire.Frame.Hold). Freeing twice panics (use-after-free guard for the
+// driver's resource tracking).
 func (s *Skb) Free() {
 	if s.freed {
 		panic("nic: double free of skbuff")
 	}
 	s.freed = true
 	s.nic.skbsLive--
+	s.Frame.Release()
 }
 
 // RxHandler is the protocol receive callback, invoked in bottom-half
@@ -54,9 +56,23 @@ func (s *Skb) Free() {
 // owns the skbuff (must eventually Free it).
 type RxHandler func(p *sim.Proc, core *cpu.Core, skb *Skb)
 
-// FirmwareHandler receives raw frames in firmware mode, at wire
-// arrival time, with no host CPU involvement.
+// Firmware receives raw frames in firmware mode, at wire arrival time,
+// with no host CPU involvement. lane is the receiving NIC's Lane. The
+// firmware owns the frame's delivery and releases it
+// (wire.Frame.Release) once it is done with the frame.
+type Firmware interface {
+	FirmwareRx(lane int, f *wire.Frame)
+}
+
+// FirmwareHandler adapts a function to Firmware; it ignores the lane
+// and releases each frame once the function returns.
 type FirmwareHandler func(f *wire.Frame)
+
+// FirmwareRx implements Firmware.
+func (h FirmwareHandler) FirmwareRx(_ int, f *wire.Frame) {
+	h(f)
+	f.Release()
+}
 
 // NIC is one network interface.
 type NIC struct {
@@ -74,7 +90,7 @@ type NIC struct {
 
 	// Receive configuration.
 	handler  RxHandler
-	firmware FirmwareHandler
+	firmware Firmware
 	// IRQCore is the core that receives this NIC's interrupts and runs
 	// its bottom half (the paper: "the NIC may send interrupts to any
 	// core"). It is resolved at the start of each bottom-half run, so
@@ -97,14 +113,13 @@ type NIC struct {
 	bhBusy      bool
 
 	// Transmit state (same head-cursor FIFO idiom). txCur is the frame
-	// in its host-to-NIC DMA (one at a time); txDoneFn and depositFn
-	// are bound once in New, so no frame builds a closure.
-	txQueue   []*wire.Frame
-	txHead    int
-	txActive  bool
-	txCur     *wire.Frame
-	txDoneFn  func()
-	depositFn func(any)
+	// in its host-to-NIC DMA (one at a time). The DMA completions are
+	// static functions scheduled with the NIC or the skbuff as their
+	// argument, so no frame builds a closure.
+	txQueue  []*wire.Frame
+	txHead   int
+	txActive bool
+	txCur    *wire.Frame
 
 	// Stats.
 	RxFrames  int64
@@ -118,8 +133,6 @@ type NIC struct {
 // New returns a NIC attached to the given host resources.
 func New(e *sim.Engine, p *platform.Platform, sys *cpu.System, mem *hostmem.Memory, name string) *NIC {
 	n := &NIC{E: e, P: p, Sys: sys, Mem: mem, Name: name, bhSig: sim.NewSignal()}
-	n.txDoneFn = n.txDone
-	n.depositFn = n.deposit
 	e.GoDaemon("bh:"+name, n.bhLoop)
 	return n
 }
@@ -140,9 +153,9 @@ func (n *NIC) SetRxHandler(h RxHandler) {
 	n.firmware = nil
 }
 
-// SetFirmware selects firmware mode with the given handler.
-func (n *NIC) SetFirmware(h FirmwareHandler) {
-	n.firmware = h
+// SetFirmware selects firmware mode with the given firmware.
+func (n *NIC) SetFirmware(fw Firmware) {
+	n.firmware = fw
 	n.handler = nil
 }
 
@@ -154,8 +167,10 @@ func (n *NIC) SkbsLive() int { return n.skbsLive }
 // Transmit queues a frame for transmission: a host-to-NIC DMA read,
 // then wire serialization. The sending CPU costs (building the skbuff,
 // the syscall) are the protocol's business and must be charged before
-// calling Transmit.
+// calling Transmit. The NIC holds one copy of the frame (wire.Frame.Hold)
+// for the receiver or the link that drops it to release.
 func (n *NIC) Transmit(f *wire.Frame) {
+	f.Hold()
 	f.SrcAddr = n.Name
 	n.txQueue = append(n.txQueue, f)
 	if !n.txActive {
@@ -176,12 +191,13 @@ func (n *NIC) txNext() {
 	n.txHead++
 	n.txCur = f
 	dma := sim.Duration(n.P.NICFixedLatency) + sim.Duration(float64(f.WireLen)/float64(n.P.NICDMARate))
-	n.E.Schedule(dma, n.txDoneFn)
+	n.E.ScheduleArg(dma, nicTxDone, n)
 }
 
-// txDone hands txCur, now read from host memory, to the wire and
-// starts the next frame's DMA.
-func (n *NIC) txDone() {
+// nicTxDone hands the NIC's txCur, now read from host memory, to the
+// wire and starts the next frame's DMA.
+func nicTxDone(arg any) {
+	n := arg.(*NIC)
 	f := n.txCur
 	n.txCur = nil
 	n.TxFrames++
@@ -196,7 +212,7 @@ func (n *NIC) txDone() {
 // Arrive implements wire.Port: a frame's last bit has arrived.
 func (n *NIC) Arrive(f *wire.Frame) {
 	if n.firmware != nil {
-		n.firmware(f)
+		n.firmware.FirmwareRx(n.Lane, f)
 		return
 	}
 	if n.handler == nil {
@@ -207,6 +223,7 @@ func (n *NIC) Arrive(f *wire.Frame) {
 	// put the frame and drops it.
 	if n.inflight+n.pendingLen() >= n.P.RxRingSize {
 		n.RxDrops++
+		f.Release()
 		return
 	}
 	n.inflight++
@@ -215,13 +232,14 @@ func (n *NIC) Arrive(f *wire.Frame) {
 	// firmware personality, which deposits into user-placed buffers,
 	// does; see mxoe).
 	dma := sim.Duration(n.P.NICFixedLatency) + sim.Duration(float64(f.WireLen)/float64(n.P.NICDMARate))
-	n.E.ScheduleArg(dma, n.depositFn, f)
+	n.E.ScheduleArg(dma, nicDeposit, &Skb{Frame: f, nic: n})
 }
 
-// deposit completes the DMA of an arrived frame (several may be in
-// flight) into a ring skbuff and wakes the bottom half.
-func (n *NIC) deposit(arg any) {
-	f := arg.(*wire.Frame)
+// nicDeposit completes the DMA of an arrived frame (several may be in
+// flight) into its ring skbuff and wakes the bottom half.
+func nicDeposit(arg any) {
+	skb := arg.(*Skb)
+	n, f := skb.nic, skb.Frame
 	n.inflight--
 	n.RxFrames++
 	// A sent frame's payload never changes (a pull reply views the
@@ -229,6 +247,7 @@ func (n *NIC) deposit(arg any) {
 	// duplicates share one Frame), so the skbuff wraps it instead of
 	// copying it.
 	buf := n.Mem.Wrap(f.Data)
+	skb.Buf = buf
 	if n.P.HasDCA {
 		// Direct Cache Access: the deposit is pushed into the
 		// interrupt core's LLC instead of landing cold in memory.
@@ -238,7 +257,7 @@ func (n *NIC) deposit(arg any) {
 	}
 	n.SkbsAlloc++
 	n.skbsLive++
-	n.pending = append(n.pending, &Skb{Buf: buf, Frame: f, nic: n})
+	n.pending = append(n.pending, skb)
 	n.bhSig.Broadcast()
 }
 

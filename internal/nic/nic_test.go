@@ -253,7 +253,7 @@ func TestFirmwareModeBypassesHost(t *testing.T) {
 	fx := newPair(t)
 	var got *wire.Frame
 	var at sim.Time
-	fx.b.SetFirmware(func(f *wire.Frame) { got = f; at = fx.e.Now() })
+	fx.b.SetFirmware(FirmwareHandler(func(f *wire.Frame) { got = f; at = fx.e.Now() }))
 	fx.a.Transmit(frame(256, "fw"))
 	fx.e.RunUntil(sim.Millisecond)
 	if got == nil {
@@ -273,7 +273,7 @@ func TestWireSerializationPacing(t *testing.T) {
 	// after the first (wire is the pacing element).
 	fx := newPair(t)
 	var times []sim.Time
-	fx.b.SetFirmware(func(f *wire.Frame) { times = append(times, fx.e.Now()) })
+	fx.b.SetFirmware(FirmwareHandler(func(f *wire.Frame) { times = append(times, fx.e.Now()) }))
 	fx.a.Transmit(frame(8192, 0))
 	fx.a.Transmit(frame(8192, 1))
 	fx.e.RunUntil(sim.Millisecond)
@@ -360,8 +360,8 @@ func TestSwitchForwarding(t *testing.T) {
 	b.SetHose(sw.Attach(b))
 	c.SetHose(sw.Attach(c))
 	var gotB, gotC int
-	b.SetFirmware(func(f *wire.Frame) { gotB++ })
-	c.SetFirmware(func(f *wire.Frame) { gotC++ })
+	b.SetFirmware(FirmwareHandler(func(f *wire.Frame) { gotB++ }))
+	c.SetFirmware(FirmwareHandler(func(f *wire.Frame) { gotC++ }))
 	fa := frame(100, nil)
 	fa.DstAddr = "b"
 	a.Transmit(fa)

@@ -153,7 +153,7 @@ type Transport struct {
 	// past RndvDedupWindow so the map cannot grow without bound and a
 	// wrapped-around sequence number cannot hit an ancient entry.
 	seen map[RndvKey]*rndvState
-	done []RndvKey
+	done EvictRing[RndvKey]
 }
 
 // NewTransport returns the transport core of a stack on h. It counts
@@ -169,7 +169,6 @@ func NewTransport(h *host.Host, ctr *Counters, cfg TransportConfig) Transport {
 		rtxMax:      cfg.RetransmitMax,
 		rtxBackoff:  cfg.RetransmitBackoff,
 		adaptiveRTO: cfg.Adaptive && cfg.RetransmitTimeout == 0,
-		seen:        make(map[RndvKey]*rndvState),
 	}
 	if t.rtxBase == 0 {
 		t.rtxBase = RtxTimeout
@@ -358,7 +357,7 @@ func (t *Transport) rndvSeen(key RndvKey) (sender int, done, ok bool) {
 // an already remembered key keeps its state.
 func (t *Transport) rndvInsert(key RndvKey, sender int) {
 	if t.seen[key] == nil {
-		t.seen[key] = &rndvState{sender: sender}
+		Insert(&t.seen, key, &rndvState{sender: sender})
 	}
 }
 
@@ -388,7 +387,7 @@ func (t *Transport) RndvMarkDone(key RndvKey) {
 		return
 	}
 	st.done = true
-	t.done = EvictOldest(t.seen, t.done, key, RndvDedupWindow)
+	EvictOldest(t.seen, &t.done, key, RndvDedupWindow)
 }
 
 // Matches implements MX matching: the receive's masked match value

@@ -148,7 +148,7 @@ func TestTransportRndvDedupLossRecovery(t *testing.T) {
 		tr.rndvInsert(key(seq), int(seq))
 		tr.RndvMarkDone(key(seq))
 	}
-	if got := len(tr.done); got != RndvDedupWindow {
+	if got := tr.done.Len(); got != RndvDedupWindow {
 		t.Errorf("done FIFO holds %d keys, want %d", got, RndvDedupWindow)
 	}
 	if got := len(tr.seen); got != RndvDedupWindow+1 {

@@ -1,6 +1,10 @@
 package proto
 
-import "omxsim/sim"
+import (
+	"slices"
+
+	"omxsim/sim"
+)
 
 // Reliability-window arithmetic shared by the Open-MX driver
 // (internal/core) and the native MX firmware (internal/mxoe). The
@@ -131,13 +135,50 @@ func ClaimBefore(aSrc Addr, aSeq uint32, bSrc Addr, bSeq uint32) bool {
 // real stacks bound this window too.
 const RndvDedupWindow = 4096
 
-// EvictOldest appends key to a bounded dedup FIFO and, past limit,
-// deletes the oldest key from seen. Returns the updated FIFO.
-func EvictOldest[K comparable, V any](seen map[K]V, fifo []K, key K, limit int) []K {
-	fifo = append(fifo, key)
-	if len(fifo) > limit {
-		delete(seen, fifo[0])
-		fifo = fifo[1:]
+// EvictRing is the bounded FIFO of a dedup set: the keys in the order
+// they completed, oldest first. It grows by append up to its limit,
+// from a first slice of evictRingFirst keys, and then wraps in place,
+// so a full window evicts with no allocation.
+type EvictRing[K comparable] struct {
+	keys []K
+	head int // index of the oldest key once the ring is full
+}
+
+// evictRingFirst is the capacity of a ring's first slice: enough for a
+// short-lived dedup set in one allocation.
+const evictRingFirst = 8
+
+// Len reports how many keys the ring holds.
+func (r *EvictRing[K]) Len() int { return len(r.keys) }
+
+// Contains reports whether the ring holds key. It scans the ring, so a
+// caller that can rule a key out otherwise (a live entry) should.
+func (r *EvictRing[K]) Contains(key K) bool { return slices.Contains(r.keys, key) }
+
+// Push appends key. A ring already holding limit keys drops its oldest
+// one, which it returns with evicted true. A small window can serve as
+// the dedup set itself, through Contains.
+func (r *EvictRing[K]) Push(key K, limit int) (old K, evicted bool) {
+	if len(r.keys) < limit {
+		if r.keys == nil {
+			r.keys = make([]K, 0, min(limit, evictRingFirst))
+		}
+		r.keys = append(r.keys, key)
+		return old, false
 	}
-	return fifo
+	old = r.keys[r.head]
+	r.keys[r.head] = key
+	r.head++
+	if r.head == len(r.keys) {
+		r.head = 0
+	}
+	return old, true
+}
+
+// EvictOldest appends key to a bounded dedup FIFO and, past limit,
+// deletes the oldest key from seen.
+func EvictOldest[K comparable, V any](seen map[K]V, fifo *EvictRing[K], key K, limit int) {
+	if old, evicted := fifo.Push(key, limit); evicted {
+		delete(seen, old)
+	}
 }

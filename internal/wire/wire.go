@@ -46,7 +46,41 @@ type Frame struct {
 	DstAddr string
 	// SrcAddr identifies the sender.
 	SrcAddr string
+
+	// Owner, when non-nil, is told when the frame's last copy is
+	// released, and may then reuse the Frame (see Hold).
+	Owner  FrameOwner
+	copies int
 }
+
+// FrameOwner reuses frames: a firmware that sends the same Frame for
+// every transmission of a message keeps it until no copy is left.
+type FrameOwner interface {
+	// FrameReleased runs when f's last copy has been released.
+	FrameReleased(f *Frame)
+}
+
+// Hold counts one more copy of f on its way to a receiver: a NIC
+// holds one per Transmit, a link one per duplicate it makes, and a
+// stack that loops a frame back to itself one per loopback. Every
+// copy is released exactly once, by whatever ends its delivery: the
+// link or switch that drops it, or the receiver once it has handled
+// it. A receiver may keep Data, which never changes, but not the
+// Frame of an owned message past the release.
+func (f *Frame) Hold() { f.copies++ }
+
+// Release ends one copy's delivery. The release of the last copy
+// tells the Owner. Releasing a frame nobody holds is harmless unless
+// it has an Owner.
+func (f *Frame) Release() {
+	f.copies--
+	if f.copies == 0 && f.Owner != nil {
+		f.Owner.FrameReleased(f)
+	}
+}
+
+// Copies reports the copies of f still being delivered.
+func (f *Frame) Copies() int { return f.copies }
 
 // Port is anything that can receive frames from a link: a NIC or a
 // switch port.
@@ -72,14 +106,14 @@ type Hose struct {
 	queue []*Frame
 	head  int
 	busy  bool
-	// cur is the frame on the wire (one at a time). The callbacks that
-	// end its serialization, deliver a frame to the peer and send one
-	// a switch has forwarded are bound once in NewHose, so no hop
-	// builds a closure.
-	cur         *Frame
-	serializeFn func()
-	arriveFn    func(any)
-	sendFn      func(any)
+	// cur is the frame on the wire (one at a time). The end of its
+	// serialization is a static callback with the hose as argument;
+	// the callbacks that deliver a frame to the peer and send one a
+	// switch has forwarded take the frame as argument and are bound
+	// once in NewHose. So no hop builds a closure.
+	cur      *Frame
+	arriveFn func(any)
+	sendFn   func(any)
 
 	// Drop, if non-nil, is consulted for every frame after
 	// serialization; returning true discards the frame (loss
@@ -113,7 +147,6 @@ type Hose struct {
 // NewHose returns a transmit hose towards peer.
 func NewHose(e *sim.Engine, p *platform.Platform, peer Port) *Hose {
 	h := &Hose{E: e, P: p, peer: peer}
-	h.serializeFn = h.serialized
 	h.arriveFn = func(f any) { h.peer.Arrive(f.(*Frame)) }
 	h.sendFn = func(f any) { h.Send(f.(*Frame)) }
 	return h
@@ -141,6 +174,7 @@ func (h *Hose) Send(f *Frame) {
 	}
 	if h.QueueLimit > 0 && h.occupancy() >= h.QueueLimit {
 		h.TailDrops++
+		f.Release()
 		return
 	}
 	h.queue = append(h.queue, f)
@@ -179,8 +213,11 @@ func (h *Hose) startNext() {
 	h.queue[h.head] = nil
 	h.head++
 	h.cur = f
-	h.E.Schedule(h.SerializeTime(f.WireLen), h.serializeFn)
+	h.E.ScheduleArg(h.SerializeTime(f.WireLen), hoseSerialized, h)
 }
+
+// hoseSerialized ends the serialization of a hose's cur.
+func hoseSerialized(arg any) { arg.(*Hose).serialized() }
 
 // serialized runs when the last bit of cur is on the wire: the frame
 // is dropped, impaired or sent on to the peer, and the next starts.
@@ -190,6 +227,7 @@ func (h *Hose) serialized() {
 	switch {
 	case h.Drop != nil && h.Drop(f):
 		h.FramesDropped++
+		f.Release()
 	case h.imp != nil:
 		h.impairedDeliver(f)
 	default:
@@ -207,6 +245,7 @@ func (h *Hose) impairedDeliver(f *Frame) {
 	im := h.imp
 	if im.chance(im.prof.LossRate) {
 		h.FramesLost++
+		f.Release()
 		return
 	}
 	h.FramesSent++
@@ -214,6 +253,7 @@ func (h *Hose) impairedDeliver(f *Frame) {
 	h.deliverImpaired(f)
 	if im.chance(im.prof.DupRate) {
 		h.FramesDuped++
+		f.Hold()
 		h.deliverImpaired(f)
 	}
 }
@@ -330,6 +370,7 @@ func (s *Switch) route(f *Frame) {
 	out := s.lookup(f)
 	if out == nil {
 		s.FramesUnknown++
+		f.Release()
 		return
 	}
 	s.FramesForwarded++

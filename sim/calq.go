@@ -24,7 +24,10 @@ package sim
 //     key. As the wheel base advances, newly covered far events
 //     migrate into the freshly vacated buckets, preserving the
 //     invariant that every event in the far heap is at least one full
-//     horizon away.
+//     horizon away. A far event whose Timer is stopped leaves the
+//     heap at once and goes back to the pool: a retransmission timer
+//     stopped by its ack would otherwise hold an event record until
+//     the clock reached its deadline.
 //   - Event structs are pooled: a freelist over chunk-allocated slabs,
 //     with a generation counter so a Timer held across the event's
 //     recycling can never cancel an unrelated reuse.
@@ -62,6 +65,7 @@ type event struct {
 	kind      procKind
 	gen       uint32 // bumped on recycle; Timers holding an older gen are stale
 	cancelled bool
+	farIdx    int    // 1 + its index in the far heap; 0 when not there
 	next      *event // freelist link
 }
 
@@ -148,7 +152,30 @@ func (q *calq) push(ev *event) {
 
 func (q *calq) pushFar(ev *event) {
 	q.far = append(q.far, ev)
+	ev.farIdx = len(q.far)
 	q.siftUp(len(q.far) - 1)
+}
+
+// cancel drops a stopped event from the far heap and recycles it. A
+// stopped event in the wheel stays, flagged, until pop skips it.
+func (q *calq) cancel(ev *event) {
+	i := ev.farIdx - 1
+	if i < 0 {
+		return
+	}
+	n := len(q.far) - 1
+	if i != n {
+		q.far[i] = q.far[n]
+		q.far[i].farIdx = i + 1
+	}
+	q.far[n] = nil
+	q.far = q.far[:n]
+	if i != n {
+		q.siftDown(i)
+		q.siftUp(i)
+	}
+	ev.farIdx = 0
+	q.recycle(ev)
 }
 
 // settle puts the base on the bucket of the clock, now, once the loop
@@ -323,12 +350,21 @@ func (q *calq) popFar() *event {
 	ev := q.far[0]
 	n := len(q.far) - 1
 	q.far[0] = q.far[n]
+	q.far[0].farIdx = 1
 	q.far[n] = nil
 	q.far = q.far[:n]
 	if n > 0 {
 		q.siftDown(0)
 	}
+	ev.farIdx = 0
 	return ev
+}
+
+// swapFar swaps two far-heap entries, keeping their indexes.
+func (q *calq) swapFar(i, j int) {
+	q.far[i], q.far[j] = q.far[j], q.far[i]
+	q.far[i].farIdx = i + 1
+	q.far[j].farIdx = j + 1
 }
 
 func (q *calq) siftUp(i int) {
@@ -337,7 +373,7 @@ func (q *calq) siftUp(i int) {
 		if !q.far[i].before(q.far[parent]) {
 			return
 		}
-		q.far[i], q.far[parent] = q.far[parent], q.far[i]
+		q.swapFar(i, parent)
 		i = parent
 	}
 }
@@ -355,7 +391,7 @@ func (q *calq) siftDown(i int) {
 		if least == i {
 			return
 		}
-		q.far[i], q.far[least] = q.far[least], q.far[i]
+		q.swapFar(i, least)
 		i = least
 	}
 }

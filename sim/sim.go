@@ -96,6 +96,7 @@ func (t Timer) Stop() bool {
 	}
 	t.ev.cancelled = true
 	t.e.live--
+	t.e.q.cancel(t.ev)
 	return true
 }
 
