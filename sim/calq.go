@@ -71,7 +71,7 @@ type event struct {
 
 // procKind is the kind of a closure-free proc event. A wake event runs
 // proc.wake (the timer half of Sleep/Yield, which itself files a step
-// event), a step event resumes the goroutine, an unpark event runs
+// event), a step event resumes the proc, an unpark event runs
 // proc.Unpark (a CPU charge that retires after a delay). Keeping the
 // wake and step hops separate preserves the exact event interleaving
 // of the original closure-based engine, so trajectories are

@@ -5,27 +5,29 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a body that runs on a goroutine in
+// Proc is a simulated process: a body that runs on a coroutine in
 // lock-step with the engine. At most one goroutine (the caller of Run
-// or a single Proc) executes at any real-time moment, which keeps the
-// whole simulation deterministic and lock-free.
+// or a single Proc's coroutine) executes at any real-time moment,
+// which keeps the whole simulation deterministic and lock-free.
 //
-// The goroutine that holds the baton runs the event loop. A proc that
-// blocks keeps the baton and fires events itself: callbacks, wake and
-// unpark events run inline, a step of its own process just returns
-// from block (no goroutine switch), and a step of another proc sends
-// that proc's resume channel and waits on its own (one switch). When
-// no event is left at or before the bound, the baton goes back to Run
-// over the engine's channel.
+// Run's goroutine drives the coroutines: it runs the event loop until
+// a step event of a proc comes up and resumes that proc's coroutine.
+// A proc that blocks runs the loop itself: callbacks, wake and unpark
+// events fire inline, a step of its own process just returns from
+// block (no switch), and a step of another proc is yielded to the
+// driver, which resumes that proc (two coroutine switches). When no
+// event is left at or before the bound, the proc yields nil and Run
+// goes on.
 //
-// Goroutines are pooled per engine. When a body is over, its goroutine
-// still holds the baton and goes on running the loop; once it hands
-// the baton on, it parks on the engine's free list and Go gives it the
-// next proc. Each Go makes a fresh *Proc, so a stale step event of a
-// finished proc still does nothing. Close aborts a parked process by
-// setting the engine's closing flag and resuming it; the process then
-// unwinds with procAbort, whether it is parked in block or has never
-// started.
+// Coroutines are pooled per engine and bound at a proc's first resume.
+// When a body is over, its coroutine goes on running the loop; once
+// the loop reaches another proc, it parks on the engine's free list
+// and the driver binds the next fresh proc to it. Each Go makes a
+// fresh *Proc, so a stale step event of a finished proc still does
+// nothing. Close aborts a parked process by setting the engine's
+// closing flag and stopping its coroutine; the process then unwinds
+// with procAbort. A process that never started has no coroutine, and
+// Close retires it without running it.
 //
 // A Proc advances simulated time only through the blocking helpers
 // (Sleep, Signal.Wait, Park, ...). Plain Go computation inside a Proc
@@ -35,7 +37,7 @@ type Proc struct {
 	name     string
 	id       uint64        // creation index on the engine (folded into the digest)
 	body     func(p *Proc) // nil once the body has run
-	resume   chan *Proc    // the goroutine's channel: each receive runs this proc
+	co       *coro         // the coroutine it runs on; nil until its first resume
 	woken    bool          // a wake event is already scheduled
 	parked   bool          // waiting in Park for Unpark
 	finished bool          // the body is over; step events become no-ops
@@ -46,7 +48,7 @@ type Proc struct {
 type procAbort struct{}
 
 // ProcPanic is what the engine re-raises when a process body panics.
-// The panic crosses from the process goroutine to the goroutine that
+// The panic crosses from the process coroutine to the goroutine that
 // drives the engine, so it reaches the caller of Engine.Run (and a
 // runner job's panic capture) instead of killing the program.
 type ProcPanic struct {
@@ -54,7 +56,7 @@ type ProcPanic struct {
 	Proc string
 	// Value is the value passed to panic.
 	Value any
-	// Stack is the process goroutine's stack at the panic.
+	// Stack is the process coroutine's stack at the panic.
 	Stack []byte
 }
 
@@ -65,72 +67,40 @@ func (pp *ProcPanic) Error() string {
 // Go starts fn as a new simulated process. fn begins executing at the
 // current simulated time (as a scheduled event). The call returns
 // immediately; the process body runs when the engine reaches it, on a
-// pooled goroutine when one is parked.
+// pooled coroutine when one is parked.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, id: e.nprocs, body: fn}
-	if n := len(e.idle); n > 0 {
-		p.resume = e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-	} else {
-		p.resume = make(chan *Proc)
-		go e.work(p.resume)
-	}
 	e.nprocs++
 	e.procs[p] = struct{}{}
 	e.scheduleProc(0, p, procStep)
 	return p
 }
 
-// work is the body of a pooled goroutine. Each receive on resume
-// starts the proc Go gave it. When that body is over the goroutine
-// still holds the baton: it runs the loop until another goroutine must
-// run, parks itself on the free list and hands the baton on. A closed
-// resume retires the goroutine.
-func (e *Engine) work(resume chan *Proc) {
-	for p := range resume {
-		next, ok := p.run()
-		if !ok {
-			return
-		}
-		// Park only now: a Go fired by the loop above must not be
-		// given this goroutine while it still runs the loop.
-		e.idle = append(e.idle, resume)
-		e.pass(next)
+// run runs the body and retires the process, then keeps the loop going
+// on its coroutine. It returns the proc the loop reached next (nil:
+// back to the driver). A runtime.Goexit in the body, or in a callback
+// the loop fires, never returns here: iter.Pull carries it on to the
+// driver.
+func (p *Proc) run() *Proc {
+	pp := p.call()
+	e := p.e
+	switch {
+	case e.closing:
+		// Close waits for the unwind; a panic on the way is dropped.
+		return nil
+	case pp != nil:
+		e.caught = pp
+		return nil
 	}
+	return e.nextGuarded()
 }
 
-// run runs the body and retires the process, then keeps the loop
-// going on this goroutine. It returns the proc the loop reached next
-// (nil: the baton goes back to Run), and false when the goroutine must
-// not be pooled; run has then passed the baton itself.
-func (p *Proc) run() (next *Proc, ok bool) {
-	e := p.e
-	returned := false
-	defer func() {
-		pp := p.retire(recover())
-		switch {
-		case e.closing:
-			// Close waits for the unwind; a panic on the way is dropped.
-			e.pass(nil)
-			next, ok = nil, false
-		case pp != nil:
-			e.caught = pp
-			next, ok = nil, true
-		case returned:
-			next, ok = e.nextGuarded(), true
-		default:
-			// runtime.Goexit (t.FailNow in a test's process) ends the
-			// goroutine: pass the baton on before it goes.
-			e.pass(e.nextGuarded())
-			next, ok = nil, false
-		}
-	}()
-	if !e.closing {
-		p.body(p)
-	}
-	returned = true
-	return nil, true
+// call runs the body and retires the process, turning a panic of the
+// body into a *ProcPanic.
+func (p *Proc) call() (pp *ProcPanic) {
+	defer func() { pp = p.retire(recover()) }()
+	p.body(p)
+	return nil
 }
 
 // retire drops the finished process from the engine and turns a panic
@@ -162,7 +132,7 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 // block suspends the process until its next step event, running the
-// event loop on this goroutine meanwhile. Called only from process
+// event loop on its coroutine meanwhile. Called only from process
 // context. A process unwinding from Close never runs the loop.
 func (p *Proc) block() {
 	e := p.e
@@ -171,8 +141,8 @@ func (p *Proc) block() {
 		if next == p {
 			return
 		}
-		e.pass(next)
-		<-p.resume
+		// False only when Close stops the coroutine; closing says so.
+		p.co.yield(next)
 	}
 	if e.closing {
 		panic(procAbort{})

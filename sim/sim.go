@@ -13,11 +13,14 @@
 //     Sleep, wait on Signals, and occupy simulated CPU cores.
 //
 // One event loop pops and fires the events, and exactly one goroutine
-// runs it at any moment: the one that holds the baton. That is the
-// caller of Run or RunUntil, or a Proc blocked in Sleep, Wait or Park,
-// which fires events itself until its own step comes up. So no locking
-// is needed anywhere in the simulation, and a proc that resumes itself
-// costs no goroutine switch at all (see proc.go).
+// runs it at any moment: the caller of Run or RunUntil, or the
+// coroutine of a Proc blocked in Sleep, Wait or Park, which fires
+// events itself until a step comes up. Each Proc body runs on a pooled
+// coroutine made with iter.Pull (so the package needs Go 1.23), and
+// Run's goroutine is the only one that resumes them. So no locking is
+// needed anywhere in the simulation, a proc that resumes itself costs
+// no switch at all, and a step of another proc costs two coroutine
+// switches (see proc.go).
 //
 // The event queue is a calendar queue (timing wheel plus a far-future
 // heap, see calq.go) with pooled event records: the steady-state
@@ -113,10 +116,9 @@ type Engine struct {
 	closing bool
 	dig     *digest // event-order digest; nil when off (see digest.go)
 
-	until  Time          // the loop's bound: RunUntil's t, or maxTime for Run
-	baton  chan struct{} // hands the loop back to Run, RunUntil or Close
-	caught any           // a panic caught on a proc goroutine, re-raised by Run
-	idle   []chan *Proc  // parked pooled goroutines, each waiting for a proc
+	until  Time    // the loop's bound: RunUntil's t, or maxTime for Run
+	caught any     // a panic caught on a proc coroutine, re-raised by Run
+	idle   []*coro // parked pooled coroutines, each waiting for a fresh proc
 }
 
 // maxTime is the bound of Run's loop: no event lies beyond it.
@@ -124,7 +126,7 @@ const maxTime = Time(1<<63 - 1)
 
 // New returns a ready-to-use engine at time zero.
 func New() *Engine {
-	e := &Engine{procs: make(map[*Proc]struct{}), baton: make(chan struct{})}
+	e := &Engine{procs: make(map[*Proc]struct{})}
 	collectDigest(e)
 	return e
 }
@@ -194,11 +196,12 @@ func (e *Engine) push(t Time) *event {
 // Pending reports the number of live (non-cancelled) scheduled events.
 func (e *Engine) Pending() int { return e.live }
 
-// next runs the event loop on the calling goroutine, which holds the
-// baton, until a step event of a live proc comes up, and returns that
-// proc. It returns nil when no event is left at or before the bound.
-// Each event record is returned to the pool before it fires, so a
-// callback that reschedules at once reuses the hot slot.
+// next runs the event loop on the calling goroutine (the driver, or
+// the coroutine of the proc that blocked last) until a step event of a
+// live proc comes up, and returns that proc. It returns nil when no
+// event is left at or before the bound. Each event record is returned
+// to the pool before it fires, so a callback that reschedules at once
+// reuses the hot slot.
 func (e *Engine) next() *Proc {
 	for {
 		ev := e.q.pop()
@@ -240,9 +243,9 @@ func (e *Engine) next() *Proc {
 	}
 }
 
-// nextGuarded is next for a proc goroutine. A callback that panics
-// there must not unwind the proc's body, so the panic is caught,
-// stored for Run to re-raise, and the baton goes back to Run.
+// nextGuarded is next for a proc coroutine. A callback that panics
+// there must not unwind the proc's body, so the panic is caught and
+// stored for Run to re-raise, and the coroutine yields nil.
 func (e *Engine) nextGuarded() (p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -253,29 +256,16 @@ func (e *Engine) nextGuarded() (p *Proc) {
 	return e.next()
 }
 
-// pass hands the baton to p, or back to the goroutine waiting in Run,
-// RunUntil or Close when p is nil. The caller must not touch engine
-// state afterwards.
-func (e *Engine) pass(p *Proc) {
-	if p == nil {
-		e.baton <- struct{}{}
-	} else {
-		p.resume <- p
-	}
-}
-
-// drive runs the loop up to until on the calling goroutine. When a
-// proc must run, drive hands it the baton and waits for the loop to
-// come back, which it does when no event is left at or before until,
-// or with a panic caught on a proc goroutine, which drive re-raises.
+// drive runs the loop up to until on the calling goroutine, resuming
+// each proc it reaches. A resumed proc's coroutine returns the proc
+// its loop reached next. drive stops when no event is left at or
+// before until, or with a panic caught on a proc coroutine, which it
+// re-raises.
 func (e *Engine) drive(until Time) {
 	e.until = until
-	p := e.next()
-	if p == nil {
-		return
+	for p := e.next(); p != nil; {
+		p = e.resume(p)
 	}
-	e.pass(p)
-	<-e.baton
 	if r := e.caught; r != nil {
 		e.caught = nil
 		panic(r)
@@ -286,7 +276,7 @@ func (e *Engine) drive(until Time) {
 // processes still blocked, daemons excluded (0 means a clean fully
 // drained run; nonzero usually indicates a protocol deadlock in the
 // simulated program). When no process is left at all, the pooled
-// goroutines are released, so a finished engine holds none.
+// coroutines are released, so a finished engine holds no goroutine.
 func (e *Engine) Run() int {
 	e.drive(maxTime)
 	e.q.settle(e.now)
@@ -322,28 +312,23 @@ func (e *Engine) BlockedProcs() []string {
 // started with GoDaemon that legitimately never exit).
 func (e *Engine) Daemons() int { return e.daemons }
 
-// Close aborts all live processes so their goroutines exit: it sets
-// closing and resumes each parked process, which unwinds instead of
-// continuing, then releases the pooled goroutines. The engine must not
-// be used afterwards. It is safe to call on a fully drained engine (it
-// is then a no-op) and is intended for tests and for tearing down
+// Close aborts all live processes so their coroutines exit: it sets
+// closing and stops each started process's coroutine, which unwinds
+// the process instead of continuing, retires the processes that never
+// started, then releases the pooled coroutines. The engine must not be
+// used afterwards. It is safe to call on a fully drained engine (it is
+// then a no-op) and is intended for tests and for tearing down
 // deadlocked simulations.
 func (e *Engine) Close() {
 	e.closing = true
 	for p := range e.procs {
-		e.pass(p)
-		<-e.baton
+		if p.co == nil {
+			p.retire(nil)
+		} else {
+			p.co.stop()
+		}
 	}
 	e.procs = map[*Proc]struct{}{}
 	e.daemons = 0
 	e.release()
-}
-
-// release retires the parked pooled goroutines.
-func (e *Engine) release() {
-	for i, resume := range e.idle {
-		close(resume)
-		e.idle[i] = nil
-	}
-	e.idle = e.idle[:0]
 }
