@@ -10,7 +10,9 @@ import (
 )
 
 // frameTap sits between a hose and the receiving NIC and records a
-// private copy of every payload as first delivered.
+// private copy of every payload as first delivered. It holds each
+// frame it records, so the sender's transport cannot reuse the frame
+// before the test compares it; release gives the frames back.
 type frameTap struct {
 	wire.Port
 	sent map[*wire.Frame][]byte
@@ -18,9 +20,17 @@ type frameTap struct {
 
 func (t *frameTap) Arrive(f *wire.Frame) {
 	if _, seen := t.sent[f]; !seen {
+		f.Hold()
 		t.sent[f] = bytes.Clone(f.Data)
 	}
 	t.Port.Arrive(f)
+}
+
+// release ends the tap's hold on every recorded frame.
+func (t *frameTap) release() {
+	for f := range t.sent {
+		f.Release()
+	}
 }
 
 // The receive path wraps a frame's payload instead of copying it, so
@@ -59,6 +69,7 @@ func TestDuplicateFramesShareImmutablePayload(t *testing.T) {
 					t.Fatalf("a %T frame's payload changed after it was sent", f.Msg)
 				}
 			}
+			tap.release()
 		})
 	}
 }

@@ -503,19 +503,14 @@ func (s *Stack) transmitEager(ep *Endpoint, dst proto.Addr, r *Request) {
 	ack := ep.takeAck(dst)
 	for f := 0; f < frags; f++ {
 		fo, fl := proto.MediumFrag(r.n, f)
-		var payload []byte
-		if fl > 0 {
-			payload = make([]byte, fl)
-			r.buf.ReadAt(payload, r.off+fo)
-		}
 		// Fragments stripe across NIC lanes (reassembly is bitmap-based
 		// and hole-aware, so cross-lane skew cannot corrupt anything).
-		s.TransmitOn(s.LaneOf(r.seq, f), dst, &proto.Eager{
+		s.TransmitEager(s.LaneOf(r.seq, f), dst, proto.Eager{
 			Src: ep.Addr(), Dst: dst,
 			Match: r.MatchInfo, Seq: r.seq, MsgLen: r.n,
 			FragID: f, FragCount: frags, Offset: fo,
 			AckSeq: ack,
-		}, payload)
+		}, r.buf, r.off+fo, fl)
 	}
 }
 

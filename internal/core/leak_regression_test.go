@@ -28,13 +28,15 @@ func TestRingSlotLeakRegression(t *testing.T) {
 // retransmission — while fragment 1 never arrives, so the message is
 // still assembling and no process drains B's events. The duplicate
 // must take no ring slot and queue no event, and counts once in
-// DupFrags.
+// DupFrags. The test holds the captured frame, so the sender's
+// transport keeps it for the replay, whose delivery releases it.
 func TestRetransmittedFragmentTakesNoSlot(t *testing.T) {
 	pr := newPair(t, Config{}, Config{})
 	var frag0 *wire.Frame
 	pr.sa.H.NIC.Hose().Drop = func(f *wire.Frame) bool {
 		m, ok := f.Msg.(*proto.Eager)
 		if ok && m.FragID == 0 && frag0 == nil {
+			f.Hold()
 			frag0 = f
 		}
 		return ok && m.FragID == 1

@@ -207,11 +207,7 @@ func (s *Stack) rxPull(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb, m *p
 		if fl <= 0 {
 			continue
 		}
-		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
-			Src: ls.ep.Addr(), Dst: m.Src,
-			RecvHandle: m.RecvHandle, Block: m.Block,
-			FragID: fragID, Offset: fo, MsgLen: ls.N,
-		}, ls.Buf.View(ls.Off+fo, fl))
+		s.TransmitFrag(lane, m, ls.ep.Addr(), fragID, ls.N, ls.Buf.View(ls.Off+fo, fl))
 		s.Stats.LargeFragsSent++
 	}
 }
@@ -236,8 +232,11 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 	}
 	lp.received++
 
+	// The header travels in the frame and goes back with it when the
+	// skbuff is freed, which may be before this callback returns.
+	frag, fragOff := m.FragID, m.Offset
 	n := skb.Len()
-	dstOff := lp.Off + m.Offset
+	dstOff := lp.Off + fragOff
 	last := lp.received == lp.Frags
 
 	switch {
@@ -248,8 +247,8 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		// Optional hybrid: memcpy the head of the message to warm the
 		// consumer's cache, offload the rest (Section V/VI).
 		so := 0
-		if warm := s.Cfg.HybridWarmupBytes; warm > 0 && m.Offset < warm {
-			head := min(n, warm-m.Offset)
+		if warm := s.Cfg.HybridWarmupBytes; warm > 0 && fragOff < warm {
+			head := min(n, warm-fragOff)
 			d := s.H.Copy.Memcpy(lp.Buf, dstOff, skb.Buf, 0, head, core.ID)
 			core.RunOn(p, cpu.BHCopy, d)
 			so = head
@@ -265,9 +264,8 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		core.RunOn(p, cpu.IOATSubmit, s.H.IOAT.SubmitCost(ndesc))
 		var onDone func()
 		if s.Trace != nil {
-			s.Trace(proto.TraceEvent{Kind: "submit", Frag: m.FragID, Start: t1, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "submit", Frag: frag, Start: t1, End: p.Now()})
 			subEnd := p.Now()
-			frag := m.FragID
 			onDone = func() {
 				s.Trace(proto.TraceEvent{Kind: "dma-copy", Frag: frag, Start: subEnd, End: s.H.E.Now()})
 			}
@@ -282,7 +280,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		d := s.H.Copy.Memcpy(lp.Buf, dstOff, skb.Buf, 0, n, core.ID)
 		core.RunOn(p, cpu.BHCopy, d)
 		if s.Trace != nil {
-			s.Trace(proto.TraceEvent{Kind: "memcpy", Frag: m.FragID, Start: t1, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "memcpy", Frag: frag, Start: t1, End: p.Now()})
 		}
 		skb.Free()
 	}
@@ -349,7 +347,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 				}
 			})
 			if s.Trace != nil {
-				s.Trace(proto.TraceEvent{Kind: "wait", Frag: m.FragID, Start: tw, End: p.Now()})
+				s.Trace(proto.TraceEvent{Kind: "wait", Frag: frag, Start: tw, End: p.Now()})
 			}
 			s.freeRetired(lp)
 		}
@@ -359,7 +357,7 @@ func (s *Stack) rxLargeFrag(lane int, p *sim.Proc, core *cpu.Core, skb *nic.Skb,
 		tn := p.Now()
 		s.chargeEvent(p, core)
 		if s.Trace != nil {
-			s.Trace(proto.TraceEvent{Kind: "notify", Frag: m.FragID, Start: tn, End: p.Now()})
+			s.Trace(proto.TraceEvent{Kind: "notify", Frag: frag, Start: tn, End: p.Now()})
 		}
 		lp.ep.pushEvent(&event{kind: evLargeDone, req: lp.req})
 		s.AckRndv(&lp.RndvPull)
@@ -470,7 +468,7 @@ func (ep *Endpoint) armAckTimer(c *rxChan, force bool) {
 			return
 		}
 		c.lastAckSent = c.Edge()
-		s.Transmit(c.src, &proto.Ack{Src: c.src, Dst: ep.Addr(), AckSeq: c.Edge()}, nil)
+		s.TransmitAck(c.src, proto.Ack{Src: c.src, Dst: ep.Addr(), AckSeq: c.Edge()})
 		s.Stats.AcksSent++
 	})
 }

@@ -26,6 +26,9 @@ type Memory struct {
 	l2Clocks  []int64 // per L2 domain
 	l1Clocks  []int64 // per core
 	allocated int64
+
+	// wrapFree holds the buffers Unwrap gave back, for Wrap to reuse.
+	wrapFree []*Buffer
 }
 
 // New returns the memory system for a host described by p.
@@ -116,23 +119,67 @@ func (m *Memory) AllocOn(size, socket int) *Buffer {
 	if socket < 0 || socket >= m.P.Sockets {
 		panic(fmt.Sprintf("hostmem: alloc on socket %d of %d", socket, m.P.Sockets))
 	}
-	b := &Buffer{
-		Mem: m, Addr: m.nextAddr, size: size,
+	return &Buffer{
+		Mem: m, Addr: m.place(size), size: size,
 		lastCore: -1, home: socket, dcaDom: -1,
 		covL2: make([]int, m.P.L2Domains()),
 	}
+}
+
+// place reserves the address range of a size-byte buffer and counts
+// it as allocated.
+func (m *Memory) place(size int) int64 {
+	addr := m.nextAddr
 	m.nextAddr += int64(size) + int64(m.P.PageSize) // pad to keep addresses distinct
 	m.allocated += int64(size)
-	return b
+	return addr
 }
 
 // Wrap returns a read-only buffer over p, placed and accounted like
-// Alloc(len(p)). It shares p rather than copying it, so p must not
-// change while the buffer is in use; a write into the buffer panics.
+// Alloc(len(p)): it takes the next address range and counts as
+// allocated whether it is new or one Unwrap gave back, so addresses
+// and warmth never depend on the reuse. It shares p rather than
+// copying it, so p must not change while the buffer is in use; a
+// write into the buffer panics. The receive path wraps each frame's
+// payload in its skbuff and unwraps it when the skbuff is freed.
 func (m *Memory) Wrap(p []byte) *Buffer {
-	b := m.Alloc(len(p))
+	k := len(m.wrapFree)
+	if k == 0 {
+		b := m.Alloc(len(p))
+		b.data, b.readOnly = p, true
+		return b
+	}
+	b := m.wrapFree[k-1]
+	m.wrapFree[k-1] = nil
+	m.wrapFree = m.wrapFree[:k-1]
+	covL2 := b.covL2
+	clear(covL2)
+	*b = Buffer{}
+	b.Mem, b.Addr, b.size = m, m.place(len(p)), len(p)
 	b.data, b.readOnly = p, true
+	b.lastCore, b.home, b.dcaDom = -1, m.P.DMAHomeSocket, -1
+	b.covL2 = covL2
 	return b
+}
+
+// released is the size of a buffer Unwrap gave back: every range
+// check on it fails.
+const released = -1
+
+// Unwrap gives back a buffer Wrap made, once nothing reads it any
+// more; the next Wrap reuses it. The released buffer drops its bytes
+// and has no size, so a read through a stale pointer panics until
+// the buffer is reused. Unwrapping a buffer Wrap did not make, or one
+// already given back, panics.
+func (m *Memory) Unwrap(b *Buffer) {
+	switch {
+	case b.size == released:
+		panic("hostmem: unwrap of a released buffer")
+	case !b.readOnly || b.Mem != m:
+		panic("hostmem: unwrap of a buffer this memory did not wrap")
+	}
+	b.data, b.size = nil, released
+	m.wrapFree = append(m.wrapFree, b)
 }
 
 // HomeSocket reports the NUMA node the buffer's pages live on.
@@ -461,6 +508,9 @@ func (b *Buffer) View(off, n int) []byte {
 // check panics unless [off, off+n) lies within the buffer.
 func (b *Buffer) check(off, n int) {
 	if off < 0 || n < 0 || off > b.size-n {
+		if b.size == released {
+			panic("hostmem: use of a released wrap buffer")
+		}
 		panic(fmt.Sprintf("hostmem: range [%d:%d] outside a %d-byte buffer", off, off+n, b.size))
 	}
 }

@@ -556,3 +556,55 @@ func TestViewRequiresLend(t *testing.T) {
 		}()
 	}
 }
+
+// A wrap buffer Unwrap gave back is reused by the next Wrap, which
+// still takes the next address range, counts as allocated and starts
+// cold: addresses and warmth are those of a fresh buffer. A released
+// buffer panics on use, and unwrapping it again or unwrapping a
+// buffer Wrap did not make panics too.
+func TestUnwrapRecyclesLikeAFreshWrap(t *testing.T) {
+	p, m := mem()
+	fresh := New(p)
+	w := m.Wrap(make([]byte, 8192))
+	fresh.Wrap(make([]byte, 8192))
+	w.Touch(2, 8192)
+	w.WrittenByDCA(0, 8192)
+	m.Unwrap(w)
+	one := m.Alloc(1)
+	fresh.Alloc(1)
+	for name, use := range map[string]func(){
+		"ReadAt":                    func() { w.ReadAt(make([]byte, 1), 0) },
+		"Copy":                      func() { Copy(one, 0, w, 0, 1) },
+		"Unwrap":                    func() { m.Unwrap(w) },
+		"Unwrap of an Alloc buffer": func() { m.Unwrap(one) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a released wrap buffer did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+
+	p2 := []byte{9, 8, 7}
+	again := m.Wrap(p2)
+	want := fresh.Wrap(p2)
+	if again != w {
+		t.Fatal("Wrap did not reuse the released buffer")
+	}
+	if again.Addr != want.Addr || m.Allocated() != fresh.Allocated() {
+		t.Fatalf("reused wrap at %#x with %d allocated, a fresh one at %#x with %d",
+			again.Addr, m.Allocated(), want.Addr, fresh.Allocated())
+	}
+	if again.Size() != 3 || again.WarmLen() != 0 || again.LastCore() != -1 || again.DCADomain() != -1 ||
+		again.DMACold() || again.WarmSpanL2(2, 1) || again.HomeSocket() != want.HomeSocket() {
+		t.Fatal("a reused wrap buffer kept the warmth or placement of its last use")
+	}
+	got := make([]byte, 3)
+	again.ReadAt(got, 0)
+	if !bytes.Equal(got, p2) {
+		t.Fatalf("reused wrap reads %v, want %v", got, p2)
+	}
+}

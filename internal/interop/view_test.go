@@ -179,14 +179,18 @@ func fragEqual(a, b *hostmem.Buffer, f, n int) bool {
 // send buffer, so no fragment's payload is copied into a fresh slice.
 // Copying them (8 kB per fragment, 256 fragments per trip) costs about
 // 2.3 MiB per trip on Open-MX, and more on MXoE, which resends some;
-// the bound is 512 KiB.
+// the bound is 512 KiB. On Open-MX with I/OAT the trip's objects are
+// bounded too: every frame, skbuff, wrap buffer and fragment header
+// comes from a free list, so the 294 frames of a trip make at most
+// 200 objects (1,562 when each frame made its own four records).
 func TestRndvRoundTripAllocBound(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mk   func(*host.Host) peer
+		name     string
+		mk       func(*host.Host) peer
+		objBound uint64 // objects per round trip, 0 for no bound
 	}{
-		{"openmx-ioat", openMXPeer},
-		{"mxoe", mxoePeer},
+		{"openmx-ioat", openMXPeer, 200},
+		{"mxoe", mxoePeer, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, warm, trips = 1 << 20, 3, 10
@@ -220,9 +224,13 @@ func TestRndvRoundTripAllocBound(t *testing.T) {
 				t.Fatal("echo differs from the payload")
 			}
 			per := (after.TotalAlloc - before.TotalAlloc) / trips
-			t.Logf("%d KiB allocated per round trip", per>>10)
+			objs := (after.Mallocs - before.Mallocs) / trips
+			t.Logf("%d KiB and %d objects allocated per round trip", per>>10, objs)
 			if per >= 512<<10 {
 				t.Fatalf("a 1 MiB round trip allocates %d KiB, want < 512 KiB", per>>10)
+			}
+			if tc.objBound > 0 && objs > tc.objBound {
+				t.Fatalf("a 1 MiB round trip allocates %d objects, want at most %d", objs, tc.objBound)
 			}
 		})
 	}

@@ -1,12 +1,11 @@
 package mxoe
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"omxsim/internal/cpu"
+	"omxsim/internal/f64"
 	"omxsim/internal/hostmem"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
@@ -87,7 +86,7 @@ import (
 //     after the receiving firmware has handled it, or where the ack
 //     was dropped.
 //
-// collPoisonRecycled also poisons released records, and the firmware
+// proto.PoisonReleased also poisons released records, and the firmware
 // panics when it reads one or reuses one with a delivery pending.
 
 // CollMaxBytes bounds an offloaded payload: fragment bitmaps are one
@@ -425,11 +424,9 @@ func fit[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// collPoisonRecycled makes give overwrite every released buffer with
-// collPoison, so a read after release shows up as wrong bytes. Tests
-// set it.
-var collPoisonRecycled bool
-
+// collPoison overwrites every buffer give releases while
+// proto.PoisonReleased is set, so a read after release shows up as
+// wrong bytes.
 const collPoison = 0xdb
 
 // take hands out an n-byte payload buffer (nil for n 0), reusing a
@@ -459,7 +456,7 @@ func (s *Stack) give(b []byte) {
 		return
 	}
 	b = b[:cap(b)]
-	if collPoisonRecycled {
+	if proto.PoisonReleased {
 		for i := range b {
 			b[i] = collPoison
 		}
@@ -509,12 +506,12 @@ type collAck struct {
 }
 
 // collPoisonGroup marks a released record's message when
-// collPoisonRecycled is set: no member list hashes to it in practice.
+// proto.PoisonReleased is set: no member list hashes to it in practice.
 const collPoisonGroup = 0xdbdbdbdbdbdbdbdb
 
 // collCheckLive panics if a poisoned record's message is being read.
 func collCheckLive(group uint64) {
-	if collPoisonRecycled && group == collPoisonGroup {
+	if proto.PoisonReleased && group == collPoisonGroup {
 		panic("mxoe: a released collective hop or ack record was read")
 	}
 }
@@ -522,7 +519,7 @@ func collCheckLive(group uint64) {
 // collCheckIdle panics if a record leaves the free list while a
 // delivery of its frame is still pending.
 func collCheckIdle(f *wire.Frame) {
-	if collPoisonRecycled && f.Copies() != 0 {
+	if proto.PoisonReleased && f.Copies() != 0 {
 		panic(fmt.Sprintf("mxoe: a collective record was reused with %d deliveries of its frame pending", f.Copies()))
 	}
 }
@@ -560,14 +557,14 @@ func (o *collOut) FrameReleased(*wire.Frame) {
 }
 
 // free puts the hop record on its stack's free list, poisoned when
-// collPoisonRecycled is set.
+// proto.PoisonReleased is set.
 func (o *collOut) free() {
 	s := o.s
 	*o = collOut{
 		collFrame: collFrame{s: s, frame: wire.Frame{Owner: o}},
 		next:      s.outFree,
 	}
-	if collPoisonRecycled {
+	if proto.PoisonReleased {
 		o.msg.Group = collPoisonGroup
 		o.frame.Msg = &o.msg
 	}
@@ -595,7 +592,7 @@ func (a *collAck) FrameReleased(*wire.Frame) {
 		collFrame: collFrame{s: s, frame: wire.Frame{Owner: a}},
 		next:      s.ackFree,
 	}
-	if collPoisonRecycled {
+	if proto.PoisonReleased {
 		a.m.Group = collPoisonGroup
 		a.frame.Msg = &a.m
 	}
@@ -675,18 +672,6 @@ func (s *Stack) combineDelay(bytes int) sim.Duration {
 		return 0
 	}
 	return sim.Duration(float64(bytes) / float64(s.H.P.NICReduceRate))
-}
-
-// collSumInto adds src's float64 words into dst (little-endian), the
-// same reduction the host algorithms run; a trailing partial word is
-// left untouched (it stays the local contribution, as on the host).
-func collSumInto(dst, src []byte) {
-	n := min(len(dst), len(src)) / 8 * 8
-	for i := 0; i < n; i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(a+b))
-	}
 }
 
 // ---------------------------------------------------------------
@@ -880,7 +865,7 @@ func (s *Stack) advAllreduce(c *collCall) {
 		// Summed, a child's contribution is never read again (a late
 		// duplicate fails mark before its stash): release it now.
 		v := &c.upv[i]
-		collSumInto(c.contrib, v.data)
+		f64.Sum(c.contrib, v.data)
 		s.give(v.data)
 		v.data = nil
 		combined += c.n
@@ -928,7 +913,7 @@ func (s *Stack) advScan(c *collCall) {
 	c.sentUp = true
 	combined := 0
 	if c.g.me > 0 {
-		collSumInto(c.contrib, c.down.data)
+		f64.Sum(c.contrib, c.down.data)
 		combined = c.n
 	}
 	s.Stats.Coll.CombinedBytes += int64(combined)

@@ -107,7 +107,7 @@ func contribution(r, k, words int) []float64 {
 
 // poisonRounds runs rounds of firmware Allreduce, Bcast, Scan and
 // Barrier calls of n bytes on every rank of w and returns the wrong
-// results. Set collPoisonRecycled first: a call whose buffers were
+// results. Set proto.PoisonReleased first: a call whose buffers were
 // released while something could still read them delivers poison
 // instead of the exact result, and reading a released hop or ack
 // record panics.
@@ -175,8 +175,8 @@ func poisonRounds(t *testing.T, w *collWorld, rounds, n int) []string {
 // a forward or a deposit could still read them delivers poison instead
 // of the exact result.
 func TestCollRecyclePoisonStress(t *testing.T) {
-	collPoisonRecycled = true
-	t.Cleanup(func() { collPoisonRecycled = false })
+	proto.PoisonReleased = true
+	t.Cleanup(func() { proto.PoisonReleased = false })
 	const n = 2*proto.MediumFragSize + 808 // three fragments
 	w := newCollWorld(t, 5, 2, rtxCfg(), wire.Impairment{
 		Seed: 23, LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.1,
@@ -203,8 +203,8 @@ func TestCollRecyclePoisonStress(t *testing.T) {
 // every record must be back on its stack's free list, and the stacks
 // must have made far fewer records than they sent hops and acks.
 func TestCollRecordPoisonStress(t *testing.T) {
-	collPoisonRecycled = true
-	t.Cleanup(func() { collPoisonRecycled = false })
+	proto.PoisonReleased = true
+	t.Cleanup(func() { proto.PoisonReleased = false })
 	const n = proto.MediumFragSize + 808 // two fragments
 	w := newCollWorld(t, 4, 2, rtxCfg(), wire.Impairment{
 		Seed: 5, LossRate: 0.03, DupRate: 0.3, ReorderRate: 0.3, ReorderDelay: 300 * sim.Microsecond,

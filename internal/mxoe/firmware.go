@@ -1,6 +1,8 @@
 package mxoe
 
 import (
+	"math/bits"
+
 	"omxsim/internal/hostmem"
 	"omxsim/internal/proto"
 	"omxsim/internal/wire"
@@ -21,13 +23,16 @@ const mxBlockFrags = 32
 // boards. lane is the NIC the frame arrived on: pull requests are
 // answered on it, so the requester's block striping decides which
 // lanes of an aggregated link carry the bulk data. The firmware
-// releases the frame's delivery once it has handled the frame, except
-// a collective frame parked for a later CollJoin, which the join
-// releases.
+// releases the frame's delivery once it has handled the frame: a
+// deposited eager or pull reply fragment once its DMA has landed (see
+// fwDeposit), a collective frame parked for a later CollJoin at the
+// join, anything else before FirmwareRx returns.
 func (s *Stack) FirmwareRx(lane int, f *wire.Frame) {
 	switch m := f.Msg.(type) {
 	case *proto.Eager:
-		s.fwEager(f, m)
+		if s.fwEager(f, m) {
+			return
+		}
 	case *proto.Ack:
 		s.fwAck(m)
 	case *proto.RndvRequest:
@@ -35,7 +40,9 @@ func (s *Stack) FirmwareRx(lane int, f *wire.Frame) {
 	case *proto.Pull:
 		s.fwPull(lane, m)
 	case *proto.LargeFrag:
-		s.fwLargeFrag(f, m)
+		if s.fwLargeFrag(f, m) {
+			return
+		}
 	case *proto.RndvAck:
 		s.fwRndvAck(m)
 	case *proto.CollData:
@@ -87,6 +94,43 @@ func (s *Stack) fwAck(m *proto.Ack) {
 	}
 }
 
+// fwDeposit is one firmware DMA of a received frame into host
+// memory: an eager fragment into its endpoint's receive queue, or a
+// pull reply fragment into the transfer's destination. It holds the
+// frame's delivery, and so its header, until the deposit lands: the
+// firmware is the frame's last consumer. Then it releases the frame
+// and goes back on its stack's free list.
+type fwDeposit struct {
+	s    *Stack
+	f    *wire.Frame
+	ep   *Endpoint // eager: the receiving endpoint
+	slot int       // eager: the queue slot
+	lp   *mxPull   // pull reply: the transfer
+	next *fwDeposit
+}
+
+// newDeposit takes a deposit record for f from the free list, or
+// makes one.
+func (s *Stack) newDeposit(f *wire.Frame) *fwDeposit {
+	d := s.depFree
+	if d == nil {
+		d = &fwDeposit{s: s}
+	} else {
+		s.depFree, d.next = d.next, nil
+	}
+	d.f = f
+	return d
+}
+
+// done releases the deposited frame and frees the record, emptied so
+// that a stale read panics.
+func (d *fwDeposit) done() {
+	s, f := d.s, d.f
+	*d = fwDeposit{s: s, next: s.depFree}
+	s.depFree = d
+	f.Release()
+}
+
 // fwEager deposits an eager fragment into the endpoint's receive
 // queue by DMA and raises a completion event; the library does the
 // single copy to the destination after matching. The firmware's
@@ -94,11 +138,12 @@ func (s *Stack) fwAck(m *proto.Ack) {
 // since a duplicate proves the sender missed the ack) and tracks
 // per-message fragment bitmaps so retransmissions never
 // double-deliver; the firmware completes a message in it as soon as
-// its last fragment has a queue slot.
-func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
+// its last fragment has a queue slot. It reports whether it kept the
+// frame for the deposit.
+func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) bool {
 	ep := s.endpoints[m.Dst.EP]
 	if ep == nil {
-		return
+		return false
 	}
 	if m.AckSeq != 0 {
 		s.fwAck(&proto.Ack{Src: m.Dst, Dst: m.Src, AckSeq: m.AckSeq})
@@ -107,36 +152,45 @@ func (s *Stack) fwEager(f *wire.Frame, m *proto.Eager) {
 	if ch.IsDup(m.Seq) {
 		s.Stats.DupFrags++
 		// The sender clearly lost our ack: refresh it immediately.
-		s.Transmit(m.Src, &proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.Edge()}, nil)
-		return
+		s.TransmitAck(m.Src, proto.Ack{Src: m.Src, Dst: ep.Addr(), AckSeq: ch.Edge()})
+		return false
 	}
 	if ch.FragSeen(m.Seq, m.FragID) {
 		s.Stats.DupFrags++
-		return
+		return false
 	}
 	slot := ep.slots.Take()
 	if slot < 0 {
 		// Queue overrun: drop without recording the fragment; the
 		// sender's retransmission timer recovers it.
 		s.Stats.QueueDrops++
-		return
+		return false
 	}
 	if ch.Accept(m.Seq, m.FragID, m.FragCount) {
 		ch.Complete(m.Seq)
 	}
-	data := f.Data // the DMA outlives the frame's delivery
-	n := len(data)
+	d := s.newDeposit(f)
+	d.ep, d.slot = ep, slot
 	firmwareMatch := sim.Duration(s.H.P.MXFirmwareMatchCost)
-	s.H.E.Schedule(firmwareMatch+s.dmaDelayTo(ep.ring, n), func() {
-		off := ep.slotOff(slot)
-		ep.ring.WriteAt(data, off)
-		s.deposit(ep, ep.ring, n)
-		ep.pushEvent(&event{
-			kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
-			msgLen: m.MsgLen, fragID: m.FragID, fragCnt: m.FragCount,
-			offset: m.Offset, slot: slot, dataLen: n,
-		})
+	s.H.E.ScheduleArg(firmwareMatch+s.dmaDelayTo(ep.ring, len(f.Data)), depositEager, d)
+	return true
+}
+
+// depositEager lands an eager fragment in its queue slot and queues
+// its event.
+func depositEager(arg any) {
+	d := arg.(*fwDeposit)
+	s, ep, slot, f := d.s, d.ep, d.slot, d.f
+	m := f.Msg.(*proto.Eager)
+	n := len(f.Data)
+	ep.ring.WriteAt(f.Data, ep.slotOff(slot))
+	s.deposit(ep, ep.ring, n)
+	ep.pushEvent(&event{
+		kind: evEagerFrag, src: m.Src, match: m.Match, seq: m.Seq,
+		msgLen: m.MsgLen, fragID: m.FragID, fragCnt: m.FragCount,
+		offset: m.Offset, slot: slot, dataLen: n,
 	})
+	d.done()
 }
 
 // fwRndv raises a rendezvous event after firmware matching delay.
@@ -175,60 +229,91 @@ func (s *Stack) fwPull(lane int, m *proto.Pull) {
 		return
 	}
 	s.PullArrived(&ms.RndvSend, m.Src)
-	var frags []int
-	for i := 0; i < m.FragCount; i++ {
-		if m.NeedMask&(uint64(1)<<uint(i)) != 0 {
-			frags = append(frags, m.FirstFrag+i)
-		}
+	pc := s.pacerFree
+	if pc == nil {
+		pc = &fwPacer{s: s}
+	} else {
+		s.pacerFree, pc.next = pc.next, nil
 	}
-	idx := 0
-	var sendNext func()
-	sendNext = func() {
-		// The receiver may complete (and the send return its buffer)
-		// while a re-requested block is still being paced out: the
-		// rest of that reply is stale and must not read the buffer.
-		if idx >= len(frags) || s.sends[m.SenderHandle] != ms {
-			return
-		}
-		frag := frags[idx]
-		idx++
-		fo := frag * proto.LargeFragSize
-		fl := min(proto.LargeFragSize, ms.N-fo)
-		if fl <= 0 {
-			return
-		}
-		// Answer on the lane the pull arrived on: the block stays on
-		// one physical path end to end. The frame views the lent user
-		// buffer; the NIC DMA reads it in place.
-		s.TransmitOn(lane, m.Src, &proto.LargeFrag{
-			Src: ms.ep.Addr(), Dst: m.Src,
-			RecvHandle: m.RecvHandle, Block: m.Block,
-			FragID: frag, Offset: fo, MsgLen: ms.N,
-		}, ms.Buf.View(ms.Off+fo, fl))
-		s.Stats.FragsSent++
-		if idx < len(frags) {
-			// Pace at wire time plus the control-overhead fraction.
-			wireTime := float64(fl+s.H.P.OMXHeaderBytes+s.H.P.EthFrameOverhead) / float64(s.H.P.WireRate)
-			gap := sim.Duration(wireTime * (1 + s.H.P.MXControlOverhead))
-			s.H.E.Schedule(gap, sendNext)
-		}
+	pc.ms, pc.lane, pc.m = ms, lane, *m
+	pc.left = m.NeedMask
+	if m.FragCount < 64 {
+		pc.left &= 1<<uint(m.FragCount) - 1
 	}
-	sendNext()
+	pc.step()
+}
+
+// fwPacer sends the fragments of one pull request one at a time. It
+// keeps a copy of the request, whose frame the firmware releases as
+// soon as fwPull returns, and goes back on its stack's free list once
+// the last fragment is out or the reply went stale.
+type fwPacer struct {
+	s    *Stack
+	ms   *mxSend
+	lane int
+	m    proto.Pull
+	left uint64 // fragments of the block still to send
+	next *fwPacer
+}
+
+// paceNext sends a pacer's next fragment.
+func paceNext(arg any) { arg.(*fwPacer).step() }
+
+// step sends the next fragment and schedules the one after it.
+func (pc *fwPacer) step() {
+	s, ms, m := pc.s, pc.ms, &pc.m
+	// The receiver may complete (and the send return its buffer)
+	// while a re-requested block is still being paced out: the rest
+	// of that reply is stale and must not read the buffer.
+	if pc.left == 0 || s.sends[m.SenderHandle] != ms {
+		pc.free()
+		return
+	}
+	i := bits.TrailingZeros64(pc.left)
+	pc.left &^= 1 << uint(i)
+	frag := m.FirstFrag + i
+	fo := frag * proto.LargeFragSize
+	fl := min(proto.LargeFragSize, ms.N-fo)
+	if fl <= 0 {
+		pc.free()
+		return
+	}
+	// Answer on the lane the pull arrived on: the block stays on one
+	// physical path end to end. The frame views the lent user buffer;
+	// the NIC DMA reads it in place.
+	s.TransmitFrag(pc.lane, m, ms.ep.Addr(), frag, ms.N, ms.Buf.View(ms.Off+fo, fl))
+	s.Stats.FragsSent++
+	if pc.left == 0 {
+		pc.free()
+		return
+	}
+	// Pace at wire time plus the control-overhead fraction.
+	wireTime := float64(fl+s.H.P.OMXHeaderBytes+s.H.P.EthFrameOverhead) / float64(s.H.P.WireRate)
+	gap := sim.Duration(wireTime * (1 + s.H.P.MXControlOverhead))
+	s.H.E.ScheduleArg(gap, paceNext, pc)
+}
+
+// free puts the pacer back on its stack's free list, emptied.
+func (pc *fwPacer) free() {
+	s := pc.s
+	*pc = fwPacer{s: s, next: s.pacerFree}
+	s.pacerFree = pc
 }
 
 // fwLargeFrag deposits a pulled fragment directly into the pinned
 // destination buffer — the zero-copy receive that commodity Ethernet
 // NICs cannot do — and requests further blocks as transfers progress.
 // Per-block bitmaps suppress duplicate fragments, and completed
-// blocks retire their retransmission timers.
-func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
+// blocks retire their retransmission timers. It reports whether it
+// kept the frame for the deposit.
+func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) bool {
 	lp := s.pulls[m.RecvHandle]
 	if lp == nil || lp.Done {
-		return
+		return false
 	}
 	blk := s.AcceptFrag(&lp.RndvPull, m)
 	if blk == nil {
-		return
+		return false
 	}
 	if blk.Asm.Done() {
 		s.CompleteBlock(&lp.RndvPull, blk)
@@ -242,27 +327,35 @@ func (s *Stack) fwLargeFrag(f *wire.Frame, m *proto.LargeFrag) {
 		}
 		s.TraceCounter("pull-queue", float64(len(lp.Blocks)))
 	}
-	data := f.Data // the DMA outlives the frame's delivery
-	n := len(data)
-	s.H.E.Schedule(s.dmaDelayTo(lp.Buf, n), func() {
-		dstOff := lp.Off + m.Offset
-		lp.Buf.WriteAt(data, dstOff)
-		s.deposit(lp.ep, lp.Buf, n)
-		lp.deposited++
-		// When another block's worth of fragments has landed, ask for
-		// the next outstanding block (two are pipelined). Adaptive
-		// transfers refill at block completion instead (above).
-		if lp.AW == nil && lp.deposited%mxBlockFrags == 0 && lp.More() {
-			s.PullNext(&lp.RndvPull)
-		}
-		if lp.deposited == lp.Frags {
-			delete(s.pulls, lp.Handle)
-			lp.req.Len = lp.N
-			s.FinishPull(&lp.RndvPull)
-			lp.ep.pushEvent(&event{kind: evRecvDone, req: lp.req})
-			s.AckRndv(&lp.RndvPull)
-		}
-	})
+	d := s.newDeposit(f)
+	d.lp = lp
+	s.H.E.ScheduleArg(s.dmaDelayTo(lp.Buf, len(f.Data)), depositFrag, d)
+	return true
+}
+
+// depositFrag lands a pulled fragment in the destination buffer and
+// finishes the transfer with its last fragment.
+func depositFrag(arg any) {
+	d := arg.(*fwDeposit)
+	s, lp, f := d.s, d.lp, d.f
+	n := len(f.Data)
+	lp.Buf.WriteAt(f.Data, lp.Off+f.Msg.(*proto.LargeFrag).Offset)
+	s.deposit(lp.ep, lp.Buf, n)
+	d.done()
+	lp.deposited++
+	// When another block's worth of fragments has landed, ask for
+	// the next outstanding block (two are pipelined). Adaptive
+	// transfers refill at block completion instead (above).
+	if lp.AW == nil && lp.deposited%mxBlockFrags == 0 && lp.More() {
+		s.PullNext(&lp.RndvPull)
+	}
+	if lp.deposited == lp.Frags {
+		delete(s.pulls, lp.Handle)
+		lp.req.Len = lp.N
+		s.FinishPull(&lp.RndvPull)
+		lp.ep.pushEvent(&event{kind: evRecvDone, req: lp.req})
+		s.AckRndv(&lp.RndvPull)
+	}
 }
 
 // fwRndvAck completes a large send, retires its request timer and

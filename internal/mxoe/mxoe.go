@@ -108,6 +108,10 @@ type Stack struct {
 	outsMade, acksMade int
 	outsHeld           int
 
+	// Released firmware deposit and pull pacing records (firmware.go).
+	depFree   *fwDeposit
+	pacerFree *fwPacer
+
 	Stats Stats
 }
 
@@ -510,7 +514,7 @@ func (ep *Endpoint) handleEagerFrag(p *sim.Proc, ev *event) {
 		if ch := ep.rx[ev.src]; ch != nil {
 			ack = ch.Edge()
 		}
-		ep.S.Transmit(ev.src, &proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack}, nil)
+		ep.S.TransmitAck(ev.src, proto.Ack{Src: ev.src, Dst: ep.Addr(), AckSeq: ack})
 	}
 }
 

@@ -28,7 +28,12 @@ import (
 	"omxsim/sim"
 )
 
-// Skb is a socket buffer holding one received frame.
+// Skb is a socket buffer holding one received frame. The NIC takes it
+// from its free list when the frame arrives, and the protocol handler
+// that receives it owns it until Free: the bottom half's receive
+// callback, or the pending pool of I/OAT copies until the cleanup
+// routine sees them retired. Neither the Skb, nor Buf, nor Frame may
+// be used after Free.
 type Skb struct {
 	Buf   *hostmem.Buffer // payload bytes, freshly DMA'd (cache-cold); read-only
 	Frame *wire.Frame
@@ -39,16 +44,26 @@ type Skb struct {
 // Len reports the payload length.
 func (s *Skb) Len() int { return s.Buf.Size() }
 
-// Free releases the skbuff, and with it the frame's delivery (see
-// wire.Frame.Hold). Freeing twice panics (use-after-free guard for the
-// driver's resource tracking).
+// Free releases the skbuff: the frame's delivery (see
+// wire.Frame.Hold), the buffer wrapping its payload
+// (hostmem.Memory.Unwrap), and the skbuff itself, which goes back on
+// its NIC's free list empty, so a read through a stale pointer
+// panics until the NIC reuses it. Freeing twice panics
+// (use-after-free guard for the driver's resource tracking), also
+// when the skbuff is on the free list.
 func (s *Skb) Free() {
 	if s.freed {
 		panic("nic: double free of skbuff")
 	}
 	s.freed = true
-	s.nic.skbsLive--
-	s.Frame.Release()
+	n, f := s.nic, s.Frame
+	n.skbsLive--
+	n.Mem.Unwrap(s.Buf)
+	s.Buf, s.Frame = nil, nil
+	if len(n.skbFree) < n.P.RxRingSize {
+		n.skbFree = append(n.skbFree, s)
+	}
+	f.Release()
 }
 
 // RxHandler is the protocol receive callback, invoked in bottom-half
@@ -108,9 +123,12 @@ type NIC struct {
 	// reallocates.
 	pending     []*Skb
 	pendingHead int
-	inflight    int // frames being DMA'd into ring skbuffs
-	bhSig       *sim.Signal
-	bhBusy      bool
+	// skbFree holds freed skbuffs for Arrive to reuse, at most one
+	// receive ring's worth.
+	skbFree  []*Skb
+	inflight int // frames being DMA'd into ring skbuffs
+	bhSig    *sim.Signal
+	bhBusy   bool
 
 	// Transmit state (same head-cursor FIFO idiom). txCur is the frame
 	// in its host-to-NIC DMA (one at a time). The DMA completions are
@@ -232,7 +250,20 @@ func (n *NIC) Arrive(f *wire.Frame) {
 	// firmware personality, which deposits into user-placed buffers,
 	// does; see mxoe).
 	dma := sim.Duration(n.P.NICFixedLatency) + sim.Duration(float64(f.WireLen)/float64(n.P.NICDMARate))
-	n.E.ScheduleArg(dma, nicDeposit, &Skb{Frame: f, nic: n})
+	n.E.ScheduleArg(dma, nicDeposit, n.newSkb(f))
+}
+
+// newSkb takes an skbuff for f from the free list, or makes one.
+func (n *NIC) newSkb(f *wire.Frame) *Skb {
+	k := len(n.skbFree)
+	if k == 0 {
+		return &Skb{Frame: f, nic: n}
+	}
+	skb := n.skbFree[k-1]
+	n.skbFree[k-1] = nil
+	n.skbFree = n.skbFree[:k-1]
+	skb.Frame, skb.freed = f, false
+	return skb
 }
 
 // nicDeposit completes the DMA of an arrived frame (several may be in

@@ -347,6 +347,48 @@ func TestSkbLiveAccounting(t *testing.T) {
 	}
 }
 
+// A freed skbuff goes back on its NIC's free list empty: a stale read
+// through the freed pointer panics, freeing it again panics, and the
+// next frame reuses it, after which the double-free guard holds again.
+func TestFreedSkbIsRecycled(t *testing.T) {
+	fx := newPair(t)
+	var got []*Skb
+	var frames []*wire.Frame
+	fx.b.SetRxHandler(func(p *sim.Proc, core *cpu.Core, skb *Skb) {
+		if skb.Frame.Msg.(int) != len(got) {
+			t.Errorf("frame %d delivered as %v", len(got), skb.Frame.Msg)
+		}
+		got = append(got, skb)
+		frames = append(frames, skb.Frame)
+		skb.Free()
+	})
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	fx.a.Transmit(frame(64, 0))
+	fx.e.RunUntil(sim.Millisecond)
+	if len(got) != 1 {
+		t.Fatalf("delivered %d frames, want 1", len(got))
+	}
+	panics("Len of a freed skbuff", func() { got[0].Len() })
+	panics("Free of a freed skbuff", got[0].Free)
+	fx.a.Transmit(frame(128, 1))
+	fx.e.RunUntil(2 * sim.Millisecond)
+	if len(got) != 2 || got[1] != got[0] || frames[1] == frames[0] {
+		t.Fatal("the second frame did not reuse the freed skbuff")
+	}
+	panics("Free of a reused and freed skbuff", got[1].Free)
+	if fx.b.SkbsLive() != 0 {
+		t.Fatalf("live = %d", fx.b.SkbsLive())
+	}
+}
+
 func TestSwitchForwarding(t *testing.T) {
 	e := sim.New()
 	p := platform.Clovertown()

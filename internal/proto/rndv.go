@@ -187,12 +187,15 @@ func (t *Transport) PullNext(rp *RndvPull) {
 // on, so the block's whole round trip stays on one physical path —
 // and (re)arms the block's timer.
 func (t *Transport) SendPull(rp *RndvPull, blk *PullBlock, mask uint64) {
-	t.TransmitOn(t.LaneOf(rp.Key.Seq, blk.Idx), rp.Src, &Pull{
-		Src: rp.Local, Dst: rp.Src,
-		SenderHandle: rp.SenderHandle, RecvHandle: rp.Handle,
-		Block: blk.Idx, FirstFrag: blk.FirstFrag, FragCount: blk.Asm.Frags,
-		NeedMask: mask,
-	}, nil)
+	// The header is filled in place in a frame of the transport's.
+	r := t.newFrame()
+	h := &r.pull
+	h.Src, h.Dst = rp.Local, rp.Src
+	h.SenderHandle, h.RecvHandle = rp.SenderHandle, rp.Handle
+	h.Block, h.FirstFrag, h.FragCount = blk.Idx, blk.FirstFrag, blk.Asm.Frags
+	h.NeedMask = mask
+	r.Msg = h
+	t.TransmitFrameOn(t.LaneOf(rp.Key.Seq, blk.Idx), rp.Src, &r.Frame)
 	blk.timer.Stop()
 	blk.timer = t.H.E.ScheduleArg(t.RtxTimeout(rp.Src, blk.attempts), expireBlock, blk)
 }

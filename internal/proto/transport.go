@@ -154,6 +154,10 @@ type Transport struct {
 	// wrapped-around sequence number cannot hit an ancient entry.
 	seen map[RndvKey]*rndvState
 	done EvictRing[RndvKey]
+
+	// frameFree lists the frames whose last copy was released, for the
+	// next transmission to reuse (see txFrame).
+	frameFree *txFrame
 }
 
 // NewTransport returns the transport core of a stack on h. It counts
@@ -221,13 +225,18 @@ func (t *Transport) Transmit(dst Addr, msg any, payload []byte) {
 
 // TransmitOn sends a frame on the given NIC lane, addressed to the
 // peer's same-numbered lane (striping peers use symmetric lane
-// numbering; see wire.LaneAddr).
+// numbering; see wire.LaneAddr). The frame comes from the transport's
+// free list and goes back there when its last copy is released; msg
+// and payload are the caller's and are not reused.
 func (t *Transport) TransmitOn(lane int, dst Addr, msg any, payload []byte) {
-	t.TransmitFrameOn(lane, dst, &wire.Frame{Data: payload, Msg: msg})
+	r := t.newFrame()
+	r.Data, r.Msg = payload, msg
+	t.TransmitFrameOn(lane, dst, &r.Frame)
 }
 
-// TransmitFrameOn is TransmitOn for a frame the caller built, with
-// Data and Msg set: it fills in the wire length and the destination.
+// TransmitFrameOn is TransmitOn for a frame the caller built and
+// owns, with Data and Msg set: it fills in the wire length and the
+// destination.
 func (t *Transport) TransmitFrameOn(lane int, dst Addr, f *wire.Frame) {
 	t.ctr.NICTxFrames[lane]++
 	f.WireLen = len(f.Data) + t.H.P.OMXHeaderBytes

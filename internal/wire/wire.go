@@ -23,11 +23,21 @@ import (
 )
 
 // Frame is one Ethernet frame in flight.
+//
+// A frame a stack transmits has one owner, told when the frame's last
+// copy is released: the stack's transport (proto.Transport), which
+// builds its frames from a free list and takes each one back there,
+// or a firmware collective's hop or ack record, which sends the same
+// Frame for every transmission of its message. A receiver therefore
+// reads an owned frame, its Msg included, only until it releases its
+// copy.
 type Frame struct {
 	// Data is the payload (may be nil for pure control messages whose
 	// few bytes ride in Msg): a view of the lent sender buffer for a
 	// pull reply, a view of the sending call's NIC-resident buffer for
-	// a firmware collective hop, a copy made at send time otherwise.
+	// a firmware collective hop, a copy made at send time otherwise
+	// (into the frame's own reused storage for an Open-MX eager
+	// fragment).
 	// It does not change while a receiver can still read it (a write
 	// into a lent buffer copies the buffer first; a firmware
 	// collective reuses its buffers only once every hop is acked, and
@@ -39,7 +49,9 @@ type Frame struct {
 	// protocol header but excluding Ethernet framing (which the link
 	// adds from the platform constants).
 	WireLen int
-	// Msg is the decoded protocol message (header fields).
+	// Msg is the decoded protocol message (header fields). A frame
+	// the transport built may carry it by value, so it goes back with
+	// the frame.
 	Msg any
 	// DstAddr routes the frame through switches. Point-to-point links
 	// ignore it.
@@ -53,8 +65,8 @@ type Frame struct {
 	copies int
 }
 
-// FrameOwner reuses frames: a firmware that sends the same Frame for
-// every transmission of a message keeps it until no copy is left.
+// FrameOwner reuses frames: it is told when no copy of a frame it
+// sent is left, and may then send the Frame again.
 type FrameOwner interface {
 	// FrameReleased runs when f's last copy has been released.
 	FrameReleased(f *Frame)
@@ -65,18 +77,25 @@ type FrameOwner interface {
 // stack that loops a frame back to itself one per loopback. Every
 // copy is released exactly once, by whatever ends its delivery: the
 // link or switch that drops it, or the receiver once it has handled
-// it. A receiver may keep Data, which never changes, but not the
-// Frame of an owned message past the release.
+// it (the protocol freeing its skbuff, or the firmware after its
+// deposit). A receiver reads an owned frame, its Msg and Data
+// included, only until it releases its copy: the owner may then send
+// the Frame again, with another header and payload.
 func (f *Frame) Hold() { f.copies++ }
 
 // Release ends one copy's delivery. The release of the last copy
 // tells the Owner. Releasing a frame nobody holds is harmless unless
-// it has an Owner.
+// it has an Owner, and then it panics: the frame may already carry
+// another message.
 func (f *Frame) Release() {
 	f.copies--
-	if f.copies == 0 && f.Owner != nil {
-		f.Owner.FrameReleased(f)
+	if f.copies > 0 || f.Owner == nil {
+		return
 	}
+	if f.copies < 0 {
+		panic("wire: release of an owned frame with no copy held")
+	}
+	f.Owner.FrameReleased(f)
 }
 
 // Copies reports the copies of f still being delivered.

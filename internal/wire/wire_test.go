@@ -230,3 +230,31 @@ func BenchmarkHoseHop(b *testing.B) {
 		b.Fatalf("sink got %d frames, want %d", dst.n, b.N+1000)
 	}
 }
+
+type countingOwner struct{ released int }
+
+func (o *countingOwner) FrameReleased(*Frame) { o.released++ }
+
+// The owner hears of a frame once, at the release of its last copy,
+// and releasing an owned frame no copy of which is held panics: the
+// owner may already have sent it again.
+func TestOwnedFrameReleaseCounts(t *testing.T) {
+	o := &countingOwner{}
+	f := &Frame{Owner: o}
+	f.Hold()
+	f.Hold()
+	f.Release()
+	if o.released != 0 {
+		t.Fatal("owner told before the last copy was released")
+	}
+	f.Release()
+	if o.released != 1 || f.Copies() != 0 {
+		t.Fatalf("owner told %d times, %d copies left", o.released, f.Copies())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing an owned frame with no copy held did not panic")
+		}
+	}()
+	f.Release()
+}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"omxsim/cluster"
+	"omxsim/internal/f64"
 	"omxsim/openmx"
 )
 
@@ -452,7 +453,7 @@ func (r *Rank) reduceBinomial(tag, root int, sbuf, rbuf *cluster.Buffer, n int) 
 		}
 		if vr+k < p {
 			r.Recv(vrank(vr+k, root, p), tag, tmp, 0, n)
-			sumInto(acc.Bytes()[:n], tmp.Bytes()[:n])
+			f64.Sum(acc.Bytes()[:n], tmp.Bytes()[:n])
 			r.chargeCompute(n)
 		}
 	}
@@ -513,7 +514,7 @@ func (r *Rank) ringReduceScatter(tag int, acc *cluster.Buffer, n int) {
 		slo, shi := ringChunk(sendC, n, p)
 		rlo, rhi := ringChunk(recvC, n, p)
 		r.SendRecv(right, tag, acc, slo, shi-slo, left, tag, tmp, 0, rhi-rlo)
-		sumInto(acc.Bytes()[rlo:rhi], tmp.Bytes()[:rhi-rlo])
+		f64.Sum(acc.Bytes()[rlo:rhi], tmp.Bytes()[:rhi-rlo])
 		r.chargeCompute(rhi - rlo)
 	}
 }
@@ -561,7 +562,7 @@ func (r *Rank) allreduceRD(tag int, sbuf, rbuf *cluster.Buffer, n int) {
 		r.Send(id+1, tag|subARFold, rbuf, 0, n)
 	case id < 2*rem:
 		r.Recv(id-1, tag|subARFold, tmp, 0, n)
-		sumInto(rbuf.Bytes()[:n], tmp.Bytes()[:n])
+		f64.Sum(rbuf.Bytes()[:n], tmp.Bytes()[:n])
 		r.chargeCompute(n)
 		newID = id / 2
 	default:
@@ -576,7 +577,7 @@ func (r *Rank) allreduceRD(tag int, sbuf, rbuf *cluster.Buffer, n int) {
 			}
 			r.SendRecv(partner, tag|subARDoubling, rbuf, 0, n,
 				partner, tag|subARDoubling, tmp, 0, n)
-			sumInto(rbuf.Bytes()[:n], tmp.Bytes()[:n])
+			f64.Sum(rbuf.Bytes()[:n], tmp.Bytes()[:n])
 			r.chargeCompute(n)
 		}
 	}
@@ -656,7 +657,7 @@ func (r *Rank) scanRD(tag int, sbuf, rbuf *cluster.Buffer, n int) {
 		}
 		if rreq != nil {
 			r.Wait(rreq)
-			sumInto(rbuf.Bytes()[:n], tmp.Bytes()[:n])
+			f64.Sum(rbuf.Bytes()[:n], tmp.Bytes()[:n])
 			r.chargeCompute(n)
 		}
 		if sreq != nil {

@@ -15,9 +15,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"omxsim/cluster"
 	"omxsim/internal/cpu"
@@ -198,16 +196,4 @@ func (r *Rank) ComputeFor(d sim.Duration) {
 		return
 	}
 	r.Host.Machine().Sys.Core(r.Core).RunOn(r.p, cpu.AppCompute, d)
-}
-
-// sumInto adds src's float64 values into dst (little-endian), the
-// MPI_SUM/MPI_FLOAT reduction IMB uses. Only whole 8-byte words are
-// reduced; a trailing fragment is left untouched.
-func sumInto(dst, src []byte) {
-	n := len(dst) / 8 * 8
-	for i := 0; i < n; i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(a+b))
-	}
 }
